@@ -21,19 +21,14 @@ from .fields import (
 from .propagators import (
     PropagatorSpec,
     PotentialSpec,
-    free_propagate,
-    splitstep_propagate,
     product_propagate,
     two_particle_rotate,
     two_particle_propagate,
-    dispersive_ratio_series,
 )
 from .hyperbolic import (
     SphericalProfile,
     spherical_transform,
     inverse_spherical_transform,
-    h3_propagate,
-    h3_product_propagate,
 )
 from .exponents import (
     INF,
@@ -53,7 +48,6 @@ from .decay import (
     DecayFit,
     norm_series,
     fit_decay_exponent,
-    regime_decay_fit,
     compare_prediction,
     strichartz_norm,
 )

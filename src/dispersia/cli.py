@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .exponents import HypothesisViolation
-from .experiments import ConfigError, classify_lattice, list_experiments, run
+from .experiments import ConfigError, UnknownExperiment, classify_lattice, list_experiments, run
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -79,8 +79,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except UnknownExperiment as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNKNOWN_EXPERIMENT
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
@@ -88,8 +88,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INVALID_ARGUMENT
-    except Exception as exc:  # pragma: no cover
-        print(f"unexpected error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"unexpected error: {exc!r}", file=sys.stderr)
         return EXIT_UNEXPECTED
 
 

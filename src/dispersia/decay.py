@@ -10,7 +10,7 @@ outright rather than down-weighted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +32,6 @@ class DecayFit:
     stderr: float
     window: tuple[float, float]
     n_samples: int
-    predicted: Fraction | None = None
-    verdict: bool | None = None
 
 
 def norm_series(evolve, u0: Field, times, r, sequential: bool = False):
@@ -92,16 +90,6 @@ def fit_decay_exponent(series, window: tuple[float, float]) -> DecayFit:
     )
 
 
-def regime_decay_fit(series, split_time: float = 1.0) -> tuple[DecayFit, DecayFit]:
-    """Separate power-law fits below and above the split time (the decay
-    rate of these flows changes at unit time)."""
-    eps = 1e-12
-    small = fit_decay_exponent(series, (eps, split_time))
-    t_max = max(s.t for s in series)
-    large = fit_decay_exponent(series, (split_time, t_max + eps))
-    return small, large
-
-
 def compare_prediction(fit: DecayFit, predicted, tol: float) -> dict:
     """Verdict report: pass iff the measured slope is within tol of the
     predicted decay -predicted."""
@@ -116,12 +104,6 @@ def compare_prediction(fit: DecayFit, predicted, tol: float) -> dict:
         "window": list(fit.window),
         "n_samples": fit.n_samples,
     }
-
-
-def verdict_fit(fit: DecayFit, predicted, tol: float) -> DecayFit:
-    """A DecayFit annotated with the prediction and pass/fail verdict."""
-    report = compare_prediction(fit, predicted, tol)
-    return replace(fit, predicted=Fraction(predicted), verdict=report["verdict"] == "pass")
 
 
 def strichartz_norm(trajectory, p, q) -> float:

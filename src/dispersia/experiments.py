@@ -9,19 +9,19 @@ verdict can be traced back to the exact settings that produced it.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import __version__
-from .decay import SeriesSample, fit_decay_exponent, compare_prediction, norm_series
+from .decay import fit_decay_exponent, compare_prediction, norm_series
 from .exponents import (
     INF,
     DispersionIndex,
@@ -32,20 +32,23 @@ from .exponents import (
     is_admissible,
     select_nls_exponents,
 )
-from .fields import HYPERBOLIC, Field, gaussian_field, lp_norm, make_grid, tensor_product
-from .hyperbolic import SphericalProfile, h3_product_propagate, h3_propagate
+from .fields import EUCLIDEAN, HYPERBOLIC, Field, gaussian_field, lp_norm, make_grid
 from .nls import Nonlinearity, picard_iterate, scattering_diagnostic, splitstep_nls
 from .propagators import (
     PotentialSpec,
     PropagatorSpec,
+    original_coordinates_reference,
     product_propagate,
-    torus_frequencies,
     two_particle_propagate,
 )
 
 
 class ConfigError(ValueError):
     """Malformed or incomplete experiment configuration."""
+
+
+class UnknownExperiment(KeyError):
+    """The config names no registered experiment."""
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,6 @@ def _write_json(path: str, obj: dict, fingerprint: str):
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _log_times(t_min: float, t_max: float, n: int):
-    return list(np.geomspace(t_min, t_max, n))
-
-
 def _exponent_from_str(s: str):
     s = s.strip().lower()
     if s in ("inf", "infinity", "oo"):
@@ -148,113 +147,117 @@ class RunReport:
         self.lines.append(text)
 
 
-def _ratio_series(specs, u0, times, r, r_tilde, sequential=False):
-    """Normalized decay ratios, sequential stepping for split-step factors."""
-    base = lp_norm(u0, r_tilde)
-    evolve = lambda u, t: product_propagate(specs, u, t)
-    series = norm_series(evolve, u0, times, r, sequential=sequential)
-    return [SeriesSample(t=s.t, value=s.value / base, flagged=s.flagged) for s in series]
+def _separable_datum(grid, profile: np.ndarray, k: int) -> Field:
+    """The k-factor datum profile (x) ... (x) profile on grid^k."""
+    return Field((grid,) * k, functools.reduce(np.multiply.outer, [profile] * k))
 
 
-def _separable_gaussian(grids, width: float) -> Field:
-    f = gaussian_field(grids[0], width)
-    for g in grids[1:]:
-        f = tensor_product(f, gaussian_field(g, width)) if f.rank == 1 else _extend(f, g, width)
-    return f
+def _radial_bump(grid, center: float, width: float) -> np.ndarray:
+    """Radial Gaussian shell on an H^3 grid, normalized in weighted L^1."""
+    values = np.exp(-((grid.nodes - center) ** 2) / (2 * width**2))
+    return values / lp_norm(Field((grid,), values), 1)
 
 
-def _extend(f: Field, grid, width: float) -> Field:
-    g = gaussian_field(grid, width)
-    values = np.multiply.outer(f.values, g.values)
-    return Field(f.grids + g.grids, values)
+def _decay_verdict(cfg, report, label, evolve, u0, window, n_times, q, predicted, tol, sequential, **extra):
+    """Shared tail of every decay experiment: the ratio series
+    ||u(t)||_q / ||u0||_q' on log-spaced times, its power-law fit over the
+    window, the verdict against slope -predicted, and the series.csv and
+    fit.json artifacts (fit.json also carries the `extra` entries)."""
+    base = lp_norm(u0, dual_exponent(q))
+    series = norm_series(evolve, u0, np.geomspace(*window, n_times), float(q), sequential=sequential)
+    series = [replace(s, value=s.value / base) for s in series]
+    fit = fit_decay_exponent(series, window)
+    rep = compare_prediction(fit, predicted, tol)
+    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
+    _write_json(os.path.join(cfg.output_dir, "fit.json"), {**rep, **extra}, cfg.fingerprint)
+    report.add(label, rep["verdict"] == "pass", f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}")
 
 
 # ---------------------------------------------------------------- experiments
 
+# L^1 -> L^inf decay rate of each factor kind.
+_FACTOR_RATES = {"free": Fraction(1, 2), "free-plus-potential": Fraction(1, 2), "hyperbolic-radial": Fraction(3, 2)}
 
-def run_free_product_decay(cfg: ExperimentConfig, report: RunReport):
-    k = _get(cfg, "grid", "factors", 2, int)
-    # per-factor-count defaults keep the total cost flat: the 3-factor run
-    # must live on a much smaller grid, hence a shorter fit window
-    n = _get(cfg, "grid", "n_points", {1: 2048, 3: 200}.get(k, 1024), int)
-    length = _get(cfg, "grid", "length", {1: 600.0, 3: 140.0}.get(k, 512.0), float)
-    width = _get(cfg, "data", "width", 1.0, float)
-    t_min = _get(cfg, "time", "t_min", 2.0, float)
-    t_max = _get(cfg, "time", "t_max", 12.0 if k == 3 else 50.0, float)
-    n_times = _get(cfg, "time", "n_times", 8 if k == 3 else 15, int)
-    tol = _get(cfg, "fit", "tolerance", 0.05, float)
-    grids = [make_grid(n, length) for _ in range(k)]
-    specs = [PropagatorSpec("free", g) for g in grids]
-    u0 = _separable_gaussian(grids, width)
-    times = _log_times(t_min, t_max, n_times)
-    series = _ratio_series(specs, u0, times, math.inf, 1)
-    fit = fit_decay_exponent(series, (t_min, t_max))
-    predicted = Fraction(k, 2)
-    rep = compare_prediction(fit, predicted, tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(os.path.join(cfg.output_dir, "fit.json"), rep, cfg.fingerprint)
-    report.add(
-        f"{k}-factor free decay slope",
-        rep["verdict"] == "pass",
-        f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}",
-    )
+# preset -> (factor kind, default factor count, whether [grid] factors is read,
+# default [exponents] q (None: fixed q = inf, the L^1 -> L^inf estimate), label)
+_DECAY_PRESETS = {
+    "free-product-decay": ("free", 2, True, None, "{k}-factor free decay slope"),
+    "potential-product-decay": ("free-plus-potential", 1, True, None, "{k}-factor potential decay slope"),
+    "hyperbolic-decay": ("hyperbolic-radial", 1, False, None, "hyperbolic large-time decay slope"),
+    "hyperbolic-product-decay": ("hyperbolic-radial", 2, False, None, "hyperbolic product large-time decay slope"),
+    "interpolated-decay": ("free", 2, False, "4", "interpolated decay slope (q={q})"),
+}
+
+# (preset, factor count) -> defaults of n_points, length (r_max on H^3),
+# data width, t_min, t_max, n_times, tolerance, split steps per unit time.
+# Per-factor-count defaults keep the total cost flat: the 3-factor run must
+# live on a much smaller grid, hence a shorter fit window.
+_DECAY_DEFAULTS = {
+    ("free-product-decay", 1): (2048, 600.0, 1.0, 2.0, 50.0, 15, 0.05, None),
+    ("free-product-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.05, None),
+    ("free-product-decay", 3): (200, 140.0, 1.0, 2.0, 12.0, 8, 0.05, None),
+    ("potential-product-decay", 1): (2048, 300.0, 1.0, 3.0, 30.0, 12, 0.10, 64),
+    ("potential-product-decay", 2): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12, 32),
+    ("potential-product-decay", 3): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12, 32),
+    ("hyperbolic-decay", 1): (1120, 280.0, 0.8, 2.0, 40.0, 14, 0.10, None),
+    ("hyperbolic-product-decay", 2): (1120, 280.0, 0.8, 2.0, 40.0, 10, 0.15, None),
+    ("interpolated-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.08, None),
+}
 
 
-def run_potential_product_decay(cfg: ExperimentConfig, report: RunReport):
-    k = _get(cfg, "grid", "factors", 1, int)
-    n = _get(cfg, "grid", "n_points", 2048 if k == 1 else 512, int)
-    length = _get(cfg, "grid", "length", 300.0 if k == 1 else 260.0, float)
-    width = _get(cfg, "data", "width", 1.0, float)
-    family = _get(cfg, "potential", "family", "sech-squared")
-    amplitude = _get(cfg, "potential", "amplitude", 0.3, float)
-    v_width = _get(cfg, "potential", "width", 1.0, float)
-    spp = _get(cfg, "time", "split_steps_per_unit_time", 64 if k == 1 else 32, int)
-    t_min = _get(cfg, "time", "t_min", 3.0 if k == 1 else 4.0, float)
-    t_max = _get(cfg, "time", "t_max", 30.0, float)
-    n_times = _get(cfg, "time", "n_times", 12 if k == 1 else 10, int)
-    tol = _get(cfg, "fit", "tolerance", 0.10 if k == 1 else 0.12, float)
-    grids = [make_grid(n, length) for _ in range(k)]
-    center = length / 2
-    pot = PotentialSpec(family, amplitude=amplitude, width=v_width, center=center)
-    specs = [
-        PropagatorSpec(
-            "free-plus-potential",
-            g,
-            potential=tuple(pot.sample(g)),
-            split_steps_per_unit_time=spp,
+def run_product_decay(cfg: ExperimentConfig, report: RunReport):
+    """Every product decay preset: k copies of one factor flow, a separable
+    datum, the L^q' -> L^q ratio series, and predicted slope
+    -(sum of the factor rates)(1 - 2/q)."""
+    kind, k, k_settable, q, label = _DECAY_PRESETS[cfg.name]
+    if k_settable:
+        k = _get(cfg, "grid", "factors", k, int)
+    if (cfg.name, k) not in _DECAY_DEFAULTS:
+        raise ConfigError(f"[grid] factors = {k} is not supported by {cfg.name}")
+    n, length, width, t_min, t_max, n_times, tol, spp = _DECAY_DEFAULTS[cfg.name, k]
+    hyperbolic = kind == "hyperbolic-radial"
+    n = _get(cfg, "grid", "n_points", n, int)
+    length = _get(cfg, "grid", "r_max" if hyperbolic else "length", length, float)
+    width = _get(cfg, "data", "width", width, float)
+    t_min = _get(cfg, "time", "t_min", t_min, float)
+    t_max = _get(cfg, "time", "t_max", t_max, float)
+    n_times = _get(cfg, "time", "n_times", n_times, int)
+    tol = _get(cfg, "fit", "tolerance", tol, float)
+    q = INF if q is None else _exponent_from_str(_get(cfg, "exponents", "q", q))
+    grid = make_grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
+    if hyperbolic:
+        profile = _radial_bump(grid, _get(cfg, "data", "center", 1.5, float), width)
+    else:
+        profile = gaussian_field(grid, width).values
+    if kind == "free-plus-potential":
+        pot = PotentialSpec(
+            _get(cfg, "potential", "family", "sech-squared"),
+            amplitude=_get(cfg, "potential", "amplitude", 0.3, float),
+            width=_get(cfg, "potential", "width", 1.0, float),
+            center=length / 2,
         )
-        for g in grids
-    ]
-    u0 = _separable_gaussian(grids, width)
-    times = _log_times(t_min, t_max, n_times)
-    series = _ratio_series(specs, u0, times, math.inf, 1, sequential=True)
-    fit = fit_decay_exponent(series, (t_min, t_max))
-    predicted = Fraction(k, 2)
-    rep = compare_prediction(fit, predicted, tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(os.path.join(cfg.output_dir, "fit.json"), rep, cfg.fingerprint)
-    report.add(
-        f"{k}-factor potential decay slope",
-        rep["verdict"] == "pass",
-        f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}",
+        spp = _get(cfg, "time", "split_steps_per_unit_time", spp, int)
+        spec = PropagatorSpec(kind, grid, potential=tuple(pot.sample(grid)), split_steps_per_unit_time=spp)
+    else:
+        spec = PropagatorSpec(kind, grid)
+    specs = [spec] * k
+    rates = [_FACTOR_RATES[s.kind] for s in specs]
+    # the first factor against the product of the others, as in e^{itH} e^{itK}
+    predicted = interpolation_exponent(q, DispersionIndex(rates[0], sum(rates[1:])))
+    _decay_verdict(
+        cfg,
+        report,
+        label.format(k=k, q=q),
+        lambda u, t: product_propagate(specs, u, t),
+        _separable_datum(grid, profile, k),
+        (t_min, t_max),
+        n_times,
+        q,
+        predicted,
+        tol,
+        # split-step factors carry time-step error: continue each sample from the last
+        sequential=any(s.kind == "free-plus-potential" for s in specs),
     )
-
-
-def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
-    """Reference two-particle solve in the original coordinates: 2-D Strang
-    split-step with the sampled two-variable potential V(x - y)."""
-    n = grid.n_points
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    v2d = np.asarray(potential, dtype=float)[(j - k) % n]
-    xi = torus_frequencies(grid)
-    dt = t / steps
-    mult = np.exp(-1j * dt * (xi[:, None] ** 2 + xi[None, :] ** 2))
-    half = np.exp(-0.5j * dt * v2d)
-    w = u0.values * half
-    for s in range(steps):
-        w = sfft.ifft2(sfft.fft2(w) * mult)
-        w *= (half * half) if s < steps - 1 else half
-    return u0.with_values(w)
 
 
 def run_two_particle(cfg: ExperimentConfig, report: RunReport):
@@ -274,7 +277,7 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     grid = make_grid(n, length)
     pot = PotentialSpec("sech-squared", amplitude=amplitude, width=v_width, center=0.0)
     v = pot.sample(grid)
-    u0 = _separable_gaussian([grid, grid], width)
+    u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
     # route equivalence at matched step counts
     rotated = two_particle_propagate(grid, v, u0, t_eq, steps_eq)
     reference = original_coordinates_reference(grid, v, u0, t_eq, steps_eq)
@@ -285,113 +288,19 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         f"difference={diff:.3e} tol={eq_tol}",
     )
     # product decay in the interacting system
-    evolve = lambda u, t: two_particle_propagate(grid, v, u, t, max(1, math.ceil(t * spp)))
-    base = lp_norm(u0, 1)
-    times = _log_times(t_min, t_max, n_times)
-    series = norm_series(evolve, u0, times, math.inf, sequential=True)
-    series = [SeriesSample(t=s.t, value=s.value / base, flagged=s.flagged) for s in series]
-    fit = fit_decay_exponent(series, (t_min, t_max))
-    rep = compare_prediction(fit, Fraction(1), tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(
-        os.path.join(cfg.output_dir, "fit.json"),
-        {**rep, "equivalence_l2_difference": diff},
-        cfg.fingerprint,
-    )
-    report.add(
+    _decay_verdict(
+        cfg,
+        report,
         "two-particle decay slope",
-        rep["verdict"] == "pass",
-        f"slope={fit.slope:.4f} predicted=-1 tol={tol}",
-    )
-
-
-def _radial_bump(grid, center: float, width: float) -> SphericalProfile:
-    r = grid.nodes
-    values = np.exp(-((r - center) ** 2) / (2 * width**2))
-    prof = SphericalProfile(grid, values)
-    scale = lp_norm(prof.as_field(), 1)
-    return SphericalProfile(grid, values / scale)
-
-
-def run_hyperbolic_decay(cfg: ExperimentConfig, report: RunReport):
-    n = _get(cfg, "grid", "n_points", 1120, int)
-    r_max = _get(cfg, "grid", "r_max", 280.0, float)
-    center = _get(cfg, "data", "center", 1.5, float)
-    width = _get(cfg, "data", "width", 0.8, float)
-    t_min = _get(cfg, "time", "t_min", 2.0, float)
-    t_max = _get(cfg, "time", "t_max", 40.0, float)
-    n_times = _get(cfg, "time", "n_times", 14, int)
-    tol = _get(cfg, "fit", "tolerance", 0.10, float)
-    grid = make_grid(n, r_max, HYPERBOLIC)
-    prof = _radial_bump(grid, center, width)
-    u0 = prof.as_field()
-    evolve = lambda u, t: h3_propagate(SphericalProfile(grid, u.values), t).as_field()
-    times = _log_times(t_min, t_max, n_times)
-    series = norm_series(evolve, u0, times, math.inf)
-    fit = fit_decay_exponent(series, (t_min, t_max))
-    rep = compare_prediction(fit, Fraction(3, 2), tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(os.path.join(cfg.output_dir, "fit.json"), rep, cfg.fingerprint)
-    report.add(
-        "hyperbolic large-time decay slope",
-        rep["verdict"] == "pass",
-        f"slope={fit.slope:.4f} predicted=-3/2 tol={tol}",
-    )
-
-
-def run_hyperbolic_product_decay(cfg: ExperimentConfig, report: RunReport):
-    n = _get(cfg, "grid", "n_points", 1120, int)
-    r_max = _get(cfg, "grid", "r_max", 280.0, float)
-    center = _get(cfg, "data", "center", 1.5, float)
-    width = _get(cfg, "data", "width", 0.8, float)
-    t_min = _get(cfg, "time", "t_min", 2.0, float)
-    t_max = _get(cfg, "time", "t_max", 40.0, float)
-    n_times = _get(cfg, "time", "n_times", 10, int)
-    tol = _get(cfg, "fit", "tolerance", 0.15, float)
-    grid = make_grid(n, r_max, HYPERBOLIC)
-    prof = _radial_bump(grid, center, width)
-    u0 = tensor_product(prof.as_field(), prof.as_field())
-    base = lp_norm(u0, 1)
-    evolve = lambda u, t: h3_product_propagate(u, t)
-    times = _log_times(t_min, t_max, n_times)
-    series = norm_series(evolve, u0, times, math.inf)
-    series = [SeriesSample(t=s.t, value=s.value / base, flagged=s.flagged) for s in series]
-    fit = fit_decay_exponent(series, (t_min, t_max))
-    rep = compare_prediction(fit, Fraction(3), tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(os.path.join(cfg.output_dir, "fit.json"), rep, cfg.fingerprint)
-    report.add(
-        "hyperbolic product large-time decay slope",
-        rep["verdict"] == "pass",
-        f"slope={fit.slope:.4f} predicted=-3 tol={tol}",
-    )
-
-
-def run_interpolated_decay(cfg: ExperimentConfig, report: RunReport):
-    n = _get(cfg, "grid", "n_points", 1024, int)
-    length = _get(cfg, "grid", "length", 512.0, float)
-    width = _get(cfg, "data", "width", 1.0, float)
-    q = _exponent_from_str(_get(cfg, "exponents", "q", "4"))
-    t_min = _get(cfg, "time", "t_min", 2.0, float)
-    t_max = _get(cfg, "time", "t_max", 50.0, float)
-    n_times = _get(cfg, "time", "n_times", 15, int)
-    tol = _get(cfg, "fit", "tolerance", 0.08, float)
-    grids = [make_grid(n, length) for _ in range(2)]
-    specs = [PropagatorSpec("free", g) for g in grids]
-    u0 = _separable_gaussian(grids, width)
-    idx = DispersionIndex(Fraction(1, 2), Fraction(1, 2))
-    predicted = interpolation_exponent(q, idx)
-    q_dual = dual_exponent(q)
-    times = _log_times(t_min, t_max, n_times)
-    series = _ratio_series(specs, u0, times, float(q), float(q_dual))
-    fit = fit_decay_exponent(series, (t_min, t_max))
-    rep = compare_prediction(fit, predicted, tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(os.path.join(cfg.output_dir, "fit.json"), rep, cfg.fingerprint)
-    report.add(
-        f"interpolated decay slope (q={q})",
-        rep["verdict"] == "pass",
-        f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}",
+        lambda u, t: two_particle_propagate(grid, v, u, t, max(1, math.ceil(t * spp))),
+        u0,
+        (t_min, t_max),
+        n_times,
+        INF,
+        Fraction(1),
+        tol,
+        sequential=True,
+        equivalence_l2_difference=diff,
     )
 
 
@@ -445,14 +354,14 @@ def _nls_setup(cfg: ExperimentConfig):
     amp = _get(cfg, "data", "amplitude", 0.05, float)
     gamma = _get(cfg, "nls", "gamma", 3.0, float)
     mu = _get(cfg, "nls", "mu", 1.0, float)
-    grids = [make_grid(n, length) for _ in range(2)]
-    specs = [PropagatorSpec("free", g) for g in grids]
-    u0 = _separable_gaussian(grids, width)
+    grid = make_grid(n, length)
+    specs = [PropagatorSpec("free", grid)] * 2
+    u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
     u0 = u0.with_values(amp * u0.values)
     linear = lambda u, t: product_propagate(specs, u, t)
     nl = Nonlinearity(gamma=gamma, mu=mu)
     sel = select_nls_exponents(
-        _get(cfg, "nls", "m_eff", 1, int), _get(cfg, "nls", "n_eff", 1, int), Fraction(gamma).limit_denominator(1000)
+        _get(cfg, "nls", "m_eff", 1, int), _get(cfg, "nls", "n_eff", 1, int), nl.exact_gamma
     )
     return u0, linear, nl, sel
 
@@ -464,6 +373,8 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     tol = _get(cfg, "nls", "tol", 1e-10, float)
     agree_tol = _get(cfg, "fit", "cross_method_tolerance", 1e-4, float)
     scaling_tol = _get(cfg, "fit", "scaling_tolerance", 0.2, float)
+    if max_iter < 2:
+        raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
     u0, linear, nl, sel = _nls_setup(cfg)
     result = picard_iterate(u0, nl, linear, sel, T, dt, max_iter=max_iter, tol=tol)
     ratios = [s.ratio for s in result.history if s.ratio is not None]
@@ -543,22 +454,22 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
 
 
 REGISTRY = [
-    ("free-product-decay", run_free_product_decay,
+    ("free-product-decay", run_product_decay,
      "L1->Linf decay of 1-3 free torus factors; slope vs. sum of per-factor rates",
      "propagator factorization, per-factor rate additivity"),
-    ("potential-product-decay", run_potential_product_decay,
+    ("potential-product-decay", run_product_decay,
      "decay with nonnegative 1-D potentials on each factor (split-step)",
      "1-D weighted potential class, split potentials"),
     ("two-particle", run_two_particle,
      "interaction potential of the difference variable via the lattice coordinate rotation",
      "two-particle coordinate reduction"),
-    ("hyperbolic-decay", run_hyperbolic_decay,
+    ("hyperbolic-decay", run_product_decay,
      "radial flow on H^3: large-time sup-norm decay rate -3/2",
      "hyperbolic radial dispersive estimate"),
-    ("hyperbolic-product-decay", run_hyperbolic_product_decay,
+    ("hyperbolic-product-decay", run_product_decay,
      "bi-radial flow on H^3 x H^3: large-time decay rate -3",
      "hyperbolic product decay, faster than the dimension alone suggests"),
-    ("interpolated-decay", run_interpolated_decay,
+    ("interpolated-decay", run_product_decay,
      "L^q' -> L^q decay interpolated against L2 conservation",
      "interpolated dispersive estimates"),
     ("admissible-region", run_admissible_region,
@@ -582,7 +493,7 @@ def run(config_path: str) -> tuple[int, RunReport]:
     cfg = parse_config(config_path)
     runners = {name: fn for name, fn, _, _ in REGISTRY}
     if cfg.name not in runners:
-        raise KeyError(f"unknown experiment {cfg.name!r}")
+        raise UnknownExperiment(f"unknown experiment {cfg.name!r}")
     report = RunReport(lines=[], verdicts=[])
     report.note(f"experiment: {cfg.name}")
     report.note(f"fingerprint: {cfg.fingerprint}")

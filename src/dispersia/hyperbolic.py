@@ -97,22 +97,3 @@ def h3_axis_propagate(values: np.ndarray, grid: Grid1D, t: float, axis: int, c: 
     coeffs = sfft.dst(values * sinh_r, type=2, axis=axis)
     coeffs *= mult
     return sfft.idst(coeffs, type=2, axis=axis) / sinh_r
-
-
-def h3_propagate(f: SphericalProfile, t: float) -> SphericalProfile:
-    """Radial flow on H^3: multiplier exp(-i t (lambda^2 + 1)) in the
-    transform domain; unitary in the sinh^2-weighted L^2."""
-    return SphericalProfile(f.grid, h3_axis_propagate(f.values, f.grid, t, axis=0))
-
-
-def h3_product_propagate(u: Field, t: float) -> Field:
-    """Tensor flow on H^3 x H^3 for bi-radial data: the factor flows act
-    on their own axes and commute exactly."""
-    if u.rank != 2:
-        raise ValueError("bi-radial fields are rank 2")
-    for grid in u.grids:
-        _require_hyperbolic(grid)
-    values = u.values
-    for axis in (0, 1):
-        values = h3_axis_propagate(values, u.grids[axis], t, axis)
-    return u.with_values(values)

@@ -43,6 +43,12 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity variant {self.variant!r}")
 
     @property
+    def exact_gamma(self) -> Fraction:
+        """gamma as the exact rational every hypothesis check compares: the
+        closest fraction with denominator at most 10^6."""
+        return Fraction(self.gamma).limit_denominator(10**6)
+
+    @property
     def growth_constant(self) -> float:
         return abs(self.mu) * max(1.0, self.gamma)
 
@@ -139,7 +145,7 @@ def picard_iterate(
     contraction ratios). Divergence (3 consecutive growing distances) is
     reported via contractive=False, not raised.
     """
-    gamma = Fraction(nl.gamma).limit_denominator(10**6)
+    gamma = nl.exact_gamma
     bound = 1 + Fraction(4, exponents.m + exponents.n)
     if gamma > bound:
         raise HypothesisViolation(

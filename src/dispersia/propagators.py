@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import EUCLIDEAN, HYPERBOLIC, Field, Grid1D, lp_norm
+from .fields import EUCLIDEAN, Field, Grid1D
+from .hyperbolic import h3_axis_propagate
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class PropagatorSpec:
     grid: Grid1D
     potential: tuple | None = None  # sampled V on the grid nodes
     laplacian_coefficient: float = 1.0
-    claimed_decay_exponent: float = 0.5
     split_steps_per_unit_time: int = 64
 
     def __post_init__(self):
@@ -108,6 +108,17 @@ def _free_axis(values: np.ndarray, grid: Grid1D, t: float, c: float, axis: int) 
     return sfft.ifft(spec, axis=axis)
 
 
+def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int) -> np.ndarray:
+    """Strang splitting h K (h h K)^(steps-1) h: `kinetic_step` is one
+    kinetic step of the split flow, the potential half-phases outermost."""
+    full = half_phase * half_phase
+    out = values * half_phase
+    for k in range(steps):
+        out = kinetic_step(out)
+        out *= full if k < steps - 1 else half_phase
+    return out
+
+
 def _splitstep_axis(
     values: np.ndarray,
     grid: Grid1D,
@@ -116,55 +127,14 @@ def _splitstep_axis(
     c: float,
     steps_per_unit: int,
     axis: int,
-    n_steps: int | None = None,
 ) -> np.ndarray:
-    """Strang splitting along one axis, potential half-phases outermost."""
+    """Strang splitting along one axis; negative t runs the scheme backward."""
     if t == 0:
         return values.copy()
-    n = n_steps if n_steps is not None else max(1, math.ceil(abs(t) * steps_per_unit))
+    n = max(1, math.ceil(abs(t) * steps_per_unit))
     dt = t / n
-    half = np.exp(-0.5j * dt * potential)
-    half = _axis_shape(values, axis, half)
-    full = half * half
-    out = values * half
-    for k in range(n):
-        out = _free_axis(out, grid, dt, c, axis)
-        out *= full if k < n - 1 else half
-    return out
-
-
-def _check_grid(spec: PropagatorSpec, u: Field, axis: int = 0):
-    if u.grids[axis] != spec.grid:
-        raise ValueError("field grid does not match propagator grid")
-
-
-def free_propagate(spec: PropagatorSpec, u: Field, t: float) -> Field:
-    if spec.kind != "free":
-        raise ValueError("free_propagate requires a free propagator spec")
-    if u.rank != 1:
-        raise ValueError("free_propagate acts on rank-1 fields")
-    _check_grid(spec, u)
-    return u.with_values(_free_axis(u.values, spec.grid, t, spec.laplacian_coefficient, 0))
-
-
-def splitstep_propagate(spec: PropagatorSpec, u: Field, t: float) -> Field:
-    if spec.kind != "free-plus-potential":
-        raise ValueError("splitstep_propagate requires a potential propagator spec")
-    if u.rank != 1:
-        raise ValueError("splitstep_propagate acts on rank-1 fields")
-    if t < 0:
-        raise ValueError("split-step time must be nonnegative")
-    _check_grid(spec, u)
-    out = _splitstep_axis(
-        u.values,
-        spec.grid,
-        spec.potential_array,
-        t,
-        spec.laplacian_coefficient,
-        spec.split_steps_per_unit_time,
-        0,
-    )
-    return u.with_values(out)
+    half = _axis_shape(values, axis, np.exp(-0.5j * dt * potential))
+    return _strang(values, lambda w: _free_axis(w, grid, dt, c, axis), half, n)
 
 
 def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int) -> np.ndarray:
@@ -181,14 +151,14 @@ def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int
             spec.split_steps_per_unit_time,
             axis,
         )
-    from .hyperbolic import h3_axis_propagate
-
     return h3_axis_propagate(values, spec.grid, t, axis, c=spec.laplacian_coefficient)
 
 
 def product_propagate(specs, u: Field, t: float) -> Field:
-    """Compose the factor flows axis by axis; the factor operators act on
-    disjoint axes so the sweep order is immaterial up to rounding."""
+    """The product flow e^{itL} for any mix of factor kinds (one spec per
+    axis; t may be negative). The factor flows are composed axis by axis;
+    they act on disjoint axes, so the sweep order is immaterial up to
+    rounding."""
     specs = list(specs)
     if len(specs) != u.rank:
         raise ValueError(f"need {u.rank} propagator specs, got {len(specs)}")
@@ -254,7 +224,6 @@ def two_particle_propagate(
     if t > 0:
         dt = t / steps
         half = np.exp(-0.5j * dt * v)[np.newaxis, :]
-        full = half * half
         xi = torus_frequencies(grid)
         # Kinetic symbol transported through the lattice map: the sum and
         # difference indices of a rotated mode carry the original
@@ -265,11 +234,21 @@ def two_particle_propagate(
         s = (idx[:, None] + idx[None, :]) % n
         d = (idx[:, None] - idx[None, :]) % n
         mult2d = np.exp(-1j * dt * (xi[s] ** 2 + xi[d] ** 2))
-        w = w * half
-        for step in range(steps):
-            w = sfft.ifft2(sfft.fft2(w) * mult2d)
-            w *= full if step < steps - 1 else half
+        w = _strang(w, lambda x: sfft.ifft2(sfft.fft2(x) * mult2d), half, steps)
     return two_particle_rotate(u0.with_values(w), "inverse")
+
+
+def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
+    """Reference two-particle solve in the original coordinates: 2-D Strang
+    split-step with the sampled two-variable potential V(x - y)."""
+    n = grid.n_points
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v2d = np.asarray(potential, dtype=float)[(j - k) % n]
+    xi = torus_frequencies(grid)
+    dt = t / steps
+    mult = np.exp(-1j * dt * (xi[:, None] ** 2 + xi[None, :] ** 2))
+    half = np.exp(-0.5j * dt * v2d)
+    return u0.with_values(_strang(u0.values, lambda w: sfft.ifft2(sfft.fft2(w) * mult), half, steps))
 
 
 def peak_centers(u: Field) -> tuple[float, ...]:
@@ -328,27 +307,3 @@ def required_torus_length(u: Field, t_max: float, axis: int = 0, c: float = 1.0)
     """Minimum torus length keeping the run free of wrap-around up to
     t_max: spectral mass travels at group speed <= 2 c xi_eff."""
     return 4.0 * c * spectral_radius(u, axis=axis) * t_max
-
-
-def dispersive_ratio_series(propagate, u0: Field, times, r, r_tilde):
-    """Measure ||u(t)||_r / ||u0||_rt at each time, with a wrap-around
-    flag when boundary mass exceeds 1%.
-
-    `propagate` is a closure (u0, t) -> Field. Requires r >= r_tilde and
-    strictly positive increasing times.
-    """
-    from .decay import SeriesSample
-
-    times = [float(t) for t in times]
-    if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be strictly positive and increasing")
-    if float(r) < float(r_tilde):
-        raise ValueError("dispersive estimates need r >= r_tilde")
-    base = lp_norm(u0, r_tilde)
-    centers = peak_centers(u0)
-    out = []
-    for t in times:
-        u = propagate(u0, t)
-        flagged = boundary_mass_fraction(u, centers) > 0.01
-        out.append(SeriesSample(t=t, value=lp_norm(u, r) / base, flagged=flagged))
-    return out

@@ -5,10 +5,12 @@ import os
 
 import pytest
 
+from dispersia import experiments
 from dispersia.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_OK,
+    EXIT_UNEXPECTED,
     EXIT_UNKNOWN_EXPERIMENT,
     main,
 )
@@ -74,6 +76,34 @@ class TestExitCodes:
         path = write_config(
             tmp_path,
             "[experiment]\nname = nls-smalldata\n[nls]\ngamma = 5\n[time]\nt_final = 1\ndt = 0.5\n",
+        )
+        assert main(["run", path]) == EXIT_HYPOTHESIS
+
+    def test_internal_key_error_is_unexpected(self, tmp_path, capsys, output_root, monkeypatch):
+        def broken(cfg, report):
+            raise KeyError("internal bug")
+
+        registry = [(name, broken, *rest) if name == "admissible-region" else (name, fn, *rest)
+                    for name, fn, *rest in experiments.REGISTRY]
+        monkeypatch.setattr(experiments, "REGISTRY", registry)
+        path = write_config(tmp_path, "[experiment]\nname = admissible-region\n")
+        assert main(["run", path]) == EXIT_UNEXPECTED
+
+    def test_single_picard_iteration_rejected(self, tmp_path, capsys, output_root):
+        path = write_config(
+            tmp_path,
+            "[experiment]\nname = nls-smalldata\n[nls]\nmax_iter = 1\n[time]\nt_final = 1\ndt = 0.5\n",
+        )
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])
+    def test_gamma_just_above_bound_refused(self, tmp_path, capsys, output_root, name):
+        # 1 + 4/(m+n) = 2 for m = n = 2; gamma = 2.0004 lies above it
+        path = write_config(
+            tmp_path,
+            f"[experiment]\nname = {name}\n[nls]\ngamma = 2.0004\nm_eff = 2\nn_eff = 2\n"
+            "[time]\nt_final = 1\ndt = 0.5\n",
         )
         assert main(["run", path]) == EXIT_HYPOTHESIS
 

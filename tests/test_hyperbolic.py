@@ -1,5 +1,6 @@
 """Radial flow on 3-dimensional hyperbolic space: transform round trip,
-Plancherel, the Euclidean small-bump limit, unitarity and decay."""
+Plancherel, the Euclidean small-bump limit, and, through product_propagate,
+unitarity and decay."""
 
 import math
 
@@ -9,17 +10,16 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersia.decay import fit_decay_exponent, norm_series
+from dispersia.decay import SeriesSample, fit_decay_exponent, norm_series
 from dispersia.fields import HYPERBOLIC, lp_norm, make_grid, tensor_product
 from dispersia.hyperbolic import (
     SphericalProfile,
     dual_lattice,
     dual_weights,
-    h3_product_propagate,
-    h3_propagate,
     inverse_spherical_transform,
     spherical_transform,
 )
+from dispersia.propagators import PropagatorSpec, product_propagate
 
 
 def weighted_l2(grid, values):
@@ -32,6 +32,18 @@ def random_profile(grid, seed=0):
     # taper to zero toward the truncation radius like physical radial data
     vals = vals * np.exp(-grid.nodes / 4)
     return SphericalProfile(grid, vals)
+
+
+def radial_flow(f, t):
+    """The radial H^3 flow of one profile, through the product entry point."""
+    spec = PropagatorSpec("hyperbolic-radial", f.grid)
+    return SphericalProfile(f.grid, product_propagate([spec], f.as_field(), t).values)
+
+
+def biradial_flow(u, t):
+    """The flow on H^3 x H^3 (or any product of the field's axes)."""
+    specs = [PropagatorSpec("hyperbolic-radial", grid) for grid in u.grids]
+    return product_propagate(specs, u, t)
 
 
 class TestSphericalTransform:
@@ -91,15 +103,15 @@ class TestH3Propagate:
     def test_t0_identity(self):
         grid = make_grid(128, 20.0, HYPERBOLIC)
         f = random_profile(grid)
-        out = h3_propagate(f, 0.0)
+        out = radial_flow(f, 0.0)
         num = weighted_l2(grid, out.values - f.values)
         assert num / weighted_l2(grid, f.values) <= 1e-12
 
     def test_semigroup(self):
         grid = make_grid(128, 20.0, HYPERBOLIC)
         f = random_profile(grid, seed=3)
-        two = h3_propagate(h3_propagate(f, 1.0), 2.0)
-        one = h3_propagate(f, 3.0)
+        two = radial_flow(radial_flow(f, 1.0), 2.0)
+        one = radial_flow(f, 3.0)
         num = weighted_l2(grid, two.values - one.values)
         assert num / weighted_l2(grid, one.values) <= 1e-10
 
@@ -108,7 +120,7 @@ class TestH3Propagate:
     def test_unitarity_weighted_l2(self, t, seed):
         grid = make_grid(64, 12.0, HYPERBOLIC)
         f = random_profile(grid, seed)
-        out = h3_propagate(f, t)
+        out = radial_flow(f, t)
         assert weighted_l2(grid, out.values) == pytest.approx(weighted_l2(grid, f.values), rel=1e-10)
 
     def test_spectral_shift_is_global_phase_on_l2(self):
@@ -116,7 +128,7 @@ class TestH3Propagate:
         # removing it changes the field by exactly that phase
         grid = make_grid(64, 12.0, HYPERBOLIC)
         f = random_profile(grid, seed=4)
-        out = h3_propagate(f, 2.0)
+        out = radial_flow(f, 2.0)
         lam = dual_lattice(grid)
         coeffs = spherical_transform(f) * np.exp(-1j * 2.0 * lam**2)
         unshifted = inverse_spherical_transform(grid, coeffs)
@@ -131,7 +143,7 @@ class TestH3Propagate:
         u0 = prof.as_field()
         times = list(np.geomspace(2, 40, 12))
         series = norm_series(
-            lambda u, t: h3_propagate(SphericalProfile(grid, u.values), t).as_field(),
+            lambda u, t: radial_flow(SphericalProfile(grid, u.values), t).as_field(),
             u0,
             times,
             math.inf,
@@ -146,15 +158,15 @@ class TestH3ProductPropagate:
         f = random_profile(grid, seed=5)
         g = random_profile(grid, seed=6)
         u = tensor_product(f.as_field(), g.as_field())
-        joint = h3_product_propagate(u, 1.3)
-        split = tensor_product(h3_propagate(f, 1.3).as_field(), h3_propagate(g, 1.3).as_field())
+        joint = biradial_flow(u, 1.3)
+        split = tensor_product(radial_flow(f, 1.3).as_field(), radial_flow(g, 1.3).as_field())
         num = lp_norm(joint.with_values(joint.values - split.values), 2)
         assert num / lp_norm(u, 2) <= 1e-10
 
     def test_l2_conservation(self):
         grid = make_grid(96, 14.0, HYPERBOLIC)
         u = tensor_product(random_profile(grid, 7).as_field(), random_profile(grid, 8).as_field())
-        out = h3_product_propagate(u, 2.7)
+        out = biradial_flow(u, 2.7)
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), rel=1e-10)
 
     def test_euclidean_axis_rejected(self):
@@ -164,7 +176,7 @@ class TestH3ProductPropagate:
         torus = make_grid(64, 10.0)
         bad = Field((hyper, torus), np.ones((64, 64)))
         with pytest.raises(ValueError):
-            h3_product_propagate(bad, 1.0)
+            biradial_flow(bad, 1.0)
 
     def test_product_sum_of_single_factor_rates(self):
         # the measured product slope is close to twice the single-factor
@@ -176,9 +188,7 @@ class TestH3ProductPropagate:
         u0 = tensor_product(prof.as_field(), prof.as_field())
         base = lp_norm(u0, 1)
         times = list(np.geomspace(2, 40, 10))
-        series = norm_series(lambda u, t: h3_product_propagate(u, t), u0, times, math.inf)
-        from dispersia.decay import SeriesSample
-
+        series = norm_series(biradial_flow, u0, times, math.inf)
         series = [SeriesSample(s.t, s.value / base, s.flagged) for s in series]
         fit = fit_decay_exponent(series, (2, 40))
         assert fit.slope == pytest.approx(-3.0, abs=0.15)

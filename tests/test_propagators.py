@@ -1,5 +1,7 @@
-"""Euclidean propagators: free flow against the closed-form Gaussian,
-split-step order, product factorization, and the two-particle rotation."""
+"""Euclidean propagators through the product_propagate entry point: free
+flow against the closed-form Gaussian, split-step order, product
+factorization, flow properties of every factor kind, and the two-particle
+rotation."""
 
 import math
 
@@ -9,18 +11,17 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersia.fields import Field, gaussian_field, lp_norm, make_grid, tensor_product
+from dispersia.decay import norm_series
+from dispersia.fields import HYPERBOLIC, Field, gaussian_field, lp_norm, make_grid, tensor_product
 from dispersia.propagators import (
     PotentialSpec,
     PropagatorSpec,
     boundary_mass_fraction,
-    dispersive_ratio_series,
-    free_propagate,
     peak_centers,
     product_propagate,
+    propagate_axis,
     required_torus_length,
     spectral_radius,
-    splitstep_propagate,
     torus_frequencies,
     two_particle_propagate,
     two_particle_rotate,
@@ -41,7 +42,15 @@ def free_gaussian_closed_form(x, t, center):
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    if grid.kind == HYPERBOLIC:
+        # taper toward the truncation radius like physical radial data
+        vals = vals * np.exp(-grid.nodes / 4)
     return Field((grid,), vals)
+
+
+def flow(spec, u, t):
+    """One factor flow, through the product entry point."""
+    return product_propagate([spec], u, t)
 
 
 class TestFreePropagate:
@@ -49,14 +58,14 @@ class TestFreePropagate:
         grid = make_grid(128, 50.0)
         spec = PropagatorSpec("free", grid)
         u = random_field(grid)
-        out = free_propagate(spec, u, 0.0)
+        out = flow(spec, u, 0.0)
         assert np.allclose(out.values, u.values, atol=1e-14)
 
     def test_gaussian_closed_form_max_norm(self):
         grid = make_grid(1024, 200.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
-        out = free_propagate(spec, u0, 5.0)
+        out = flow(spec, u0, 5.0)
         exact = free_gaussian_closed_form(grid.nodes, 5.0, 100.0)
         measured = lp_norm(out, math.inf)
         assert measured == pytest.approx(np.abs(exact).max(), rel=1e-6)
@@ -65,7 +74,7 @@ class TestFreePropagate:
         grid = make_grid(2048, 400.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
-        out = free_propagate(spec, u0, 3.0)
+        out = flow(spec, u0, 3.0)
         exact = free_gaussian_closed_form(grid.nodes, 3.0, 200.0)
         assert np.max(np.abs(out.values - exact)) < 1e-10
 
@@ -75,7 +84,7 @@ class TestFreePropagate:
         grid = make_grid(64, 30.0)
         spec = PropagatorSpec("free", grid)
         u = random_field(grid, seed)
-        out = free_propagate(spec, u, t)
+        out = flow(spec, u, t)
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), abs=1e-12 * lp_norm(u, 2))
 
     @given(t1=st.floats(-5, 5), t2=st.floats(-5, 5))
@@ -84,27 +93,28 @@ class TestFreePropagate:
         grid = make_grid(64, 30.0)
         spec = PropagatorSpec("free", grid)
         u = random_field(grid, 3)
-        two_steps = free_propagate(spec, free_propagate(spec, u, t1), t2)
-        one_step = free_propagate(spec, u, t1 + t2)
+        two_steps = flow(spec, flow(spec, u, t1), t2)
+        one_step = flow(spec, u, t1 + t2)
         assert np.allclose(two_steps.values, one_step.values, atol=1e-11)
 
     def test_grid_mismatch_rejected(self):
         spec = PropagatorSpec("free", make_grid(64, 30.0))
         u = random_field(make_grid(64, 31.0))
         with pytest.raises(ValueError):
-            free_propagate(spec, u, 1.0)
+            flow(spec, u, 1.0)
+
+
+def potential_spec(grid, amplitude=1.0, steps=64):
+    pot = PotentialSpec("sech-squared", amplitude=amplitude, width=1.0, center=grid.length / 2)
+    return PropagatorSpec(
+        "free-plus-potential",
+        grid,
+        potential=tuple(pot.sample(grid)),
+        split_steps_per_unit_time=steps,
+    )
 
 
 class TestSplitstepPropagate:
-    def make_spec(self, grid, amplitude=1.0, steps=64):
-        pot = PotentialSpec("sech-squared", amplitude=amplitude, width=1.0, center=grid.length / 2)
-        return PropagatorSpec(
-            "free-plus-potential",
-            grid,
-            potential=tuple(pot.sample(grid)),
-            split_steps_per_unit_time=steps,
-        )
-
     def test_zero_potential_matches_free(self):
         grid = make_grid(256, 60.0)
         spec = PropagatorSpec(
@@ -112,35 +122,43 @@ class TestSplitstepPropagate:
         )
         free_spec = PropagatorSpec("free", grid)
         u = gaussian_field(grid, 1.0)
-        a = splitstep_propagate(spec, u, 1.7)
-        b = free_propagate(free_spec, u, 1.7)
+        a = flow(spec, u, 1.7)
+        b = flow(free_spec, u, 1.7)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_second_order_self_convergence(self):
         grid = make_grid(256, 60.0)
         u = gaussian_field(grid, 1.0)
-        reference = splitstep_propagate(self.make_spec(grid, steps=4096), u, 1.0)
+        reference = flow(potential_spec(grid, steps=4096), u, 1.0)
 
         def error(steps):
-            out = splitstep_propagate(self.make_spec(grid, steps=steps), u, 1.0)
+            out = flow(potential_spec(grid, steps=steps), u, 1.0)
             return lp_norm(out.with_values(out.values - reference.values), 2)
 
         ratio = error(32) / error(64)
         assert ratio == pytest.approx(4.0, rel=0.25)
 
-    @given(t=st.floats(0, 5), seed=st.integers(0, 100))
+    @given(t=st.floats(-5, 5), seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_unitarity(self, t, seed):
         grid = make_grid(64, 30.0)
-        spec = self.make_spec(grid, steps=8)
+        spec = potential_spec(grid, steps=8)
         u = random_field(grid, seed)
-        out = splitstep_propagate(spec, u, t)
+        out = flow(spec, u, t)
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), rel=1e-12)
 
-    def test_negative_time_rejected(self):
+    @given(a=st.integers(-16, 16), b=st.integers(-16, 16))
+    @settings(max_examples=20, deadline=None)
+    def test_semigroup(self, a, b):
+        # times are multiples of the split step, so U(s)U(t) and U(s+t)
+        # take the same Strang steps
         grid = make_grid(64, 30.0)
-        with pytest.raises(ValueError):
-            splitstep_propagate(self.make_spec(grid), random_field(grid), -1.0)
+        spec = potential_spec(grid, steps=8)
+        s, t = a / 8, b / 8
+        u = random_field(grid, 3)
+        two_steps = flow(spec, flow(spec, u, s), t)
+        one_step = flow(spec, u, s + t)
+        assert np.allclose(two_steps.values, one_step.values, atol=1e-11)
 
     def test_potential_spec_consistency_enforced(self):
         grid = make_grid(64, 30.0)
@@ -176,19 +194,22 @@ class TestProductPropagate:
     def test_sweep_order_immaterial(self):
         grid_a = make_grid(64, 30.0)
         grid_b = make_grid(96, 40.0)
+        grid_c = make_grid(48, 12.0, HYPERBOLIC)
         pot = PotentialSpec("gaussian-bump", amplitude=0.5, width=1.0, center=20.0)
-        spec_a = PropagatorSpec("free", grid_a)
-        spec_b = PropagatorSpec(
-            "free-plus-potential", grid_b, potential=tuple(pot.sample(grid_b)), split_steps_per_unit_time=16
-        )
-        u = tensor_product(gaussian_field(grid_a, 1.0), gaussian_field(grid_b, 1.0))
-        forward = product_propagate([spec_a, spec_b], u, 2.0)
+        specs = [
+            PropagatorSpec("free", grid_a),
+            PropagatorSpec(
+                "free-plus-potential", grid_b, potential=tuple(pot.sample(grid_b)), split_steps_per_unit_time=16
+            ),
+            PropagatorSpec("hyperbolic-radial", grid_c),
+        ]
+        profiles = [gaussian_field(g, 1.0).values for g in (grid_a, grid_b, grid_c)]
+        u = Field((grid_a, grid_b, grid_c), np.multiply.outer(np.multiply.outer(*profiles[:2]), profiles[2]))
+        forward = product_propagate(specs, u, 2.0)
         # same factor flows applied in the opposite order
         values = u.values
-        from dispersia.propagators import propagate_axis
-
-        values = propagate_axis(spec_b, values, 2.0, 1)
-        values = propagate_axis(spec_a, values, 2.0, 0)
+        for axis in (2, 1, 0):
+            values = propagate_axis(specs[axis], values, 2.0, axis)
         backward = u.with_values(values)
         diff = lp_norm(forward.with_values(forward.values - backward.values), 2)
         assert diff <= 1e-10
@@ -215,6 +236,22 @@ class TestProductPropagate:
         )
         out = product_propagate(specs, u, 1.3)
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), rel=1e-12)
+
+
+class TestFactorKindProperties:
+    """Flow identities shared by every factor kind."""
+
+    @pytest.mark.parametrize("spec", [
+        PropagatorSpec("free", make_grid(64, 30.0)),
+        potential_spec(make_grid(64, 30.0), steps=8),
+        PropagatorSpec("hyperbolic-radial", make_grid(64, 12.0, HYPERBOLIC)),
+    ], ids=lambda spec: spec.kind)
+    @given(t=st.floats(0, 10), seed=st.integers(0, 100))
+    @settings(max_examples=15, deadline=None)
+    def test_time_reversal(self, spec, t, seed):
+        u = random_field(spec.grid, seed)
+        back = flow(spec, flow(spec, u, t), -t)
+        assert lp_norm(back.with_values(back.values - u.values), 2) <= 1e-10 * lp_norm(u, 2)
 
 
 class TestTwoParticleRotate:
@@ -345,47 +382,35 @@ class TestWrapMonitor:
 
 
 class TestDispersiveRatioSeries:
+    """Ratio series ||u(t)||_r / ||u0||_r~ built from norm_series."""
+
+    def ratios(self, specs, u, times, r, r_tilde):
+        base = lp_norm(u, r_tilde)
+        series = norm_series(lambda f, t: product_propagate(specs, f, t), u, times, r)
+        return [s.value / base for s in series]
+
     def test_l2_ratios_all_one(self):
         grid = make_grid(128, 60.0)
-        spec = PropagatorSpec("free", grid)
         u = gaussian_field(grid, 1.0)
-        series = dispersive_ratio_series(
-            lambda f, t: free_propagate(spec, f, t), u, [1.0, 2.0, 4.0], 2, 2
-        )
-        for s in series:
-            assert s.value == pytest.approx(1.0, abs=1e-10)
+        for value in self.ratios([PropagatorSpec("free", grid)], u, [1.0, 2.0, 4.0], 2, 2):
+            assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_free_gaussian_ratios_decrease(self):
         grid = make_grid(1024, 400.0)
-        spec = PropagatorSpec("free", grid)
         u = gaussian_field(grid, 1.0)
         times = list(np.geomspace(1, 50, 10))
-        series = dispersive_ratio_series(
-            lambda f, t: free_propagate(spec, f, t), u, times, math.inf, 1
-        )
-        values = [s.value for s in series]
+        values = self.ratios([PropagatorSpec("free", grid)], u, times, math.inf, 1)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_product_ratio_quarter_rule(self):
         grid = make_grid(512, 300.0)
         specs = [PropagatorSpec("free", grid)] * 2
         u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
-        series = dispersive_ratio_series(
-            lambda f, t: product_propagate(specs, f, t), u, [4.0, 16.0], math.inf, 1
-        )
-        ratio = series[0].value / series[1].value
-        assert ratio == pytest.approx(4.0, rel=0.10)
-
-    def test_r_below_r_tilde_rejected(self):
-        grid = make_grid(64, 30.0)
-        spec = PropagatorSpec("free", grid)
-        u = gaussian_field(grid, 1.0)
-        with pytest.raises(ValueError):
-            dispersive_ratio_series(lambda f, t: free_propagate(spec, f, t), u, [1.0], 1, 2)
+        early, late = self.ratios(specs, u, [4.0, 16.0], math.inf, 1)
+        assert early / late == pytest.approx(4.0, rel=0.10)
 
     def test_nonincreasing_times_rejected(self):
         grid = make_grid(64, 30.0)
-        spec = PropagatorSpec("free", grid)
         u = gaussian_field(grid, 1.0)
         with pytest.raises(ValueError):
-            dispersive_ratio_series(lambda f, t: free_propagate(spec, f, t), u, [2.0, 1.0], 2, 2)
+            self.ratios([PropagatorSpec("free", grid)], u, [2.0, 1.0], 2, 2)
