@@ -1,20 +1,35 @@
 #!/usr/bin/env bash
-# Run every example experiment config and collect the summaries.
-# Output goes to DISPERSIA_OUTPUT_ROOT (default: ./results).
+# Run every example experiment config from this source checkout and list
+# the verdict lines of this run. Exits 1 if any run exits non-zero or
+# prints a [FAIL] verdict (dispersia run keeps verdicts out of its own exit
+# code). Output goes to DISPERSIA_OUTPUT_ROOT (default: ./results).
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"
+export PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
 export DISPERSIA_OUTPUT_ROOT="${DISPERSIA_OUTPUT_ROOT:-./results}"
 
 status=0
+verdicts=()
 for cfg in "$here"/configs/*.cfg; do
-    echo "== $(basename "$cfg")"
-    if ! dispersia run "$cfg"; then
+    name="$(basename "$cfg" .cfg)"
+    echo "== $name"
+    code=0
+    out="$(python3 -m dispersia.cli run "$cfg")" || code=$?
+    printf '%s\n' "$out"
+    while IFS= read -r line; do
+        verdicts+=("$name: $line")
+    done < <(grep -E '^\[(PASS|FAIL)\]' <<<"$out" || true)
+    if [ "$code" -ne 0 ]; then
+        verdicts+=("$name: exit code $code")
+        status=1
+    fi
+    if grep -q '^\[FAIL\]' <<<"$out"; then
         status=1
     fi
     echo
 done
 
-echo "== all summaries"
-grep -h -r "^\[" "$DISPERSIA_OUTPUT_ROOT" --include=summary.txt || true
+echo "== verdicts of this run"
+printf '%s\n' "${verdicts[@]}"
 exit "$status"

@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .fields import (
     Grid1D,
     Field,
+    SeparableField,
     MixedNormSpec,
     make_grid,
     tensor_product,

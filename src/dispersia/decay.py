@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import Field, lp_norm
+from .fields import Field, SeparableField, lp_norm
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,15 @@ class DecayFit:
     n_samples: int
 
 
-def norm_series(evolve, u0: Field, times, r, sequential: bool = False):
+def norm_series(evolve, u0: Field | SeparableField, times, r, sequential: bool = False):
     """||u(t)||_r at each time, with wrap-around flags.
 
-    `evolve` is a closure (u, t) -> Field. With sequential=True each sample
-    continues from the previous one via time additivity (useful for
-    split-step flows); otherwise each time is reached directly from u0.
+    `evolve` is a closure (u, t) -> state taking and returning the kind of
+    state u0 is: a dense Field, or a SeparableField that the product flow
+    keeps factored (its norms and wrap flags are then computed per factor).
+    With sequential=True each sample continues from the previous one via
+    time additivity (useful for split-step flows); otherwise each time is
+    reached directly from u0.
     """
     from .propagators import boundary_mass_fraction, peak_centers
 

@@ -3,8 +3,9 @@
 A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
-Fields are plain immutable (grids, values) pairs; norms are quadrature
-weighted so that a sampled function's norm approximates the continuum one.
+Fields are plain immutable (grids, values) pairs; a SeparableField keeps a
+rank-1 product state as its 1-D factors. Norms are quadrature weighted so
+that a sampled function's norm approximates the continuum one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ class Grid1D:
             raise ValueError(f"n_points must be >= {_MIN_POINTS}, got {self.n_points}")
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
+        if self.kind == HYPERBOLIC:
+            # the weights grow like e^{2r}/4 and the last one is the largest
+            with np.errstate(over="ignore"):
+                top = self.weights[-1]
+            if not math.isfinite(top):
+                raise ValueError(
+                    f"r_max = {self.length} is too large: the H^3 weight 4 pi sinh(r)^2 dr "
+                    f"overflows float64 at r = {self.nodes[-1]:.6g}; r_max must stay below about 355"
+                )
 
     @property
     def spacing(self) -> float:
@@ -112,6 +122,35 @@ class Field:
 
 
 @dataclass(frozen=True)
+class SeparableField:
+    """A rank-1 product state f_1 (x) ... (x) f_k kept as its rank-1 factors.
+
+    Product flows act factor by factor and its L^r norms are the products
+    of the factor norms, so it is evolved and measured without the dense
+    tensor, and unlike a Field its rank is not capped at 3. It has no
+    `values`: a code path that needs the dense array fails instead of
+    building it."""
+
+    factors: tuple[Field, ...]
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        if not factors:
+            raise ValueError("SeparableField needs at least one factor")
+        if not all(isinstance(f, Field) and f.rank == 1 for f in factors):
+            raise ValueError("SeparableField factors must be rank-1 Fields")
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def grids(self) -> tuple[Grid1D, ...]:
+        return tuple(f.grids[0] for f in self.factors)
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
+
+
+@dataclass(frozen=True)
 class MixedNormSpec:
     """Ordered (axis, exponent) pairs, innermost norm first.
 
@@ -149,11 +188,14 @@ def _weighted_axis_norm(values: np.ndarray, weights: np.ndarray, r: float, axis:
     return np.sum(w * mag**r, axis=axis) ** (1.0 / r)
 
 
-def lp_norm(u: Field, r) -> float:
-    """Quadrature-weighted L^r norm over the whole product domain."""
+def lp_norm(u: Field | SeparableField, r) -> float:
+    """Quadrature-weighted L^r norm over the whole product domain; for a
+    SeparableField, the product of its factor norms."""
     rv = _exponent_value(r)
     if rv < 1:
         raise ValueError(f"L^r norm needs r >= 1, got {r}")
+    if isinstance(u, SeparableField):
+        return math.prod(lp_norm(f, rv) for f in u.factors)
     if math.isinf(rv):
         return float(np.abs(u.values).max())
     acc = u.values

@@ -41,6 +41,9 @@ class Nonlinearity:
             raise ValueError("gamma must exceed 1")
         if self.variant not in (GAUGE_INVARIANT, MODULUS_POWER):
             raise ValueError(f"unknown nonlinearity variant {self.variant!r}")
+        if self.variant == GAUGE_INVARIANT and complex(self.mu).imag != 0:
+            # the exact phase-rotation substep keeps |u| only for real mu
+            raise ValueError(f"gauge-invariant mu must be real, got {self.mu!r}")
 
     @property
     def exact_gamma(self) -> Fraction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import EUCLIDEAN, Field, Grid1D
+from .fields import EUCLIDEAN, Field, Grid1D, SeparableField
 from .hyperbolic import h3_axis_propagate
 
 
@@ -154,17 +154,22 @@ def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int
     return h3_axis_propagate(values, spec.grid, t, axis, c=spec.laplacian_coefficient)
 
 
-def product_propagate(specs, u: Field, t: float) -> Field:
+def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | SeparableField:
     """The product flow e^{itL} for any mix of factor kinds (one spec per
     axis; t may be negative). The factor flows are composed axis by axis;
     they act on disjoint axes, so the sweep order is immaterial up to
-    rounding."""
+    rounding. A SeparableField stays factored: e^{itL}(f (x) g) is
+    e^{itH} f (x) e^{itK} g."""
     specs = list(specs)
     if len(specs) != u.rank:
         raise ValueError(f"need {u.rank} propagator specs, got {len(specs)}")
     for axis, spec in enumerate(specs):
         if u.grids[axis] != spec.grid:
             raise ValueError(f"axis {axis}: field grid does not match spec grid")
+    if isinstance(u, SeparableField):
+        return SeparableField(
+            tuple(f.with_values(propagate_axis(spec, f.values, t, 0)) for spec, f in zip(specs, u.factors))
+        )
     values = u.values
     for axis, spec in enumerate(specs):
         values = propagate_axis(spec, values, t, axis)
@@ -251,24 +256,43 @@ def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: fl
     return u0.with_values(_strang(u0.values, lambda w: sfft.ifft2(sfft.fft2(w) * mult), half, steps))
 
 
-def peak_centers(u: Field) -> tuple[float, ...]:
-    """Physical coordinates of the modulus peak, one per axis."""
+def peak_centers(u: Field | SeparableField) -> tuple[float, ...]:
+    """Physical coordinates of the modulus peak, one per axis (for a
+    SeparableField, the peak of each factor)."""
+    if isinstance(u, SeparableField):
+        return tuple(peak_centers(f)[0] for f in u.factors)
     idx = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
     return tuple(float(g.nodes[i]) for g, i in zip(u.grids, idx))
 
 
-def boundary_mass_fraction(u: Field, centers) -> float:
+def _boundary_mask(grid: Grid1D, center: float) -> np.ndarray:
+    """Nodes within 5% of the boundary of one axis."""
+    x = grid.nodes
+    if grid.kind == EUCLIDEAN:
+        d = np.abs(np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2)
+        return d > 0.45 * grid.length
+    return x > 0.95 * grid.length
+
+
+def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     """Fraction of L^2 mass within 5% of the domain boundary, boundary
     meaning the antipode of the given center on a torus axis and the
     truncation radius on a hyperbolic axis."""
-    masks = []
-    for axis, grid in enumerate(u.grids):
-        x = grid.nodes
-        if grid.kind == EUCLIDEAN:
-            d = np.abs(np.mod(x - centers[axis] + grid.length / 2, grid.length) - grid.length / 2)
-            masks.append(d > 0.45 * grid.length)
-        else:
-            masks.append(x > 0.95 * grid.length)
+    masks = [_boundary_mask(grid, centers[axis]) for axis, grid in enumerate(u.grids)]
+    if isinstance(u, SeparableField):
+        # the mask is a union of per-axis masks and the weighted density a
+        # product, so the fraction is 1 - prod(1 - b_i) over the factors'
+        # own fractions b_i; accumulating b_i + (1 - b_i) frac avoids the
+        # cancellation of that form when the fractions are small
+        frac = 0.0
+        for f, m in zip(u.factors, masks):
+            density = np.abs(f.values) ** 2 * f.grids[0].weights
+            total = float(np.sum(density))
+            if total == 0:
+                return 0.0
+            b = float(np.sum(density * m)) / total
+            frac = b + (1.0 - b) * frac
+        return frac
     mask = np.zeros(u.values.shape, dtype=bool)
     for axis, m in enumerate(masks):
         mask |= _axis_shape(u.values, axis, m).astype(bool)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -9,6 +10,7 @@ from dispersia import experiments
 from dispersia.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
+    EXIT_INVALID_ARGUMENT,
     EXIT_OK,
     EXIT_UNEXPECTED,
     EXIT_UNKNOWN_EXPERIMENT,
@@ -106,6 +108,15 @@ class TestExitCodes:
             "[time]\nt_final = 1\ndt = 0.5\n",
         )
         assert main(["run", path]) == EXIT_HYPOTHESIS
+
+    def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
+        # sinh(r)^2 overflows float64 near r = 355
+        path = write_config(tmp_path, "[experiment]\nname = hyperbolic-decay\n[grid]\nr_max = 800\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", path]) == EXIT_INVALID_ARGUMENT
+        err = capsys.readouterr().err
+        assert "r_max" in err and "355" in err
 
     def test_malformed_config_leaves_no_outputs(self, tmp_path, capsys, output_root):
         path = write_config(tmp_path, "[experiment]\nname = \n[[[\n")

@@ -79,6 +79,13 @@ class TestApplyNonlinearity:
         with pytest.raises(ValueError):
             Nonlinearity(gamma=2.0, variant="cubic-ish")
 
+    def test_complex_mu_rejected_for_gauge_invariant(self):
+        # the gauge substep is a pure phase only for real mu
+        with pytest.raises(ValueError, match="real"):
+            Nonlinearity(gamma=3.0, mu=1 + 0.5j)
+        assert Nonlinearity(gamma=3.0, mu=1 + 0j).mu == 1
+        assert Nonlinearity(gamma=3.0, variant="modulus-power", mu=1 + 0.5j).mu == 1 + 0.5j
+
 
 class TestSplitstepNLS:
     def test_mu_zero_matches_linear(self):

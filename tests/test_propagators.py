@@ -3,6 +3,7 @@ flow against the closed-form Gaussian, split-step order, product
 factorization, flow properties of every factor kind, and the two-particle
 rotation."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersia.decay import norm_series
-from dispersia.fields import HYPERBOLIC, Field, gaussian_field, lp_norm, make_grid, tensor_product
+from dispersia.fields import (
+    HYPERBOLIC,
+    Field,
+    SeparableField,
+    gaussian_field,
+    lp_norm,
+    make_grid,
+    tensor_product,
+)
 from dispersia.propagators import (
     PotentialSpec,
     PropagatorSpec,
@@ -252,6 +261,93 @@ class TestFactorKindProperties:
         u = random_field(spec.grid, seed)
         back = flow(spec, flow(spec, u, t), -t)
         assert lp_norm(back.with_values(back.values - u.values), 2) <= 1e-10 * lp_norm(u, 2)
+
+
+def dense(u):
+    """The dense outer product of a SeparableField's factors."""
+    return Field(u.grids, functools.reduce(np.multiply.outer, [f.values for f in u.factors]))
+
+
+class TestSeparableField:
+    """The factored state against the dense outer product, on a free x
+    free-plus-potential x hyperbolic-radial product."""
+
+    grids = (make_grid(48, 24.0), make_grid(40, 20.0), make_grid(36, 9.0, HYPERBOLIC))
+    pot = PotentialSpec("gaussian-bump", amplitude=0.5, width=1.0, center=10.0)
+    specs = [
+        PropagatorSpec("free", grids[0]),
+        PropagatorSpec("free-plus-potential", grids[1], potential=tuple(pot.sample(grids[1])),
+                       split_steps_per_unit_time=16),
+        PropagatorSpec("hyperbolic-radial", grids[2]),
+    ]
+    u0 = SeparableField(tuple(gaussian_field(g, 1.0) for g in grids))
+
+    def evolved(self, t=4.0):
+        """A complex state that has spread toward every boundary."""
+        return product_propagate(self.specs, self.u0, t)
+
+    @pytest.mark.parametrize("r", [1, 2, 4, math.inf])
+    def test_lp_norm_matches_dense(self, r):
+        u = self.evolved()
+        assert lp_norm(u, r) == pytest.approx(lp_norm(dense(u), r), rel=1e-12)
+
+    def test_peak_centers_match_dense(self):
+        for u in (self.u0, self.evolved()):
+            assert peak_centers(u) == peak_centers(dense(u))
+
+    @pytest.mark.parametrize("t, flagged", [(0.25, False), (4.0, True)])
+    def test_boundary_mass_fraction_matches_dense(self, t, flagged):
+        u = self.evolved(t)
+        centers = peak_centers(self.u0)
+        expected = boundary_mass_fraction(dense(u), centers)
+        assert (expected > 0.01) == flagged
+        assert boundary_mass_fraction(u, centers) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1.7, -2.3])
+    def test_product_propagate_matches_dense(self, t):
+        factored = product_propagate(self.specs, self.u0, t)
+        assert isinstance(factored, SeparableField)
+        direct = product_propagate(self.specs, dense(self.u0), t).values
+        assert np.max(np.abs(dense(factored).values - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_norm_series_matches_dense(self, sequential):
+        def evolve(u, t):
+            return product_propagate(self.specs, u, t)
+
+        times = np.geomspace(0.25, 8.0, 8)
+        factored = norm_series(evolve, self.u0, times, math.inf, sequential=sequential)
+        direct = norm_series(evolve, dense(self.u0), times, math.inf, sequential=sequential)
+        flags = [s.flagged for s in direct]
+        assert any(flags) and not all(flags)
+        assert [s.flagged for s in factored] == flags
+        for a, b in zip(factored, direct):
+            assert a.value == pytest.approx(b.value, rel=1e-12)
+
+    def test_has_no_dense_values(self):
+        assert not hasattr(self.u0, "values")
+        with pytest.raises(AttributeError):
+            self.u0.values
+
+    def test_factors_must_be_rank_one(self):
+        with pytest.raises(ValueError):
+            SeparableField((dense(SeparableField(self.u0.factors[:2])),))
+        with pytest.raises(ValueError):
+            SeparableField(())
+
+    def test_rank_not_capped_at_three(self):
+        u = SeparableField(self.u0.factors + self.u0.factors[:1])
+        assert u.rank == 4
+        assert lp_norm(u, 2) == pytest.approx(lp_norm(self.u0, 2) * lp_norm(self.u0.factors[0], 2), rel=1e-15)
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            product_propagate(self.specs[:2], self.u0, 1.0)
+
+    def test_grid_mismatch_rejected(self):
+        specs = [self.specs[0], PropagatorSpec("free", make_grid(40, 21.0)), self.specs[2]]
+        with pytest.raises(ValueError):
+            product_propagate(specs, self.u0, 1.0)
 
 
 class TestTwoParticleRotate:
