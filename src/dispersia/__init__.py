@@ -13,6 +13,7 @@ from .fields import (
     Grid1D,
     Field,
     SeparableField,
+    Trajectory,
     MixedNormSpec,
     make_grid,
     tensor_product,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import Field, SeparableField, lp_norm
+from .fields import Field, SeparableField, Trajectory, lp_norm
 
 
 @dataclass(frozen=True)
@@ -109,20 +109,22 @@ def compare_prediction(fit: DecayFit, predicted, tol: float) -> dict:
     }
 
 
-def strichartz_norm(trajectory, p, q) -> float:
-    """Space-time norm of a recorded trajectory [(t, Field), ...]:
-    trapezoid in time of ||u(t)||_q^p, then the p-th root; p = infinity
-    takes the max over samples."""
-    if not trajectory:
-        raise ValueError("empty trajectory")
+def time_norm(times, norms, p) -> float:
+    """L^p in time of norms sampled at times: trapezoid of norms^p, then
+    the p-th root; p = infinity takes the max over samples."""
+    norms = np.asarray(norms, dtype=float)
+    if math.isinf(p):
+        return float(norms.max())
+    if len(times) == 1:
+        return 0.0
+    return float(np.trapezoid(norms**p, np.asarray(times, dtype=float)) ** (1.0 / p))
+
+
+def strichartz_norm(trajectory: Trajectory, p, q) -> float:
+    """Space-time norm of a recorded trajectory: the L^p time norm of
+    ||u(t)||_q."""
     qv = float(q)
     pv = float(p)
     if pv < 1 or qv < 1:
         raise ValueError("exponents must be >= 1")
-    norms = np.array([lp_norm(u, qv) for _, u in trajectory])
-    if math.isinf(pv):
-        return float(norms.max())
-    times = np.array([t for t, _ in trajectory], dtype=float)
-    if len(times) == 1:
-        return 0.0
-    return float(np.trapezoid(norms**pv, times) ** (1.0 / pv))
+    return time_norm(trajectory.times, trajectory.lp_norms(qv), pv)

@@ -32,7 +32,16 @@ from .exponents import (
     is_admissible,
     select_nls_exponents,
 )
-from .fields import EUCLIDEAN, HYPERBOLIC, Field, SeparableField, gaussian_field, lp_norm, make_grid
+from .fields import (
+    EUCLIDEAN,
+    HYPERBOLIC,
+    Field,
+    SeparableField,
+    gaussian_field,
+    lp_norm,
+    make_grid,
+    slice_lp_norms,
+)
 from .nls import Nonlinearity, picard_iterate, scattering_diagnostic, splitstep_nls
 from .propagators import (
     PotentialSpec,
@@ -199,7 +208,7 @@ _DECAY_DEFAULTS = {
     ("free-product-decay", 3): (200, 140.0, 1.0, 2.0, 12.0, 8, 0.05, None),
     ("potential-product-decay", 1): (2048, 300.0, 1.0, 3.0, 30.0, 12, 0.10, 64),
     ("potential-product-decay", 2): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12, 32),
-    ("potential-product-decay", 3): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12, 32),
+    ("potential-product-decay", 3): (2048, 1040.0, 1.0, 10.0, 80.0, 10, 0.12, 32),
     ("hyperbolic-decay", 1): (1120, 280.0, 0.8, 2.0, 40.0, 14, 0.10, None),
     ("hyperbolic-product-decay", 2): (1120, 280.0, 0.8, 2.0, 40.0, 10, 0.15, None),
     ("interpolated-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.08, None),
@@ -359,12 +368,11 @@ def _nls_setup(cfg: ExperimentConfig):
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
     u0 = u0.with_values(amp * u0.values)
-    linear = lambda u, t: product_propagate(specs, u, t)
     nl = Nonlinearity(gamma=gamma, mu=mu)
     sel = select_nls_exponents(
         _get(cfg, "nls", "m_eff", 1, int), _get(cfg, "nls", "n_eff", 1, int), nl.exact_gamma
     )
-    return u0, linear, nl, sel
+    return u0, specs, nl, sel
 
 
 def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
@@ -376,8 +384,8 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     scaling_tol = _get(cfg, "fit", "scaling_tolerance", 0.2, float)
     if max_iter < 2:
         raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
-    u0, linear, nl, sel = _nls_setup(cfg)
-    result = picard_iterate(u0, nl, linear, sel, T, dt, max_iter=max_iter, tol=tol)
+    u0, specs, nl, sel = _nls_setup(cfg)
+    result = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol)
     ratios = [s.ratio for s in result.history if s.ratio is not None]
     contracting = bool(ratios) and all(r < 1 for r in ratios)
     report.add(
@@ -386,9 +394,9 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         f"ratios={['%.3e' % r for r in ratios]}",
     )
     half = u0.with_values(0.5 * u0.values)
-    result_half = picard_iterate(half, nl, linear, sel, T, dt, max_iter=max_iter, tol=tol)
+    # only the ratio is kept: the half-data trajectory is freed before the split-step run
+    r_half = picard_iterate(half, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol).history[2].ratio
     r_full = result.history[2].ratio
-    r_half = result_half.history[2].ratio
     expected = 2.0 ** -(nl.gamma - 1)
     scale_ok = abs(r_half / r_full - expected) <= scaling_tol * expected
     report.add(
@@ -396,11 +404,8 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         scale_ok,
         f"ratio_half/ratio_full={r_half / r_full:.4f} expected={expected:.4f} rel tol={scaling_tol}",
     )
-    traj = splitstep_nls(u0, nl, linear, T, dt / 2, save_stride=2)
-    diff = max(
-        lp_norm(up.with_values(up.values - us.values), 2)
-        for (_, up), (_, us) in zip(result.trajectory, traj)
-    )
+    traj = splitstep_nls(u0, nl, specs, T, dt / 2, save_stride=2)
+    diff = float(slice_lp_norms(result.trajectory.values, u0.grids, 2, minus=traj.values).max())
     report.add(
         "Picard vs split-step agreement (Linf_t L2)",
         diff <= agree_tol,
@@ -428,9 +433,9 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     dt = _get(cfg, "time", "dt", 0.1, float)
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _get(cfg, "fit", "tail_decrease_factor", 10.0, float)
-    u0, linear, nl, _ = _nls_setup(cfg)
-    traj = splitstep_nls(u0, nl, linear, T, dt, save_stride=stride)
-    _, tails = scattering_diagnostic(traj, linear)
+    u0, specs, nl, _ = _nls_setup(cfg)
+    traj = splitstep_nls(u0, nl, specs, T, dt, save_stride=stride)
+    _, tails = scattering_diagnostic(traj, specs)
 
     def tail_at(t_query):
         return min(tails, key=lambda s: abs(s[0] - t_query))[1]

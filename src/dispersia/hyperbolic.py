@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import HYPERBOLIC, Field, Grid1D
+from .fields import HYPERBOLIC, Field, Grid1D, SpectralFactor, _axis_shape
 
 RHO_H3 = 1.0
 
@@ -60,9 +60,25 @@ def dual_lattice(grid: Grid1D) -> np.ndarray:
     return np.pi * np.arange(1, grid.n_points + 1) / grid.r_max
 
 
+def h3_factor(grid: Grid1D, c: float = 1.0) -> SpectralFactor:
+    """The H^3 radial factor in spectral form: the type-II sine transform of
+    sinh(r) f(r) along the axis, spectrum lambda^2 + rho^2 on the dual
+    lattice."""
+    _require_hyperbolic(grid)
+    sinh_r = np.sinh(grid.nodes)
+
+    def forward(values, axis):
+        return sfft.dst(values * _axis_shape(values, axis, sinh_r), type=2, axis=axis)
+
+    def inverse(coeffs, axis):
+        return sfft.idst(coeffs, type=2, axis=axis) / _axis_shape(coeffs, axis, sinh_r)
+
+    return SpectralFactor(forward, inverse, c, dual_lattice(grid) ** 2 + RHO_H3**2)
+
+
 def spherical_transform(f: SphericalProfile) -> np.ndarray:
     """f(r) -> f_hat(lambda) via the sine transform of sinh(r) f(r)."""
-    return sfft.dst(np.sinh(f.grid.nodes) * f.values, type=2)
+    return h3_factor(f.grid).forward(f.values, 0)
 
 
 def inverse_spherical_transform(grid: Grid1D, coeffs: np.ndarray) -> SphericalProfile:
@@ -70,8 +86,7 @@ def inverse_spherical_transform(grid: Grid1D, coeffs: np.ndarray) -> SphericalPr
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (grid.n_points,):
         raise ValueError("coefficients must match the grid")
-    values = sfft.idst(coeffs, type=2) / np.sinh(grid.nodes)
-    return SphericalProfile(grid, values)
+    return SphericalProfile(grid, h3_factor(grid).inverse(coeffs, 0))
 
 
 def dual_weights(grid: Grid1D) -> np.ndarray:
@@ -88,12 +103,4 @@ def dual_weights(grid: Grid1D) -> np.ndarray:
 
 def h3_axis_propagate(values: np.ndarray, grid: Grid1D, t: float, axis: int, c: float = 1.0) -> np.ndarray:
     """Apply the H^3 radial flow along one axis of a values array."""
-    _require_hyperbolic(grid)
-    shape = [1] * values.ndim
-    shape[axis] = grid.n_points
-    sinh_r = np.sinh(grid.nodes).reshape(shape)
-    lam = dual_lattice(grid).reshape(shape)
-    mult = np.exp(-1j * t * c * (lam**2 + RHO_H3**2))
-    coeffs = sfft.dst(values * sinh_r, type=2, axis=axis)
-    coeffs *= mult
-    return sfft.idst(coeffs, type=2, axis=axis) / sinh_r
+    return h3_factor(grid, c).propagate(values, t, axis)

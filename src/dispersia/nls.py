@@ -6,6 +6,10 @@ and the Duhamel fixed-point iteration, whose contraction ratios in the
 Y-norm ||u||_{Linf_t L2} + ||u||_{Lp_t Lq} are the quantitative
 diagnostics of the small-data well-posedness scheme.
 
+Every route works on one stacked Trajectory and applies the linear product
+flow in the spectral domain (propagators.spectral_product), so its factors
+must have an exact spectral form: free or hyperbolic-radial.
+
 The equation solved is i u_t + Lap u = F(u), matching the package's
 linear multiplier convention exp(-i t xi^2); the nonlinear substep phase
 is exp(-i F'(|u|) dt).
@@ -19,9 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decay import strichartz_norm
+from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, lp_norm
+from .fields import Field, Trajectory, slice_lp_norms, values_lp_norm
+from .propagators import spectral_product
 
 GAUGE_INVARIANT = "gauge-invariant"
 MODULUS_POWER = "modulus-power"
@@ -56,51 +61,74 @@ class Nonlinearity:
         return abs(self.mu) * max(1.0, self.gamma)
 
 
-def apply_nonlinearity(u: Field, nl: Nonlinearity) -> Field:
-    mag = np.abs(u.values)
+def apply_nonlinearity(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
+    """F(u) at every point of a values array."""
+    mag = np.abs(values)
     if nl.variant == GAUGE_INVARIANT:
-        out = nl.mu * mag ** (nl.gamma - 1) * u.values
-    else:
-        out = nl.mu * mag**nl.gamma * np.ones_like(u.values)
-    return u.with_values(out)
+        return nl.mu * mag ** (nl.gamma - 1) * values
+    return nl.mu * mag**nl.gamma * np.ones_like(values)
 
 
 def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float) -> np.ndarray:
     """Pointwise flow of i u_t = F(u) over dt.
 
     Gauge-invariant: exact phase rotation (the modulus is invariant for
-    real mu). Modulus-power: explicit midpoint step, second order, which
-    keeps the overall Strang scheme at its design order."""
+    real mu), built from the cosine and sine of the real angle. Modulus-
+    power: explicit midpoint step, second order, which keeps the overall
+    Strang scheme at its design order."""
     if nl.variant == GAUGE_INVARIANT:
-        return values * np.exp(-1j * dt * nl.mu * np.abs(values) ** (nl.gamma - 1))
+        angle = dt * complex(nl.mu).real * np.abs(values) ** (nl.gamma - 1)
+        phase = np.empty(values.shape, dtype=complex)
+        np.cos(angle, out=phase.real)
+        np.negative(np.sin(angle), out=phase.imag)
+        return values * phase
     k1 = -1j * nl.mu * np.abs(values) ** nl.gamma
     mid = values + 0.5 * dt * k1
     k2 = -1j * nl.mu * np.abs(mid) ** nl.gamma
     return values + dt * k2
 
 
-def splitstep_nls(u0: Field, nl: Nonlinearity, linear, T: float, dt: float, save_stride: int = 1):
-    """Strang-split NLS trajectory: [(t, Field), ...] sampled every
-    save_stride steps (t = 0 always included).
-
-    `linear` is the product-flow closure (Field, t) -> Field.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def _time_steps(T: float, dt: float) -> int:
     n_steps = round(T / dt)
     if not math.isclose(n_steps * dt, T, rel_tol=1e-9):
         raise ValueError("T must be an integer multiple of dt")
-    trajectory = [(0.0, u0)]
-    u = u0
-    values = u0.values
-    for step in range(n_steps):
-        values = _nonlinear_substep(values, nl, dt / 2)
-        values = linear(u.with_values(values), dt).values
-        values = _nonlinear_substep(values, nl, dt / 2)
-        if (step + 1) % save_stride == 0 or step == n_steps - 1:
-            u = u.with_values(values)
-            trajectory.append(((step + 1) * dt, u))
-    return trajectory
+    return n_steps
+
+
+def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
+    """Strang-split NLS trajectory sampled every save_stride steps (t = 0
+    and t = T always included), under the product flow of `specs` (one
+    spec per axis of u0). The linear step is one forward transform, the
+    phase of dt (built once) and one inverse transform."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if save_stride < 1:
+        raise ValueError(f"save_stride must be >= 1, got {save_stride}")
+    n_steps = _time_steps(T, dt)
+    flow = spectral_product(specs, u0.grids)
+    kinetic = flow.phase(dt)
+    saved = [0] + [s for s in range(1, n_steps + 1) if s % save_stride == 0 or s == n_steps]
+    out = np.empty((len(saved),) + u0.values.shape, dtype=complex)
+    out[0] = u0.values
+    j = 1
+    values = _nonlinear_substep(u0.values, nl, dt / 2)
+    for step in range(1, n_steps + 1):
+        coeffs = flow.forward(values)
+        coeffs *= kinetic
+        values = flow.inverse(coeffs)
+        if step == saved[j]:
+            values = _nonlinear_substep(values, nl, dt / 2)
+            out[j] = values
+            j += 1
+            if step < n_steps:
+                values = _nonlinear_substep(values, nl, dt / 2)
+        elif nl.variant == GAUGE_INVARIANT:
+            # the exact phase rotations form a group: the closing half step
+            # of this step and the opening one of the next are one full step
+            values = _nonlinear_substep(values, nl, dt)
+        else:
+            values = _nonlinear_substep(_nonlinear_substep(values, nl, dt / 2), nl, dt / 2)
+    return Trajectory([s * dt for s in saved], u0.grids, out)
 
 
 @dataclass(frozen=True)
@@ -116,24 +144,19 @@ class PicardResult:
     history: tuple[PicardState, ...]
     converged: bool
     contractive: bool
-    trajectory: tuple  # ((t, Field), ...) of the last iterate
+    trajectory: Trajectory  # the last iterate
     times: tuple[float, ...]
 
 
-def _y_norm(trajectory, p: float, q: float) -> float:
-    sup_l2 = max(lp_norm(u, 2) for _, u in trajectory)
-    return sup_l2 + strichartz_norm(trajectory, p, q)
-
-
-def _trajectory_distance(a, b, p: float, q: float) -> float:
-    diff = [(t, ua.with_values(ua.values - ub.values)) for (t, ua), (_, ub) in zip(a, b)]
-    return _y_norm(diff, p, q)
+def _y_norm(times, l2_norms: np.ndarray, q_norms: np.ndarray, p: float) -> float:
+    """||u||_{Linf_t L2} + ||u||_{Lp_t Lq} from the per-slice norms of u."""
+    return float(l2_norms.max()) + time_norm(times, q_norms, p)
 
 
 def picard_iterate(
     f: Field,
     nl: Nonlinearity,
-    linear,
+    specs,
     exponents: NLSExponentSelection,
     T: float,
     dt: float,
@@ -142,7 +165,8 @@ def picard_iterate(
 ) -> PicardResult:
     """Duhamel fixed-point iteration v_{k+1}(t) = e^{itL} f +
     int_0^t e^{i(t-s)L} F(v_k(s)) ds on the coarse time lattice, trapezoid
-    quadrature in s, starting from the linear evolution.
+    quadrature in s, starting from the linear evolution under the product
+    flow of `specs` (one spec per axis of f).
 
     Returns the full diagnostic history (Y-norms, successive distances,
     contraction ratios). Divergence (3 consecutive growing distances) is
@@ -156,41 +180,59 @@ def picard_iterate(
         )
     p = float(exponents.p)
     q = float(exponents.q)
-    n_steps = round(T / dt)
-    if not math.isclose(n_steps * dt, T, rel_tol=1e-9):
-        raise ValueError("T must be an integer multiple of dt")
-    times = [i * dt for i in range(n_steps + 1)]
+    times = [i * dt for i in range(_time_steps(T, dt) + 1)]
+    grids = f.grids
+    flow = spectral_product(specs, grids)
+    f_hat = flow.forward(f.values)
+    # the iterate, one slice per time; each sweep overwrites it in place
+    v = np.empty((len(times),) + f.values.shape, dtype=complex)
+    for i, t in enumerate(times):
+        v[i] = flow.inverse(flow.phase(t) * f_hat)
 
-    def duhamel_sweep(traj):
+    def duhamel_sweep() -> np.ndarray:
+        """Replace v by the next iterate; return the L2 and Lq norms of each
+        new slice (rows 0, 1) and of its change (rows 2, 3)."""
         # e^{i(t_i - t_j)L} = e^{i t_i L} e^{-i t_j L}: pull each source
-        # slice back to time 0, accumulate the trapezoid sum, push forward.
-        pulled = [linear(apply_nonlinearity(u, nl), -t).values for t, u in traj]
-        out = [traj[0][1].with_values(f.values.copy())]
-        acc = np.zeros_like(f.values)
-        for i in range(1, len(times)):
-            acc = acc + (dt / 2) * (pulled[i - 1] + pulled[i])
-            # F(v) enters as i u_t + Lap u = F(u) => Duhamel source -i F
-            src = f.values + (-1j) * acc
-            out.append(linear(f.with_values(src), times[i]))
-        out[0] = f
-        return [(t, u) for t, u in zip(times, out)]
+        # slice back to time 0 in the spectral domain and accumulate the
+        # trapezoid sum there; each output is one phase and one inverse.
+        # F(v) enters as i u_t + Lap u = F(u) => Duhamel source -i F, so the
+        # pull-back phase carries the trapezoid weight -i dt/2.
+        # The sum is kept apart from f_hat, so that its terms are rounded
+        # at their own scale rather than at the scale of f_hat.
+        norms = np.empty((4, len(times)))
+        acc = np.zeros_like(f_hat)
+        for i, t in enumerate(times):
+            pulled = flow.forward(apply_nonlinearity(v[i], nl))
+            pulled *= flow.phase(-t, scale=-0.5j * dt)
+            if i:
+                acc += prev
+                acc += pulled
+                new = flow.inverse(flow.phase(t) * (f_hat + acc))
+            else:
+                new = f.values
+            change = new - v[i]
+            # |w| gives the same norms as w and is taken once for both exponents
+            norms[:, i] = [values_lp_norm(m, grids, r) for m in (np.abs(new), np.abs(change)) for r in (2, q)]
+            v[i] = new
+            prev = pulled
+        return norms
 
-    v = [(t, linear(f, t)) for t in times]
-    history = [PicardState(k=0, y_norm=_y_norm(v, p, q), distance=None, ratio=None)]
+    traj = Trajectory(times, grids, v)
+    history = [PicardState(k=0, y_norm=_y_norm(times, traj.lp_norms(2), traj.lp_norms(q), p), distance=None, ratio=None)]
     converged = False
     contractive = True
     ref_scale = None
     prev_distance = None
     growing = 0
     for k in range(1, max_iter + 1):
-        v_next = duhamel_sweep(v)
-        d = _trajectory_distance(v_next, v, p, q)
-        y = _y_norm(v_next, p, q)
+        l2, lq, change_l2, change_lq = duhamel_sweep()
+        traj = Trajectory(times, grids, v)
+        d = _y_norm(times, change_l2, change_lq, p)
+        y = _y_norm(times, l2, lq, p)
         ratio = None if prev_distance in (None, 0.0) else d / prev_distance
         history.append(PicardState(k=k, y_norm=y, distance=d, ratio=ratio))
         if ref_scale is None:
             ref_scale = y  # ||v_1||_Y
-        v = v_next
         if d <= tol * ref_scale:
             converged = True
             break
@@ -206,21 +248,23 @@ def picard_iterate(
         history=tuple(history),
         converged=converged,
         contractive=contractive,
-        trajectory=tuple(v),
+        trajectory=traj,
         times=tuple(times),
     )
 
 
-def scattering_diagnostic(trajectory, linear):
-    """Profiles z(t) = e^{-itL} u(t) and the Cauchy tail table
-    tail(t1) = max_{t2 >= t1} ||z(t2) - z(t1)||_{L^2}.
+def scattering_diagnostic(trajectory: Trajectory, specs):
+    """Profiles z(t) = e^{-itL} u(t) under the product flow of `specs`, and
+    the Cauchy tail table tail(t1) = max_{t2 >= t1} ||z(t2) - z(t1)||_{L^2}.
 
     The last profile is the numerical scattering state candidate."""
-    z = [(t, linear(u, -t)) for t, u in trajectory]
-    tails = []
-    for i, (t1, zi) in enumerate(z):
-        tail = 0.0
-        for t2, zj in z[i:]:
-            tail = max(tail, lp_norm(zi.with_values(zj.values - zi.values), 2))
-        tails.append((t1, tail))
+    flow = spectral_product(specs, trajectory.grids)
+    z = np.empty_like(trajectory.values)
+    for i, t in enumerate(trajectory.times):
+        z[i] = flow.inverse(flow.phase(-t) * flow.forward(trajectory.values[i]))
+    z = Trajectory(trajectory.times, trajectory.grids, z)
+    tails = [
+        (float(t1), float(slice_lp_norms(z.values[i:], z.grids, 2, minus=z.values[i]).max()))
+        for i, t1 in enumerate(z.times)
+    ]
     return z, tails

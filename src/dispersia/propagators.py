@@ -5,18 +5,23 @@ the Fourier multiplier exp(-i t c xi^2) on the discrete torus frequencies
 xi = 2 pi k / L, i.e. exp(i t c Laplacian). Potential and nonlinear substeps
 then carry phase exp(-i V dt), so every substep is a modulus-1 multiplier
 and the schemes are exactly unitary.
+
+The free and hyperbolic-radial factors have an exact spectral form
+(`spectral_factor`); on a product of such factors `spectral_product` gives
+the flow as one forward transform, one phase and one inverse transform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import EUCLIDEAN, Field, Grid1D, SeparableField
-from .hyperbolic import h3_axis_propagate
+from .fields import EUCLIDEAN, Field, Grid1D, SeparableField, SpectralFactor, _axis_shape
+from .hyperbolic import h3_axis_propagate, h3_factor
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,10 @@ class PotentialSpec:
         if self.family == "gaussian-bump":
             return self.amplitude * np.exp(-(d**2))
         if self.family == "sech-squared":
-            return self.amplitude / np.cosh(d) ** 2
+            # far from the center cosh(d)^2 overflows to inf, and the
+            # quotient is then the exact float limit 0
+            with np.errstate(over="ignore"):
+                return self.amplitude / np.cosh(d) ** 2
         raise ValueError("custom-samples potential has no analytic profile")
 
     def sample(self, grid: Grid1D) -> np.ndarray:
@@ -94,18 +102,24 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
 
 
-def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
-    shape = [1] * values.ndim
-    shape[axis] = arr.shape[0]
-    return arr.reshape(shape)
+def _free_factor(grid: Grid1D, c: float) -> SpectralFactor:
+    """The free torus factor: FFT along the axis, spectrum xi^2."""
+    return SpectralFactor(
+        lambda values, axis: sfft.fft(values, axis=axis),
+        lambda coeffs, axis: sfft.ifft(coeffs, axis=axis),
+        c,
+        torus_frequencies(grid) ** 2,
+    )
 
 
-def _free_axis(values: np.ndarray, grid: Grid1D, t: float, c: float, axis: int) -> np.ndarray:
-    xi = torus_frequencies(grid)
-    mult = np.exp(-1j * t * c * xi**2)
-    spec = sfft.fft(values, axis=axis)
-    spec *= _axis_shape(values, axis, mult)
-    return sfft.ifft(spec, axis=axis)
+def spectral_factor(spec: PropagatorSpec) -> SpectralFactor:
+    """The exact spectral form of a factor kind that has one (free,
+    hyperbolic-radial); free-plus-potential has none."""
+    if spec.kind == "free":
+        return _free_factor(spec.grid, spec.laplacian_coefficient)
+    if spec.kind == "hyperbolic-radial":
+        return h3_factor(spec.grid, spec.laplacian_coefficient)
+    raise ValueError(f"factor kind {spec.kind!r} has no exact spectral form")
 
 
 def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int) -> np.ndarray:
@@ -134,13 +148,14 @@ def _splitstep_axis(
     n = max(1, math.ceil(abs(t) * steps_per_unit))
     dt = t / n
     half = _axis_shape(values, axis, np.exp(-0.5j * dt * potential))
-    return _strang(values, lambda w: _free_axis(w, grid, dt, c, axis), half, n)
+    free = _free_factor(grid, c)
+    return _strang(values, lambda w: free.propagate(w, dt, axis), half, n)
 
 
 def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int) -> np.ndarray:
     """Apply one factor propagator along a single axis of a values array."""
     if spec.kind == "free":
-        return _free_axis(values, spec.grid, t, spec.laplacian_coefficient, axis)
+        return spectral_factor(spec).propagate(values, t, axis)
     if spec.kind == "free-plus-potential":
         return _splitstep_axis(
             values,
@@ -154,18 +169,23 @@ def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int
     return h3_axis_propagate(values, spec.grid, t, axis, c=spec.laplacian_coefficient)
 
 
+def _check_specs(specs, grids) -> list:
+    specs = list(specs)
+    if len(specs) != len(grids):
+        raise ValueError(f"need {len(grids)} propagator specs, got {len(specs)}")
+    for axis, spec in enumerate(specs):
+        if grids[axis] != spec.grid:
+            raise ValueError(f"axis {axis}: field grid does not match spec grid")
+    return specs
+
+
 def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | SeparableField:
     """The product flow e^{itL} for any mix of factor kinds (one spec per
     axis; t may be negative). The factor flows are composed axis by axis;
     they act on disjoint axes, so the sweep order is immaterial up to
     rounding. A SeparableField stays factored: e^{itL}(f (x) g) is
     e^{itH} f (x) e^{itK} g."""
-    specs = list(specs)
-    if len(specs) != u.rank:
-        raise ValueError(f"need {u.rank} propagator specs, got {len(specs)}")
-    for axis, spec in enumerate(specs):
-        if u.grids[axis] != spec.grid:
-            raise ValueError(f"axis {axis}: field grid does not match spec grid")
+    specs = _check_specs(specs, u.grids)
     if isinstance(u, SeparableField):
         return SeparableField(
             tuple(f.with_values(propagate_axis(spec, f.values, t, 0)) for spec, f in zip(specs, u.factors))
@@ -174,6 +194,49 @@ def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | Sep
     for axis, spec in enumerate(specs):
         values = propagate_axis(spec, values, t, axis)
     return u.with_values(values)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralProduct:
+    """The product flow e^{itL} in spectral form, on single states of one
+    product grid: `forward` applies every factor's transform on its own
+    axis (the torus axes `fft_axes` in one FFT call), `phase(t)` is
+    exp(-itS) as the outer product of the 1-D factor phases, and `inverse`
+    undoes `forward`. Then e^{itL} u = inverse(phase(t) * forward(u))."""
+
+    factors: tuple[SpectralFactor, ...]
+    fft_axes: tuple[int, ...]
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        out = sfft.fftn(values, axes=self.fft_axes) if self.fft_axes else values
+        for axis, factor in enumerate(self.factors):
+            if axis not in self.fft_axes:
+                out = factor.forward(out, axis)
+        return out
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        out = coeffs
+        for axis, factor in enumerate(self.factors):
+            if axis not in self.fft_axes:
+                out = factor.inverse(out, axis)
+        return sfft.ifftn(out, axes=self.fft_axes) if self.fft_axes else out
+
+    def phase(self, t: float, scale: complex = 1.0) -> np.ndarray:
+        """scale * exp(-itS); the scalar goes into the first 1-D phase, so it
+        costs no pass over the grid."""
+        phases = [f.phase(t) for f in self.factors]
+        phases[0] = scale * phases[0]
+        return functools.reduce(np.multiply.outer, phases)
+
+
+def spectral_product(specs, grids) -> SpectralProduct:
+    """The spectral form of the product flow of `specs` on `grids` (one
+    spec per axis). Every factor must have an exact spectral form."""
+    specs = _check_specs(specs, grids)
+    return SpectralProduct(
+        tuple(spectral_factor(s) for s in specs),
+        tuple(axis for axis, s in enumerate(specs) if s.kind == "free"),
+    )
 
 
 def _require_two_particle_grid(u: Field) -> int:

@@ -124,6 +124,21 @@ class TestExitCodes:
         assert not output_root.exists()
 
 
+class TestDecayDefaults:
+    @pytest.mark.parametrize("preset,k", sorted(experiments._DECAY_DEFAULTS), ids=str)
+    def test_defaults_entry_passes(self, tmp_path, capsys, output_root, preset, k):
+        # a config naming only the preset (and the factor count where it is
+        # settable) runs on that entry's defaults and must pass, warning-free
+        text = f"[experiment]\nname = {preset}\n"
+        if experiments._DECAY_PRESETS[preset][2]:
+            text += f"[grid]\nfactors = {k}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", write_config(tmp_path, text)]) == EXIT_OK
+        verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("[PASS]", "[FAIL]"))]
+        assert verdicts and all(ln.startswith("[PASS]") for ln in verdicts), verdicts
+
+
 class TestAdmissibleSubcommand:
     def test_lattice_csv_on_stdout(self, capsys):
         assert main(["admissible", "--m", "2", "--n", "2", "--grid", "12"]) == EXIT_OK

@@ -16,12 +16,16 @@ from dispersia.decay import (
     norm_series,
     strichartz_norm,
 )
-from dispersia.fields import Field, gaussian_field, lp_norm, make_grid
+from dispersia.fields import Field, Trajectory, gaussian_field, lp_norm, make_grid
 from dispersia.propagators import PropagatorSpec, product_propagate
 
 
 def free_flow(spec, u, t):
     return product_propagate([spec], u, t)
+
+
+def free_trajectory(spec, u0, times):
+    return Trajectory(times, u0.grids, [free_flow(spec, u0, t).values for t in times])
 
 
 def power_series(prefactor, exponent, times):
@@ -156,7 +160,7 @@ class TestStrichartzNorm:
         grid = make_grid(64, 10.0)
         u = Field((grid,), np.full(64, value, dtype=complex))
         times = np.linspace(0, t_end, n)
-        return [(float(t), u) for t in times], u
+        return Trajectory(times, (grid,), np.broadcast_to(u.values, (n, 64))), u
 
     def test_constant_in_time_p2(self):
         traj, u = self.constant_trajectory(t_end=2.0)
@@ -167,7 +171,7 @@ class TestStrichartzNorm:
         grid = make_grid(256, 100.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
-        traj = [(t, free_flow(spec, u0, t)) for t in np.linspace(0, 5, 11)]
+        traj = free_trajectory(spec, u0, np.linspace(0, 5, 11))
         assert strichartz_norm(traj, math.inf, 2) == pytest.approx(lp_norm(u0, 2), rel=1e-10)
 
     def test_quadrature_self_convergence(self):
@@ -176,7 +180,7 @@ class TestStrichartzNorm:
         u0 = gaussian_field(grid, 1.0)
 
         def value(n_samples):
-            traj = [(t, free_flow(spec, u0, t)) for t in np.linspace(0, 10, n_samples)]
+            traj = free_trajectory(spec, u0, np.linspace(0, 10, n_samples))
             return strichartz_norm(traj, 8, 4)
 
         coarse, fine = value(41), value(81)
@@ -186,8 +190,8 @@ class TestStrichartzNorm:
         grid = make_grid(128, 50.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
-        traj = [(t, free_flow(spec, u0, t)) for t in np.linspace(0, 8, 33)]
-        shorter = strichartz_norm(traj[:17], 4, 4)
+        traj = free_trajectory(spec, u0, np.linspace(0, 8, 33))
+        shorter = strichartz_norm(Trajectory(traj.times[:17], traj.grids, traj.values[:17]), 4, 4)
         longer = strichartz_norm(traj, 4, 4)
         assert longer >= shorter
 
@@ -195,11 +199,12 @@ class TestStrichartzNorm:
     @settings(max_examples=30, deadline=None)
     def test_homogeneity(self, c):
         traj, _ = self.constant_trajectory()
-        scaled = [(t, u.with_values(c * u.values)) for t, u in traj]
+        scaled = Trajectory(traj.times, traj.grids, c * traj.values)
         assert strichartz_norm(scaled, 2, 4) == pytest.approx(
             c * strichartz_norm(traj, 2, 4), rel=1e-10, abs=1e-12
         )
 
     def test_empty_trajectory_rejected(self):
+        grid = make_grid(64, 10.0)
         with pytest.raises(ValueError):
-            strichartz_norm([], 2, 2)
+            strichartz_norm(Trajectory(np.array([]), (grid,), np.zeros((0, 64))), 2, 2)

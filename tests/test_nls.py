@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersia.exponents import HypothesisViolation, select_nls_exponents
-from dispersia.fields import Field, gaussian_field, lp_norm, make_grid, tensor_product
+from dispersia.fields import HYPERBOLIC, Field, Trajectory, gaussian_field, lp_norm, make_grid, tensor_product
 from dispersia.nls import (
     Nonlinearity,
     apply_nonlinearity,
@@ -17,7 +17,7 @@ from dispersia.nls import (
     scattering_diagnostic,
     splitstep_nls,
 )
-from dispersia.propagators import PropagatorSpec, product_propagate
+from dispersia.propagators import PropagatorSpec, product_propagate, spectral_factor
 
 
 def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
@@ -25,8 +25,20 @@ def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = tensor_product(gaussian_field(grid, width), gaussian_field(grid, width))
     u0 = u0.with_values(amplitude * u0.values)
-    linear = lambda u, t: product_propagate(specs, u, t)
-    return u0, linear
+    return u0, specs
+
+
+def free_h3_setup(amplitude=0.05):
+    """A small free x H^3 product: a torus Gaussian times a radial shell."""
+    torus = make_grid(64, 32.0)
+    radial = make_grid(48, 12.0, HYPERBOLIC)
+    u0 = tensor_product(gaussian_field(torus, 2.0), gaussian_field(radial, 1.0, center=3.0))
+    specs = [PropagatorSpec("free", torus), PropagatorSpec("hyperbolic-radial", radial)]
+    return u0.with_values(amplitude * u0.values), specs
+
+
+def l2_difference(u0, a, b):
+    return lp_norm(u0.with_values(a - b), 2)
 
 
 class TestApplyNonlinearity:
@@ -34,7 +46,7 @@ class TestApplyNonlinearity:
         grid = make_grid(8, 2.0)
         u = Field((grid,), np.zeros(8))
         nl = Nonlinearity(gamma=3.0)
-        assert np.array_equal(apply_nonlinearity(u, nl).values, np.zeros(8))
+        assert np.array_equal(apply_nonlinearity(u.values, nl), np.zeros(8))
 
     def test_gauge_invariant_cubic_at_2i(self):
         # |2i|^2 * 2i = 4 * 2i = 8i with mu = +1
@@ -42,15 +54,15 @@ class TestApplyNonlinearity:
         vals = np.zeros(8, dtype=complex)
         vals[0] = 2j
         u = Field((grid,), vals)
-        out = apply_nonlinearity(u, Nonlinearity(gamma=3.0, mu=1.0))
-        assert out.values[0] == pytest.approx(8j, abs=1e-14)
+        out = apply_nonlinearity(u.values, Nonlinearity(gamma=3.0, mu=1.0))
+        assert out[0] == pytest.approx(8j, abs=1e-14)
 
     def test_modulus_power_variant(self):
         grid = make_grid(8, 2.0)
         vals = np.full(8, -3.0 + 4.0j)
         u = Field((grid,), vals)
-        out = apply_nonlinearity(u, Nonlinearity(gamma=2.0, variant="modulus-power", mu=1.0))
-        assert np.allclose(out.values, 25.0)
+        out = apply_nonlinearity(u.values, Nonlinearity(gamma=2.0, variant="modulus-power", mu=1.0))
+        assert np.allclose(out, 25.0)
 
     @given(seed=st.integers(0, 500), gamma=st.floats(1.5, 4.0))
     @settings(max_examples=40, deadline=None)
@@ -60,9 +72,9 @@ class TestApplyNonlinearity:
         u = Field((grid,), rng.standard_normal(16) + 1j * rng.standard_normal(16))
         v = Field((grid,), rng.standard_normal(16) + 1j * rng.standard_normal(16))
         nl = Nonlinearity(gamma=gamma, mu=1.0)
-        fu = apply_nonlinearity(u, nl)
-        fv = apply_nonlinearity(v, nl)
-        lhs = np.max(np.abs(fu.values - fv.values))
+        fu = apply_nonlinearity(u.values, nl)
+        fv = apply_nonlinearity(v.values, nl)
+        lhs = np.max(np.abs(fu - fv))
         c = nl.growth_constant
         rhs = (
             c
@@ -88,44 +100,60 @@ class TestApplyNonlinearity:
 
 
 class TestSplitstepNLS:
-    def test_mu_zero_matches_linear(self):
-        u0, linear = small_data_setup()
+    def assert_mu_zero_matches_linear(self, u0, specs):
         nl = Nonlinearity(gamma=3.0, mu=0.0)
-        traj = splitstep_nls(u0, nl, linear, T=2.0, dt=0.1)
-        t_end, u_end = traj[-1]
-        expected = linear(u0, t_end)
-        assert np.max(np.abs(u_end.values - expected.values)) < 1e-12
+        traj = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1)
+        expected = product_propagate(specs, u0, traj.times[-1])
+        assert np.max(np.abs(traj.values[-1] - expected.values)) < 1e-12
+
+    def test_mu_zero_matches_linear(self):
+        self.assert_mu_zero_matches_linear(*small_data_setup())
+
+    def test_mu_zero_matches_linear_on_free_h3(self):
+        self.assert_mu_zero_matches_linear(*free_h3_setup())
 
     def test_gauge_invariant_mass_conservation(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0, mu=1.0)
-        traj = splitstep_nls(u0, nl, linear, T=10.0, dt=0.25)
+        traj = splitstep_nls(u0, nl, specs, T=10.0, dt=0.25)
         base = lp_norm(u0, 2)
-        for _, u in traj:
-            assert lp_norm(u, 2) == pytest.approx(base, rel=1e-10)
+        for values in traj.values:
+            assert lp_norm(u0.with_values(values), 2) == pytest.approx(base, rel=1e-10)
 
-    def test_second_order_self_convergence(self):
-        u0, linear = small_data_setup(amplitude=0.3)
-        nl = Nonlinearity(gamma=3.0, mu=1.0)
-        ref = splitstep_nls(u0, nl, linear, T=1.0, dt=1.0 / 256)[-1][1]
+    def error_ratio(self, variant):
+        """Self-convergence error ratio at dt = 1/8 and 1/16 against dt = 1/256."""
+        u0, specs = small_data_setup(amplitude=0.3)
+        nl = Nonlinearity(gamma=3.0, variant=variant, mu=1.0)
+        ref = splitstep_nls(u0, nl, specs, T=1.0, dt=1.0 / 256).values[-1]
 
         def error(dt):
-            out = splitstep_nls(u0, nl, linear, T=1.0, dt=dt)[-1][1]
-            return lp_norm(out.with_values(out.values - ref.values), 2)
+            return l2_difference(u0, splitstep_nls(u0, nl, specs, T=1.0, dt=dt).values[-1], ref)
 
-        ratio = error(1.0 / 8) / error(1.0 / 16)
-        assert ratio == pytest.approx(4.0, rel=0.25)
+        return error(1.0 / 8) / error(1.0 / 16)
+
+    def test_second_order_self_convergence(self):
+        assert self.error_ratio("gauge-invariant") == pytest.approx(4.0, rel=0.25)
+
+    def test_modulus_power_second_order(self):
+        # Strang splitting stays second order with the midpoint substep of
+        # the modulus-power variant (Lubich, Math. Comp. 2008)
+        assert self.error_ratio("modulus-power") == pytest.approx(4.0, rel=0.25)
 
     def test_t_not_multiple_of_dt_rejected(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         with pytest.raises(ValueError):
-            splitstep_nls(u0, Nonlinearity(gamma=3.0), linear, T=1.05, dt=0.1)
+            splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=1.05, dt=0.1)
+
+    def test_nonpositive_save_stride_rejected(self):
+        u0, specs = small_data_setup()
+        with pytest.raises(ValueError, match="save_stride"):
+            splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1, save_stride=0)
 
     def test_save_stride_keeps_endpoints(self):
-        u0, linear = small_data_setup()
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), linear, T=1.0, dt=0.1, save_stride=3)
-        assert traj[0][0] == 0.0
-        assert traj[-1][0] == pytest.approx(1.0)
+        u0, specs = small_data_setup()
+        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1, save_stride=3)
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == pytest.approx(1.0)
 
 
 class TestPicardIterate:
@@ -133,79 +161,76 @@ class TestPicardIterate:
         return select_nls_exponents(1, 1, 3)
 
     def test_zero_data_converges_immediately(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         zero = u0.with_values(np.zeros_like(u0.values))
-        result = picard_iterate(zero, Nonlinearity(gamma=3.0), linear, self.exponents(), 2.0, 0.2)
+        result = picard_iterate(zero, Nonlinearity(gamma=3.0), specs, self.exponents(), 2.0, 0.2)
         assert result.converged
         assert result.history[-1].k == 1
-        assert all(np.allclose(u.values, 0) for _, u in result.trajectory)
+        assert np.allclose(result.trajectory.values, 0)
 
     def test_contraction_ratios_below_one(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         result = picard_iterate(
-            u0, Nonlinearity(gamma=3.0), linear, self.exponents(), 5.0, 0.25, max_iter=8, tol=1e-10
+            u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 5.0, 0.25, max_iter=8, tol=1e-10
         )
         ratios = [s.ratio for s in result.history if s.ratio is not None]
         assert result.converged
         assert ratios and all(r < 1 for r in ratios)
 
     def test_halving_data_scales_first_ratio(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
-        full = picard_iterate(u0, nl, linear, self.exponents(), 5.0, 0.25, max_iter=6, tol=1e-12)
+        full = picard_iterate(u0, nl, specs, self.exponents(), 5.0, 0.25, max_iter=6, tol=1e-12)
         half_data = u0.with_values(0.5 * u0.values)
-        half = picard_iterate(half_data, nl, linear, self.exponents(), 5.0, 0.25, max_iter=6, tol=1e-12)
+        half = picard_iterate(half_data, nl, specs, self.exponents(), 5.0, 0.25, max_iter=6, tol=1e-12)
         expected = 2.0 ** -(3.0 - 1.0)
         measured = half.history[2].ratio / full.history[2].ratio
         assert measured == pytest.approx(expected, rel=0.2)
 
     def test_cross_method_agreement(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
-        result = picard_iterate(u0, nl, linear, self.exponents(), 5.0, 0.1, max_iter=8, tol=1e-10)
-        traj = splitstep_nls(u0, nl, linear, T=5.0, dt=0.05, save_stride=2)
-        diff = max(
-            lp_norm(up.with_values(up.values - us.values), 2)
-            for (_, up), (_, us) in zip(result.trajectory, traj)
-        )
+        result = picard_iterate(u0, nl, specs, self.exponents(), 5.0, 0.1, max_iter=8, tol=1e-10)
+        traj = splitstep_nls(u0, nl, specs, T=5.0, dt=0.05, save_stride=2)
+        diff = max(l2_difference(u0, up, us) for up, us in zip(result.trajectory.values, traj.values))
         assert diff <= 1e-4
 
     def test_linear_response_in_mu(self):
         # the k=1 Duhamel correction scales linearly with the coupling
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         sel = self.exponents()
         d = {}
         for mu in (1e-3, 2e-3):
             result = picard_iterate(
-                u0, Nonlinearity(gamma=3.0, mu=mu), linear, sel, 2.0, 0.2, max_iter=2, tol=0
+                u0, Nonlinearity(gamma=3.0, mu=mu), specs, sel, 2.0, 0.2, max_iter=2, tol=0
             )
             d[mu] = result.history[1].distance
         assert d[2e-3] / d[1e-3] == pytest.approx(2.0, rel=1e-3)
 
     def test_fixed_point_residual_after_convergence(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
         tol = 1e-8
-        result = picard_iterate(u0, nl, linear, self.exponents(), 2.0, 0.2, max_iter=12, tol=tol)
+        result = picard_iterate(u0, nl, specs, self.exponents(), 2.0, 0.2, max_iter=12, tol=tol)
         assert result.converged
         # one more sweep moves the converged iterate by at most 2 tol
         # relative to the reference scale
-        again = picard_iterate(u0, nl, linear, self.exponents(), 2.0, 0.2, max_iter=result.history[-1].k + 1, tol=0)
+        again = picard_iterate(u0, nl, specs, self.exponents(), 2.0, 0.2, max_iter=result.history[-1].k + 1, tol=0)
         d_next = again.history[result.history[-1].k + 1].distance
         ref = result.history[1].y_norm
         assert d_next <= 2 * tol * ref
 
     def test_gamma_above_bound_refused(self):
-        u0, linear = small_data_setup()
+        u0, specs = small_data_setup()
         sel = select_nls_exponents(1, 1, 3)
         with pytest.raises(HypothesisViolation):
-            picard_iterate(u0, Nonlinearity(gamma=3.5), linear, sel, 1.0, 0.1)
+            picard_iterate(u0, Nonlinearity(gamma=3.5), specs, sel, 1.0, 0.1)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_large_data_reported_not_raised(self):
-        u0, linear = small_data_setup(amplitude=20.0)
+        u0, specs = small_data_setup(amplitude=20.0)
         result = picard_iterate(
-            u0, Nonlinearity(gamma=3.0), linear, self.exponents(), 2.0, 0.2, max_iter=8, tol=1e-12
+            u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 2.0, 0.2, max_iter=8, tol=1e-12
         )
         # divergence must surface as a reported outcome, never an exception
         assert isinstance(result.contractive, bool)
@@ -214,24 +239,24 @@ class TestPicardIterate:
 
 class TestScatteringDiagnostic:
     def test_linear_flow_has_zero_tails(self):
-        u0, linear = small_data_setup()
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0, mu=0.0), linear, T=4.0, dt=0.2)
-        _, tails = scattering_diagnostic(traj, linear)
+        u0, specs = small_data_setup()
+        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0, mu=0.0), specs, T=4.0, dt=0.2)
+        _, tails = scattering_diagnostic(traj, specs)
         for _, tail in tails:
             assert tail <= 1e-10
 
     def test_tails_monotone_nonincreasing(self):
-        u0, linear = small_data_setup()
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), linear, T=20.0, dt=0.1, save_stride=10)
-        _, tails = scattering_diagnostic(traj, linear)
+        u0, specs = small_data_setup()
+        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=20.0, dt=0.1, save_stride=10)
+        _, tails = scattering_diagnostic(traj, specs)
         values = [tail for _, tail in tails]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
     def test_small_data_tail_decrease(self):
-        u0, linear = small_data_setup(n=256, length=128.0)
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), linear, T=40.0, dt=0.1, save_stride=10)
-        _, tails = scattering_diagnostic(traj, linear)
+        u0, specs = small_data_setup(n=256, length=128.0)
+        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=40.0, dt=0.1, save_stride=10)
+        _, tails = scattering_diagnostic(traj, specs)
 
         def tail_at(t_query):
             return min(tails, key=lambda s: abs(s[0] - t_query))[1]
@@ -241,18 +266,62 @@ class TestScatteringDiagnostic:
     def test_tail_bounded_by_strichartz_power(self):
         from dispersia.decay import strichartz_norm
 
-        u0, linear = small_data_setup(n=256, length=128.0)
+        u0, specs = small_data_setup(n=256, length=128.0)
         gamma = 3.0
-        traj = splitstep_nls(u0, Nonlinearity(gamma=gamma), linear, T=20.0, dt=0.1, save_stride=10)
-        _, tails = scattering_diagnostic(traj, linear)
+        traj = splitstep_nls(u0, Nonlinearity(gamma=gamma), specs, T=20.0, dt=0.1, save_stride=10)
+        _, tails = scattering_diagnostic(traj, specs)
         p = q = 1 + gamma
         # calibrate the aggregated constant on the first window, then check
         # the power law on later windows
         t1s = [t for t, _ in tails[:-2]]
         bounds = []
         for t1 in t1s:
-            window = [(t, u) for t, u in traj if t >= t1]
+            keep = traj.times >= t1
+            window = Trajectory(traj.times[keep], traj.grids, traj.values[keep])
             bounds.append(strichartz_norm(window, p, q) ** gamma)
         c = tails[0][1] / bounds[0]
         for (_, tail), bound in zip(tails[:-2], bounds):
             assert tail <= 2.0 * c * bound
+
+
+class TestSpectralRoutes:
+    """The routes apply the product flow in the spectral domain; these pin
+    them to product_propagate."""
+
+    @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
+    def test_one_duhamel_sweep_matches_direct_reference(self, setup):
+        u0, specs = setup(amplitude=0.3)
+        nl = Nonlinearity(gamma=3.0)
+        dt = 0.1
+        result = picard_iterate(u0, nl, specs, select_nls_exponents(1, 1, 3), 1.0, dt, max_iter=1, tol=0)
+        times = result.times
+
+        def flow(values, t):
+            return product_propagate(specs, u0.with_values(values), t).values
+
+        source = [apply_nonlinearity(flow(u0.values, t), nl) for t in times]
+        for i, t in enumerate(times):
+            # trapezoid rule for int_0^t e^{i(t-s)L} F(v_0(s)) ds, entering as -i times it
+            integral = sum(
+                dt / 2 * (flow(source[j - 1], t - times[j - 1]) + flow(source[j], t - times[j]))
+                for j in range(1, i + 1)
+            )
+            expected = flow(u0.values, t) - 1j * integral
+            assert np.max(np.abs(result.trajectory.values[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_potential_factor_refused(self):
+        grid = make_grid(32, 16.0)
+        specs = [
+            PropagatorSpec("free", grid),
+            PropagatorSpec("free-plus-potential", grid, potential=tuple(np.zeros(32))),
+        ]
+        u0 = tensor_product(gaussian_field(grid), gaussian_field(grid))
+        nl = Nonlinearity(gamma=3.0)
+        with pytest.raises(ValueError, match="free-plus-potential"):
+            spectral_factor(specs[1])
+        with pytest.raises(ValueError, match="free-plus-potential"):
+            splitstep_nls(u0, nl, specs, T=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="free-plus-potential"):
+            picard_iterate(u0, nl, specs, select_nls_exponents(1, 1, 3), 1.0, 0.1)
+        with pytest.raises(ValueError, match="free-plus-potential"):
+            scattering_diagnostic(Trajectory([0.0], u0.grids, u0.values[None]), specs)
