@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from .fields import (
     make_grid,
     slice_lp_norms,
 )
-from .nls import Nonlinearity, picard_iterate, scattering_diagnostic, splitstep_nls
+from .nls import Nonlinearity, picard_iterate, saved_steps, scattering_diagnostic, splitstep_nls
 from .propagators import (
     PotentialSpec,
     PropagatorSpec,
@@ -385,7 +386,24 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     if max_iter < 2:
         raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
     u0, specs, nl, sel = _nls_setup(cfg)
-    result = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol)
+
+    def half_data_then_splitstep():
+        # the k = 2 ratio is the only thing read of the half-data run, and it
+        # depends on sweeps 1 and 2 alone; the run's trajectory is freed
+        # before the split-step run
+        half = u0.with_values(0.5 * u0.values)
+        r_half = picard_iterate(half, nl, specs, sel, T, dt, max_iter=2, tol=tol).history[2].ratio
+        return r_half, splitstep_nls(u0, nl, specs, T, dt / 2, save_stride=2)
+
+    # The two chains only read u0 and specs and write arrays of their own,
+    # and the transforms and ufuncs release the GIL, so the worker takes
+    # the second core with results bit-identical to running in sequence.
+    # The full-data run stays on the calling thread; a worker exception
+    # re-raises from result().
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(half_data_then_splitstep)
+        result = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol)
+        r_half, traj = worker.result()
     ratios = [s.ratio for s in result.history if s.ratio is not None]
     contracting = bool(ratios) and all(r < 1 for r in ratios)
     report.add(
@@ -393,9 +411,6 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         result.converged and contracting,
         f"ratios={['%.3e' % r for r in ratios]}",
     )
-    half = u0.with_values(0.5 * u0.values)
-    # only the ratio is kept: the half-data trajectory is freed before the split-step run
-    r_half = picard_iterate(half, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol).history[2].ratio
     r_full = result.history[2].ratio
     expected = 2.0 ** -(nl.gamma - 1)
     scale_ok = abs(r_half / r_full - expected) <= scaling_tol * expected
@@ -404,7 +419,6 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         scale_ok,
         f"ratio_half/ratio_full={r_half / r_full:.4f} expected={expected:.4f} rel tol={scaling_tol}",
     )
-    traj = splitstep_nls(u0, nl, specs, T, dt / 2, save_stride=2)
     diff = float(slice_lp_norms(result.trajectory.values, u0.grids, 2, minus=traj.values).max())
     report.add(
         "Picard vs split-step agreement (Linf_t L2)",
@@ -434,14 +448,22 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _get(cfg, "fit", "tail_decrease_factor", 10.0, float)
     u0, specs, nl, _ = _nls_setup(cfg)
+    t1, t2 = 1.0, 20.0
+    saved = [s * dt for s in saved_steps(T, dt, stride)]
+
+    def saved_index(t_query):
+        for i, t in enumerate(saved):
+            if math.isclose(t, t_query, rel_tol=1e-9):
+                return i
+        raise ConfigError(
+            f"the verdict reads tail({t_query}), so t = {t_query} must be a saved time at most "
+            f"[time] t_final = {T}; with dt = {dt} and [time] save_stride = {stride} it is not"
+        )
+
+    i1, i2 = saved_index(t1), saved_index(t2)
     traj = splitstep_nls(u0, nl, specs, T, dt, save_stride=stride)
     _, tails = scattering_diagnostic(traj, specs)
-
-    def tail_at(t_query):
-        return min(tails, key=lambda s: abs(s[0] - t_query))[1]
-
-    t1, t2 = 1.0, 20.0
-    early, late = tail_at(t1), tail_at(t2)
+    early, late = tails[i1][1], tails[i2][1]
     ok = late <= early / decrease
     lines = [f"# fingerprint={cfg.fingerprint} version={__version__}", "t,tail"]
     for t, tail in tails:

@@ -242,27 +242,61 @@ def tensor_product(f: Field, g: Field) -> Field:
     return Field(f.grids + g.grids, values, axes)
 
 
-def _weighted_axis_norm(values: np.ndarray, weights: np.ndarray, r: float, axis: int) -> np.ndarray:
-    mag = np.abs(values)
+def _abs_squared(values: np.ndarray) -> np.ndarray:
+    """|u|^2 as re^2 + im^2: the square root of np.abs is never taken."""
+    if np.iscomplexobj(values):
+        sq = np.square(values.real)
+        sq += np.square(values.imag)
+        return sq
+    return np.square(values)
+
+
+def _weighted_axis_norm(
+    values: np.ndarray, weights: np.ndarray, r: float, axis: int, squared: np.ndarray | None = None
+) -> np.ndarray:
+    """L^r norm along one axis. For finite r >= 2 the summand |u|^r is
+    (|u|^2)^(r/2), from `squared` (|values|^2) when the caller has it: no
+    square root, no pow at r = 2 and one square at r = 4. For r < 2 and
+    r = inf it is taken from |u|, whose square could overflow where |u|^r
+    does not."""
     if math.isinf(r):
-        return mag.max(axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = len(weights)
-    w = weights.reshape(shape)
-    return np.sum(w * mag**r, axis=axis) ** (1.0 / r)
+        return np.abs(values).max(axis=axis)
+    if r < 2:
+        power = np.abs(values) ** r
+    else:
+        sq = _abs_squared(values) if squared is None else squared
+        power = sq if r == 2 else np.square(sq) if r == 4 else sq ** (r / 2)
+    return np.sum(_axis_shape(values, axis, weights) * power, axis=axis) ** (1.0 / r)
+
+
+def _lp_exponent(r) -> float:
+    rv = _exponent_value(r)
+    if rv < 1:
+        raise ValueError(f"L^r norm needs r >= 1, got {r}")
+    return rv
+
+
+def values_lp_norms(values: np.ndarray, grids, exponents) -> list[float]:
+    """lp_norm of a bare values array on the product of `grids`, one per
+    exponent; |u|^2 is formed once for all the finite exponents >= 2."""
+    rs = [_lp_exponent(r) for r in exponents]
+    squared = _abs_squared(values) if any(2 <= rv < math.inf for rv in rs) else None
+    last = len(grids) - 1
+    out = []
+    for rv in rs:
+        if math.isinf(rv):
+            out.append(float(np.abs(values).max()))
+            continue
+        acc = _weighted_axis_norm(values, grids[last].weights, rv, last, squared)
+        for axis in reversed(range(last)):
+            acc = _weighted_axis_norm(acc, grids[axis].weights, rv, axis)
+        out.append(float(acc))
+    return out
 
 
 def values_lp_norm(values: np.ndarray, grids, r) -> float:
     """lp_norm of a bare values array on the product of `grids`."""
-    rv = _exponent_value(r)
-    if rv < 1:
-        raise ValueError(f"L^r norm needs r >= 1, got {r}")
-    if math.isinf(rv):
-        return float(np.abs(values).max())
-    acc = values
-    for axis in reversed(range(len(grids))):
-        acc = _weighted_axis_norm(acc, grids[axis].weights, rv, axis)
-    return float(acc)
+    return values_lp_norms(values, grids, (r,))[0]
 
 
 def lp_norm(u: Field | SeparableField, r) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, slice_lp_norms, values_lp_norm
+from .fields import Field, Trajectory, slice_lp_norms, values_lp_norms
 from .propagators import spectral_product
 
 GAUGE_INVARIANT = "gauge-invariant"
@@ -95,19 +95,26 @@ def _time_steps(T: float, dt: float) -> int:
     return n_steps
 
 
-def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
-    """Strang-split NLS trajectory sampled every save_stride steps (t = 0
-    and t = T always included), under the product flow of `specs` (one
-    spec per axis of u0). The linear step is one forward transform, the
-    phase of dt (built once) and one inverse transform."""
+def saved_steps(T: float, dt: float, save_stride: int) -> list[int]:
+    """The steps a split-step run of length T saves: step 0, every
+    save_stride-th step and the last one. Step s is at time s * dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if save_stride < 1:
         raise ValueError(f"save_stride must be >= 1, got {save_stride}")
     n_steps = _time_steps(T, dt)
+    return [0] + [s for s in range(1, n_steps + 1) if s % save_stride == 0 or s == n_steps]
+
+
+def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
+    """Strang-split NLS trajectory sampled at the saved_steps of T, dt and
+    save_stride, under the product flow of `specs` (one spec per axis of
+    u0). The linear step is one forward transform, the phase of dt (built
+    once) and one inverse transform."""
+    saved = saved_steps(T, dt, save_stride)
+    n_steps = saved[-1]
     flow = spectral_product(specs, u0.grids)
     kinetic = flow.phase(dt)
-    saved = [0] + [s for s in range(1, n_steps + 1) if s % save_stride == 0 or s == n_steps]
     out = np.empty((len(saved),) + u0.values.shape, dtype=complex)
     out[0] = u0.values
     j = 1
@@ -210,9 +217,7 @@ def picard_iterate(
                 new = flow.inverse(flow.phase(t) * (f_hat + acc))
             else:
                 new = f.values
-            change = new - v[i]
-            # |w| gives the same norms as w and is taken once for both exponents
-            norms[:, i] = [values_lp_norm(m, grids, r) for m in (np.abs(new), np.abs(change)) for r in (2, q)]
+            norms[:, i] = [*values_lp_norms(new, grids, (2, q)), *values_lp_norms(new - v[i], grids, (2, q))]
             v[i] = new
             prev = pulled
         return norms

@@ -2,7 +2,9 @@
 
 import json
 import os
+import threading
 import warnings
+from concurrent.futures import Future
 
 import pytest
 
@@ -121,6 +123,74 @@ class TestExitCodes:
     def test_malformed_config_leaves_no_outputs(self, tmp_path, capsys, output_root):
         path = write_config(tmp_path, "[experiment]\nname = \n[[[\n")
         assert main(["run", path]) == EXIT_CONFIG
+        assert not output_root.exists()
+
+
+class InlineExecutor:
+    """A stand-in for ThreadPoolExecutor that runs each task at submit."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+SMALL_NLS = (
+    "[experiment]\nname = nls-smalldata\n[grid]\nn_points = 64\nlength = 32\n"
+    "[time]\nt_final = 2\ndt = 0.1\n"
+)
+
+
+class TestNLSRunners:
+    def test_worker_exception_surfaces(self, tmp_path, capsys, output_root, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("split-step broke")
+
+        monkeypatch.setattr(experiments, "splitstep_nls", broken)
+        path = write_config(tmp_path, SMALL_NLS)
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(main(["run", path])), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "the run hangs after the worker raised"
+        assert codes == [EXIT_INVALID_ARGUMENT]
+        assert "split-step broke" in capsys.readouterr().err
+        assert not (output_root / "nls-smalldata" / "picard.json").exists()
+
+    def test_threaded_picard_json_matches_inline(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, SMALL_NLS)
+        outputs = {}
+        for mode in ("threaded", "inline"):
+            if mode == "inline":
+                monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlineExecutor)
+            monkeypatch.setenv("DISPERSIA_OUTPUT_ROOT", str(tmp_path / mode))
+            assert main(["run", path]) == EXIT_OK
+            outputs[mode] = (tmp_path / mode / "nls-smalldata" / "picard.json").read_bytes()
+        assert outputs["threaded"] == outputs["inline"]
+
+    @pytest.mark.parametrize(
+        "time_section,key",
+        [("t_final = 40\ndt = 0.1\nsave_stride = 100\n", "save_stride"), ("t_final = 10\ndt = 0.1\n", "t_final")],
+        ids=["t1-between-saved-samples", "t2-past-t_final"],
+    )
+    def test_scattering_tail_time_not_saved_refused(self, tmp_path, capsys, output_root, time_section, key):
+        # the verdict reads tail(1.0) and tail(20.0); a nearest-sample stand-in
+        # would print another time's tail under their names
+        path = write_config(tmp_path, f"[experiment]\nname = nls-scattering\n[time]\n{time_section}")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert not output_root.exists()
 
 

@@ -20,6 +20,8 @@ from dispersia.fields import (
     mixed_norm,
     slice_lp_norms,
     tensor_product,
+    values_lp_norm,
+    values_lp_norms,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -209,6 +211,51 @@ class TestSliceNorms:
             Trajectory(np.linspace(0, 1, 4), self.grids, self.stack(6))
         with pytest.raises(ValueError):
             Trajectory(np.array([]), self.grids, np.zeros((0, 24, 20)))
+
+
+class TestNormReduction:
+    """values_lp_norm (|u|^r from |u|^2 for finite r >= 2, from |u| below 2)
+    against the plain sum over the product measure."""
+
+    GRIDS = {
+        "free": (make_grid(24, 6.0), make_grid(20, 5.0)),
+        "hyperbolic-radial": (make_grid(24, 6.0, HYPERBOLIC), make_grid(20, 5.0, HYPERBOLIC)),
+        "mixed": (make_grid(24, 6.0), make_grid(20, 5.0, HYPERBOLIC)),
+    }
+    EXPONENTS = [1, Fraction(3, 2), 2, Fraction(7, 3), 4, 6, math.inf]
+
+    @staticmethod
+    def reference(values, grids, r):
+        if math.isinf(r):
+            return float(np.abs(values).max())
+        w = np.multiply.outer(grids[0].weights, grids[1].weights)
+        return float(np.sum(w * np.abs(values) ** float(r)) ** (1 / float(r)))
+
+    @given(seed=st.integers(0, 10**6), kind=st.sampled_from(sorted(GRIDS)), r=st.sampled_from(EXPONENTS))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_sum(self, seed, kind, r):
+        grids = self.GRIDS[kind]
+        rng = np.random.default_rng(seed)
+        shape = (24, 20)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert values_lp_norm(values, grids, r) == pytest.approx(self.reference(values, grids, r), rel=1e-14, abs=0)
+
+    def test_several_exponents_at_once(self):
+        grids = self.GRIDS["mixed"]
+        values = RNG.standard_normal((24, 20)) + 1j * RNG.standard_normal((24, 20))
+        assert values_lp_norms(values, grids, self.EXPONENTS) == [
+            values_lp_norm(values, grids, r) for r in self.EXPONENTS
+        ]
+
+    def test_huge_modulus_l1_stays_finite(self):
+        # |u|^2 overflows at |u| = 1e160; the norms below r = 2 never form it
+        grids = self.GRIDS["free"]
+        values = np.full((24, 20), 6e159 + 8e159j)
+        with np.errstate(over="raise"):
+            l1 = values_lp_norm(values, grids, 1)
+            l32 = values_lp_norm(values, grids, Fraction(3, 2))
+        assert l1 == pytest.approx(1e160 * 6.0 * 5.0, rel=1e-14)
+        assert math.isfinite(l32)
 
 
 class TestMixedNorm:

@@ -2,12 +2,14 @@
 scattering diagnostics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersia import experiments
 from dispersia.exponents import HypothesisViolation, select_nls_exponents
 from dispersia.fields import HYPERBOLIC, Field, Trajectory, gaussian_field, lp_norm, make_grid, tensor_product
 from dispersia.nls import (
@@ -219,6 +221,21 @@ class TestPicardIterate:
         d_next = again.history[result.history[-1].k + 1].distance
         ref = result.history[1].y_norm
         assert d_next <= 2 * tol * ref
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5], ids=["committed-data", "half-data"])
+    def test_capped_history_is_a_prefix(self, scale):
+        # nls-smalldata caps its half-data run at max_iter=2 and reads
+        # history[2]: the cap must leave the first three entries unchanged
+        cfg = experiments.parse_config(
+            os.path.join(os.path.dirname(__file__), "..", "scripts", "configs", "nls-smalldata.cfg")
+        )
+        u0, specs, nl, sel = experiments._nls_setup(cfg)
+        u0 = u0.with_values(scale * u0.values)
+        T, dt = float(cfg.settings["time"]["t_final"]), float(cfg.settings["time"]["dt"])
+        full = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=8, tol=1e-10)
+        capped = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=2, tol=1e-10)
+        assert len(full.history) > 3
+        assert capped.history == full.history[:3]
 
     def test_gamma_above_bound_refused(self):
         u0, specs = small_data_setup()
