@@ -14,11 +14,9 @@ from .fields import (
     Field,
     SeparableField,
     Trajectory,
-    MixedNormSpec,
     make_grid,
     tensor_product,
     lp_norm,
-    mixed_norm,
 )
 from .propagators import (
     PropagatorSpec,
@@ -42,8 +40,6 @@ from .exponents import (
     in_triangle_T,
     interpolation_exponent,
     select_nls_exponents,
-    check_weight_integral,
-    check_yajima_parameters,
     dual_exponent,
 )
 from .decay import (
@@ -51,7 +47,6 @@ from .decay import (
     norm_series,
     fit_decay_exponent,
     compare_prediction,
-    strichartz_norm,
 )
 from .nls import (
     Nonlinearity,

@@ -1,4 +1,4 @@
-"""Norm time series, log-log power-law fits, and space-time norms.
+"""Norm time series, log-log power-law fits, and time norms.
 
 The decay claims under test are pure power laws, so the fit is ordinary
 least squares of log(value) against log(t); the slope is the measured
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import Field, SeparableField, Trajectory, lp_norm
+from .fields import Field, SeparableField, lp_norm
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,3 @@ def time_norm(times, norms, p) -> float:
     if len(times) == 1:
         return 0.0
     return float(np.trapezoid(norms**p, np.asarray(times, dtype=float)) ** (1.0 / p))
-
-
-def strichartz_norm(trajectory: Trajectory, p, q) -> float:
-    """Space-time norm of a recorded trajectory: the L^p time norm of
-    ||u(t)||_q."""
-    qv = float(q)
-    pv = float(p)
-    if pv < 1 or qv < 1:
-        raise ValueError("exponents must be >= 1")
-    return time_norm(trajectory.times, trajectory.lp_norms(qv), pv)

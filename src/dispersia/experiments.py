@@ -359,6 +359,12 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
 
 
 def _nls_setup(cfg: ExperimentConfig):
+    for key in ("m_eff", "n_eff"):
+        if key in cfg.settings.get("nls", {}):
+            raise ConfigError(
+                f"[nls] {key} is not a setting: the exponent dimensions come from the factors "
+                "the run builds, two 1-D tori (m = n = 1)"
+            )
     n = _get(cfg, "grid", "n_points", 256, int)
     length = _get(cfg, "grid", "length", 64.0, float)
     width = _get(cfg, "data", "width", 2.0, float)
@@ -370,9 +376,7 @@ def _nls_setup(cfg: ExperimentConfig):
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
     u0 = u0.with_values(amp * u0.values)
     nl = Nonlinearity(gamma=gamma, mu=mu)
-    sel = select_nls_exponents(
-        _get(cfg, "nls", "m_eff", 1, int), _get(cfg, "nls", "n_eff", 1, int), nl.exact_gamma
-    )
+    sel = select_nls_exponents(1, 1, nl.exact_gamma)
     return u0, specs, nl, sel
 
 

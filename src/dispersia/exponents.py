@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 
 class _Infinity:
     """Singleton marker for the exponent infinity."""
@@ -212,51 +210,3 @@ def select_nls_exponents(m: int, n: int, gamma) -> NLSExponentSelection:
         if not in_triangle_T(pair, m, n):
             raise HypothesisViolation(f"selected pair (1/{p}, 1/{p}) leaves the triangle T")
     return sel
-
-
-@dataclass(frozen=True)
-class WeightIntegralReport:
-    value: float
-    tail_bounded: bool
-
-
-def check_weight_integral(pot, r_max: float, n_quad: int) -> WeightIntegralReport:
-    """Quadrature evidence for the 1-D weight condition: the integral of
-    (1+|x|)^2 V(x) over [-r_max, r_max].
-
-    Built-in potential families have analytic tails, so the truncated value
-    is reported tail-bounded; custom samples carry no tail claim.
-    """
-    if pot.amplitude < 0:
-        raise ValueError("sign condition requires amplitude >= 0")
-    if n_quad < 2:
-        raise ValueError("n_quad must be >= 2")
-    if pot.family == "custom-samples":
-        # custom samples are read as uniform samples of V on [-r_max, r_max]
-        v = np.asarray(pot.samples, dtype=float)
-        x = np.linspace(-r_max, r_max, len(v))
-    else:
-        x = np.linspace(-r_max, r_max, n_quad)
-        v = pot.evaluate(x)
-    integrand = (1.0 + np.abs(x)) ** 2 * v
-    value = float(np.trapezoid(integrand, x))
-    tail_bounded = pot.family in ("gaussian-bump", "sech-squared")
-    return WeightIntegralReport(value=value, tail_bounded=tail_bounded)
-
-
-@dataclass(frozen=True)
-class YajimaCheck:
-    ok: bool
-    l0: int
-
-
-def check_yajima_parameters(n: int, p0, delta) -> YajimaCheck:
-    """Scalar parameter conditions of the high-dimensional potential class:
-    n >= 3, p0 > n/2, delta > 3n/2 + 1, with the derivative order l0."""
-    if n < 3:
-        raise ValueError("the parameter condition is stated for n >= 3")
-    p0 = Fraction(p0)
-    delta = Fraction(delta)
-    ok = p0 > Fraction(n, 2) and delta > Fraction(3 * n, 2) + 1
-    l0 = 0 if n == 3 else (n - 1) // 2
-    return YajimaCheck(ok=ok, l0=l0)

@@ -1,21 +1,22 @@
-"""Grids, complex fields on products of grids, and (mixed) Lebesgue norms.
+"""Grids, complex fields on products of grids, and Lebesgue norms.
 
 A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
 A SpectralFactor is the exact spectral form of a factor operator on one
-grid axis. Fields are plain immutable (grids, values) pairs; a
-SeparableField keeps a rank-1 product state as its 1-D factors, and a
-Trajectory stacks the states of one run along a leading time axis. Norms
-are quadrature weighted so that a sampled function's norm approximates
-the continuum one.
+grid axis. Fields are immutable (grids, values) pairs whose values are a
+read-only view of the caller's array, not a copy; a SeparableField keeps
+a rank-1 product state as its 1-D factors, and a Trajectory stacks the
+states of one run along a leading time axis. Norms are quadrature
+weighted so that a sampled function's norm approximates the continuum
+one.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +24,6 @@ EUCLIDEAN = "euclidean-torus"
 HYPERBOLIC = "hyperbolic-radial"
 
 _MIN_POINTS = 8
-
-
-def _exponent_value(r) -> float:
-    """Coerce a norm exponent (number, Fraction, or the INF sentinel) to float."""
-    x = float(r)
-    if math.isnan(x):
-        raise ValueError("norm exponent must not be NaN")
-    return x
 
 
 @dataclass(frozen=True)
@@ -99,18 +92,16 @@ def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
 class SpectralFactor:
     """A factor operator S on one grid axis in its exact spectral form: a
     transform along the axis that diagonalises S, the spectrum lam of S on
-    the transform's dual lattice (S acts as c * lam there), and the inverse
-    transform. The factor flow exp(-itS) is forward, the phase
-    exp(-i t c lam), inverse."""
+    the transform's dual lattice, and the inverse transform. The factor
+    flow exp(-itS) is forward, the phase exp(-i t lam), inverse."""
 
     forward: Callable[[np.ndarray, int], np.ndarray]  # (values, axis) -> coefficients
     inverse: Callable[[np.ndarray, int], np.ndarray]  # (coefficients, axis) -> values
-    c: float
     lam: np.ndarray
 
     def phase(self, t: float) -> np.ndarray:
         # the linear artifacts stay byte-identical only in this evaluation order
-        return np.exp(-1j * t * self.c * self.lam)
+        return np.exp(-1j * t * self.lam)
 
     def propagate(self, values: np.ndarray, t: float, axis: int) -> np.ndarray:
         coeffs = self.forward(values, axis)
@@ -118,11 +109,17 @@ class SpectralFactor:
         return self.inverse(coeffs, axis)
 
 
+def _read_only(vals: np.ndarray) -> np.ndarray:
+    """A read-only view of vals: no copy, and no write through the view."""
+    view = vals.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class Field:
     grids: tuple[Grid1D, ...]
     values: np.ndarray
-    axes: tuple[str, ...] = ()
 
     def __post_init__(self):
         grids = tuple(self.grids)
@@ -135,24 +132,14 @@ class Field:
             raise ValueError(f"values shape {vals.shape} does not match grids {expected}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-        axes = tuple(self.axes) if self.axes else tuple(f"x{i}" for i in range(len(grids)))
-        if len(axes) != len(grids):
-            raise ValueError("one axis label per grid required")
-        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "values", _read_only(vals))
 
     @property
     def rank(self) -> int:
         return len(self.grids)
 
     def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grids, values, self.axes)
-
-    def axis_index(self, name: str) -> int:
-        try:
-            return self.axes.index(name)
-        except ValueError:
-            raise ValueError(f"field has no axis {name!r} (axes: {self.axes})") from None
+        return Field(self.grids, values)
 
 
 @dataclass(frozen=True)
@@ -207,39 +194,17 @@ class Trajectory:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(vals))
 
     def lp_norms(self, r) -> np.ndarray:
         """lp_norm of the state at each time."""
         return slice_lp_norms(self.values, self.grids, r)
 
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Ordered (axis, exponent) pairs, innermost norm first.
-
-    The first listed axis norm is evaluated first; e.g. [(x, 1), (y, inf)]
-    is sup over y of the integral over x.
-    """
-
-    entries: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        entries = tuple((axis, r) for axis, r in self.entries)
-        for _, r in entries:
-            if _exponent_value(r) < 1:
-                raise ValueError("mixed-norm exponents must be >= 1")
-        object.__setattr__(self, "entries", entries)
-
-
 def tensor_product(f: Field, g: Field) -> Field:
     if f.rank != 1 or g.rank != 1:
         raise ValueError("tensor_product expects two rank-1 fields")
-    values = np.multiply.outer(f.values, g.values)
-    axes = f.axes + g.axes
-    if len(set(axes)) != 2:
-        axes = ("x", "y")
-    return Field(f.grids + g.grids, values, axes)
+    return Field(f.grids + g.grids, np.multiply.outer(f.values, g.values))
 
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
@@ -270,8 +235,10 @@ def _weighted_axis_norm(
 
 
 def _lp_exponent(r) -> float:
-    rv = _exponent_value(r)
-    if rv < 1:
+    """Coerce a norm exponent (number, Fraction, or the INF sentinel) to a
+    float >= 1; NaN is refused too."""
+    rv = float(r)
+    if not rv >= 1:
         raise ValueError(f"L^r norm needs r >= 1, got {r}")
     return rv
 
@@ -318,21 +285,6 @@ def slice_lp_norms(values: np.ndarray, grids, r, minus: np.ndarray | None = None
             state = state - (minus if minus.ndim < values.ndim else minus[i])
         out[i] = values_lp_norm(state, grids, r)
     return out
-
-
-def mixed_norm(u: Field, spec: MixedNormSpec) -> float:
-    """Iterated axis norms, innermost-first in the order given."""
-    names = [axis for axis, _ in spec.entries]
-    if sorted(names) != sorted(u.axes):
-        raise ValueError(f"mixed-norm axes {names} must cover field axes {list(u.axes)} exactly")
-    acc = u.values
-    # remaining[i] = original axis position of acc's i-th dimension
-    remaining = list(range(u.rank))
-    for axis_name, r in spec.entries:
-        pos = remaining.index(u.axis_index(axis_name))
-        acc = _weighted_axis_norm(acc, u.grids[remaining[pos]].weights, _exponent_value(r), pos)
-        del remaining[pos]
-    return float(acc)
 
 
 def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None) -> Field:

@@ -45,22 +45,17 @@ class SphericalProfile:
             raise ValueError("profile values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Dual lattice lambda_k = k pi / r_max, k = 1..n."""
-        n = self.grid.n_points
-        return np.pi * np.arange(1, n + 1) / self.grid.r_max
-
     def as_field(self) -> Field:
         return Field((self.grid,), self.values)
 
 
 def dual_lattice(grid: Grid1D) -> np.ndarray:
+    """Dual lattice lambda_k = k pi / r_max, k = 1..n."""
     _require_hyperbolic(grid)
     return np.pi * np.arange(1, grid.n_points + 1) / grid.r_max
 
 
-def h3_factor(grid: Grid1D, c: float = 1.0) -> SpectralFactor:
+def h3_factor(grid: Grid1D) -> SpectralFactor:
     """The H^3 radial factor in spectral form: the type-II sine transform of
     sinh(r) f(r) along the axis, spectrum lambda^2 + rho^2 on the dual
     lattice."""
@@ -73,7 +68,7 @@ def h3_factor(grid: Grid1D, c: float = 1.0) -> SpectralFactor:
     def inverse(coeffs, axis):
         return sfft.idst(coeffs, type=2, axis=axis) / _axis_shape(coeffs, axis, sinh_r)
 
-    return SpectralFactor(forward, inverse, c, dual_lattice(grid) ** 2 + RHO_H3**2)
+    return SpectralFactor(forward, inverse, dual_lattice(grid) ** 2 + RHO_H3**2)
 
 
 def spherical_transform(f: SphericalProfile) -> np.ndarray:
@@ -99,8 +94,3 @@ def dual_weights(grid: Grid1D) -> np.ndarray:
     w = np.full(n, 4.0 * np.pi * grid.spacing / (2 * n))
     w[-1] = 4.0 * np.pi * grid.spacing / (4 * n)
     return w
-
-
-def h3_axis_propagate(values: np.ndarray, grid: Grid1D, t: float, axis: int, c: float = 1.0) -> np.ndarray:
-    """Apply the H^3 radial flow along one axis of a values array."""
-    return h3_factor(grid, c).propagate(values, t, axis)

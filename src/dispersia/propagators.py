@@ -1,8 +1,8 @@
 """Schrodinger propagators on Euclidean tori and their tensor composition.
 
 Sign convention, fixed once for the whole package: the free factor flow is
-the Fourier multiplier exp(-i t c xi^2) on the discrete torus frequencies
-xi = 2 pi k / L, i.e. exp(i t c Laplacian). Potential and nonlinear substeps
+the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
+xi = 2 pi k / L, i.e. exp(i t Laplacian). Potential and nonlinear substeps
 then carry phase exp(-i V dt), so every substep is a modulus-1 multiplier
 and the schemes are exactly unitary.
 
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .fields import EUCLIDEAN, Field, Grid1D, SeparableField, SpectralFactor, _axis_shape
-from .hyperbolic import h3_axis_propagate, h3_factor
+from .hyperbolic import h3_factor
 
 
 @dataclass(frozen=True)
@@ -29,42 +29,32 @@ class PotentialSpec:
     """Built-in real potential families; amplitude >= 0 keeps the sign
     condition of the 1-D weighted class."""
 
-    family: str  # gaussian-bump | sech-squared | custom-samples
+    family: str  # gaussian-bump | sech-squared
     amplitude: float = 1.0
     width: float = 1.0
     center: float = 0.0
-    samples: tuple | None = None
 
     def __post_init__(self):
-        if self.family not in ("gaussian-bump", "sech-squared", "custom-samples"):
+        if self.family not in ("gaussian-bump", "sech-squared"):
             raise ValueError(f"unknown potential family {self.family!r}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0 (sign condition V >= 0)")
         if not self.width > 0:
             raise ValueError("width must be positive")
-        if self.family == "custom-samples" and self.samples is None:
-            raise ValueError("custom-samples potential needs samples")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Analytic profile at signed distances x from the center."""
         d = (np.asarray(x, dtype=float) - self.center) / self.width
         if self.family == "gaussian-bump":
             return self.amplitude * np.exp(-(d**2))
-        if self.family == "sech-squared":
-            # far from the center cosh(d)^2 overflows to inf, and the
-            # quotient is then the exact float limit 0
-            with np.errstate(over="ignore"):
-                return self.amplitude / np.cosh(d) ** 2
-        raise ValueError("custom-samples potential has no analytic profile")
+        # sech-squared: far from the center cosh(d)^2 overflows to inf, and
+        # the quotient is then the exact float limit 0
+        with np.errstate(over="ignore"):
+            return self.amplitude / np.cosh(d) ** 2
 
     def sample(self, grid: Grid1D) -> np.ndarray:
         """Sample on torus nodes, using the minimum-image distance to the
         center so the bump sits periodically on the torus."""
-        if self.family == "custom-samples":
-            v = np.asarray(self.samples, dtype=float)
-            if v.shape != (grid.n_points,):
-                raise ValueError("custom samples must match the grid")
-            return v
         x = grid.nodes
         d = np.mod(x - self.center + grid.length / 2, grid.length) - grid.length / 2
         return self.evaluate(d + self.center)
@@ -75,7 +65,6 @@ class PropagatorSpec:
     kind: str  # free | free-plus-potential | hyperbolic-radial
     grid: Grid1D
     potential: tuple | None = None  # sampled V on the grid nodes
-    laplacian_coefficient: float = 1.0
     split_steps_per_unit_time: int = 64
 
     def __post_init__(self):
@@ -88,8 +77,6 @@ class PropagatorSpec:
             if v.shape != (self.grid.n_points,):
                 raise ValueError("potential samples must match the grid")
             object.__setattr__(self, "potential", tuple(v))
-        if not self.laplacian_coefficient > 0:
-            raise ValueError("laplacian coefficient must be positive")
         if self.split_steps_per_unit_time < 1:
             raise ValueError("split_steps_per_unit_time must be >= 1")
 
@@ -102,12 +89,11 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
 
 
-def _free_factor(grid: Grid1D, c: float) -> SpectralFactor:
+def _free_factor(grid: Grid1D) -> SpectralFactor:
     """The free torus factor: FFT along the axis, spectrum xi^2."""
     return SpectralFactor(
         lambda values, axis: sfft.fft(values, axis=axis),
         lambda coeffs, axis: sfft.ifft(coeffs, axis=axis),
-        c,
         torus_frequencies(grid) ** 2,
     )
 
@@ -116,9 +102,9 @@ def spectral_factor(spec: PropagatorSpec) -> SpectralFactor:
     """The exact spectral form of a factor kind that has one (free,
     hyperbolic-radial); free-plus-potential has none."""
     if spec.kind == "free":
-        return _free_factor(spec.grid, spec.laplacian_coefficient)
+        return _free_factor(spec.grid)
     if spec.kind == "hyperbolic-radial":
-        return h3_factor(spec.grid, spec.laplacian_coefficient)
+        return h3_factor(spec.grid)
     raise ValueError(f"factor kind {spec.kind!r} has no exact spectral form")
 
 
@@ -133,40 +119,24 @@ def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int
     return out
 
 
-def _splitstep_axis(
-    values: np.ndarray,
-    grid: Grid1D,
-    potential: np.ndarray,
-    t: float,
-    c: float,
-    steps_per_unit: int,
-    axis: int,
-) -> np.ndarray:
-    """Strang splitting along one axis; negative t runs the scheme backward."""
+def _splitstep_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int) -> np.ndarray:
+    """Strang splitting of a free-plus-potential factor along one axis;
+    negative t runs the scheme backward."""
     if t == 0:
         return values.copy()
-    n = max(1, math.ceil(abs(t) * steps_per_unit))
+    n = max(1, math.ceil(abs(t) * spec.split_steps_per_unit_time))
     dt = t / n
-    half = _axis_shape(values, axis, np.exp(-0.5j * dt * potential))
-    free = _free_factor(grid, c)
+    half = _axis_shape(values, axis, np.exp(-0.5j * dt * spec.potential_array))
+    free = _free_factor(spec.grid)
     return _strang(values, lambda w: free.propagate(w, dt, axis), half, n)
 
 
 def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int) -> np.ndarray:
-    """Apply one factor propagator along a single axis of a values array."""
-    if spec.kind == "free":
-        return spectral_factor(spec).propagate(values, t, axis)
+    """Apply one factor propagator along a single axis of a values array:
+    split-step for free-plus-potential, the exact spectral form otherwise."""
     if spec.kind == "free-plus-potential":
-        return _splitstep_axis(
-            values,
-            spec.grid,
-            spec.potential_array,
-            t,
-            spec.laplacian_coefficient,
-            spec.split_steps_per_unit_time,
-            axis,
-        )
-    return h3_axis_propagate(values, spec.grid, t, axis, c=spec.laplacian_coefficient)
+        return _splitstep_axis(spec, values, t, axis)
+    return spectral_factor(spec).propagate(values, t, axis)
 
 
 def _check_specs(specs, grids) -> list:
@@ -390,7 +360,7 @@ def spectral_radius(u: Field, axis: int = 0, mass_fraction: float = 0.9999) -> f
     return float(xi[order[min(i, len(xi) - 1)]])
 
 
-def required_torus_length(u: Field, t_max: float, axis: int = 0, c: float = 1.0) -> float:
+def required_torus_length(u: Field, t_max: float, axis: int = 0) -> float:
     """Minimum torus length keeping the run free of wrap-around up to
-    t_max: spectral mass travels at group speed <= 2 c xi_eff."""
-    return 4.0 * c * spectral_radius(u, axis=axis) * t_max
+    t_max: spectral mass travels at group speed <= 2 xi_eff."""
+    return 4.0 * spectral_radius(u, axis=axis) * t_max

@@ -103,13 +103,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])
     def test_gamma_just_above_bound_refused(self, tmp_path, capsys, output_root, name):
-        # 1 + 4/(m+n) = 2 for m = n = 2; gamma = 2.0004 lies above it
+        # the runs build two 1-D torus factors: 1 + 4/(1+1) = 3, and
+        # gamma = 3.0004 lies above it
         path = write_config(
             tmp_path,
-            f"[experiment]\nname = {name}\n[nls]\ngamma = 2.0004\nm_eff = 2\nn_eff = 2\n"
-            "[time]\nt_final = 1\ndt = 0.5\n",
+            f"[experiment]\nname = {name}\n[nls]\ngamma = 3.0004\n[time]\nt_final = 1\ndt = 0.5\n",
         )
         assert main(["run", path]) == EXIT_HYPOTHESIS
+
+    @pytest.mark.parametrize("key", ["m_eff", "n_eff"])
+    def test_nls_dimension_keys_refused(self, tmp_path, capsys, output_root, key):
+        # the exponent dimensions come from the factors the run builds; a
+        # key that sets them, even to the built value, is refused
+        path = write_config(
+            tmp_path,
+            f"[experiment]\nname = nls-smalldata\n[nls]\n{key} = 1\n[time]\nt_final = 1\ndt = 0.5\n",
+        )
+        assert main(["run", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
         # sinh(r)^2 overflows float64 near r = 355

@@ -1,5 +1,5 @@
 """Decay harness: series collection, log-log fits, windowed fits,
-verdicts, and space-time norms."""
+verdicts, and space-time norms taken as time_norm of the per-slice norms."""
 
 import math
 
@@ -14,7 +14,7 @@ from dispersia.decay import (
     compare_prediction,
     fit_decay_exponent,
     norm_series,
-    strichartz_norm,
+    time_norm,
 )
 from dispersia.fields import Field, Trajectory, gaussian_field, lp_norm, make_grid
 from dispersia.propagators import PropagatorSpec, product_propagate
@@ -165,14 +165,14 @@ class TestStrichartzNorm:
     def test_constant_in_time_p2(self):
         traj, u = self.constant_trajectory(t_end=2.0)
         expected = math.sqrt(2.0) * lp_norm(u, 4)
-        assert strichartz_norm(traj, 2, 4) == pytest.approx(expected, rel=1e-12)
+        assert time_norm(traj.times, traj.lp_norms(4), 2) == pytest.approx(expected, rel=1e-12)
 
     def test_p_inf_q2_on_unitary_flow(self):
         grid = make_grid(256, 100.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
         traj = free_trajectory(spec, u0, np.linspace(0, 5, 11))
-        assert strichartz_norm(traj, math.inf, 2) == pytest.approx(lp_norm(u0, 2), rel=1e-10)
+        assert time_norm(traj.times, traj.lp_norms(2), math.inf) == pytest.approx(lp_norm(u0, 2), rel=1e-10)
 
     def test_quadrature_self_convergence(self):
         grid = make_grid(512, 200.0)
@@ -181,7 +181,7 @@ class TestStrichartzNorm:
 
         def value(n_samples):
             traj = free_trajectory(spec, u0, np.linspace(0, 10, n_samples))
-            return strichartz_norm(traj, 8, 4)
+            return time_norm(traj.times, traj.lp_norms(4), 8)
 
         coarse, fine = value(41), value(81)
         assert fine == pytest.approx(coarse, rel=0.01)
@@ -191,8 +191,8 @@ class TestStrichartzNorm:
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
         traj = free_trajectory(spec, u0, np.linspace(0, 8, 33))
-        shorter = strichartz_norm(Trajectory(traj.times[:17], traj.grids, traj.values[:17]), 4, 4)
-        longer = strichartz_norm(traj, 4, 4)
+        shorter = time_norm(traj.times[:17], traj.lp_norms(4)[:17], 4)
+        longer = time_norm(traj.times, traj.lp_norms(4), 4)
         assert longer >= shorter
 
     @given(c=st.floats(0, 50))
@@ -200,11 +200,12 @@ class TestStrichartzNorm:
     def test_homogeneity(self, c):
         traj, _ = self.constant_trajectory()
         scaled = Trajectory(traj.times, traj.grids, c * traj.values)
-        assert strichartz_norm(scaled, 2, 4) == pytest.approx(
-            c * strichartz_norm(traj, 2, 4), rel=1e-10, abs=1e-12
+        assert time_norm(scaled.times, scaled.lp_norms(4), 2) == pytest.approx(
+            c * time_norm(traj.times, traj.lp_norms(4), 2), rel=1e-10, abs=1e-12
         )
 
     def test_empty_trajectory_rejected(self):
         grid = make_grid(64, 10.0)
         with pytest.raises(ValueError):
-            strichartz_norm(Trajectory(np.array([]), (grid,), np.zeros((0, 64))), 2, 2)
+            empty = Trajectory(np.array([]), (grid,), np.zeros((0, 64)))
+            time_norm(empty.times, empty.lp_norms(2), 2)

@@ -1,5 +1,5 @@
 """Exact rational exponent algebra: admissibility, the triangle region,
-interpolation, NLS exponent selection, and scalar hypothesis checks."""
+interpolation and NLS exponent selection."""
 
 import math
 from fractions import Fraction
@@ -14,8 +14,6 @@ from dispersia.exponents import (
     DispersionIndex,
     ExponentPair,
     HypothesisViolation,
-    check_weight_integral,
-    check_yajima_parameters,
     dual_exponent,
     in_triangle_T,
     interpolation_exponent,
@@ -23,7 +21,6 @@ from dispersia.exponents import (
     is_admissible,
     select_nls_exponents,
 )
-from dispersia.propagators import PotentialSpec
 from oracles import HALF, admissible_oracle, triangle_oracle
 
 
@@ -193,56 +190,6 @@ class TestSelectNLSExponents:
         assert 0 < sel.beta <= 2
         # self-mapping identity p = p~' * gamma
         assert dual_exponent(sel.p_tilde) * sel.gamma == sel.p
-
-
-class TestCheckWeightIntegral:
-    def test_zero_potential(self):
-        pot = PotentialSpec("gaussian-bump", amplitude=0.0)
-        assert check_weight_integral(pot, 20.0, 4001).value == 0.0
-
-    def test_sech_squared_quadrature_self_convergence(self):
-        pot = PotentialSpec("sech-squared", amplitude=1.0, width=1.0)
-        coarse = check_weight_integral(pot, 40.0, 200001).value
-        fine = check_weight_integral(pot, 40.0, 400001).value
-        assert fine == pytest.approx(coarse, abs=1e-6)
-        assert fine > 0
-
-    def test_gaussian_tail_negligible(self):
-        pot = PotentialSpec("gaussian-bump", amplitude=1.0, width=1.0)
-        inner = check_weight_integral(pot, 20.0, 200001).value
-        outer = check_weight_integral(pot, 40.0, 400001).value
-        assert abs(outer - inner) < 1e-12
-
-    def test_builtin_families_tail_bounded(self):
-        assert check_weight_integral(PotentialSpec("sech-squared"), 10.0, 1001).tail_bounded
-        assert not check_weight_integral(
-            PotentialSpec("custom-samples", samples=tuple(0.0 for _ in range(8))), 10.0, 1001
-        ).tail_bounded
-
-
-class TestCheckYajimaParameters:
-    def test_n3_reference_values(self):
-        res = check_yajima_parameters(3, 2, 6)
-        assert res.ok and res.l0 == 0
-
-    def test_n4_reference_values(self):
-        res = check_yajima_parameters(4, 3, 8)
-        assert res.ok and res.l0 == 1
-
-    def test_p0_boundary_strict(self):
-        # p0 > n/2 is strict: p0 = n/2 exactly is rejected
-        assert not check_yajima_parameters(4, 2, 8).ok
-
-    def test_n3_small_p0_fails(self):
-        assert not check_yajima_parameters(3, 1, 6).ok
-
-    def test_n_below_3_rejected(self):
-        with pytest.raises(ValueError):
-            check_yajima_parameters(2, 2, 6)
-
-    def test_delta_boundary_strict(self):
-        # delta = 3n/2 + 1 exactly is not allowed
-        assert not check_yajima_parameters(3, 2, Fraction(11, 2)).ok
 
 
 class TestInfSentinel:

@@ -1,4 +1,4 @@
-"""Grids, fields, and (mixed) quadrature norms."""
+"""Grids, fields, and quadrature norms."""
 
 import math
 from fractions import Fraction
@@ -12,12 +12,10 @@ from dispersia.fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
-    MixedNormSpec,
     Trajectory,
     gaussian_field,
     lp_norm,
     make_grid,
-    mixed_norm,
     slice_lp_norms,
     tensor_product,
     values_lp_norm,
@@ -77,10 +75,17 @@ class TestField:
         with pytest.raises(ValueError):
             Field((grid,), vals)
 
-    def test_default_axis_labels(self):
+    def test_values_are_a_read_only_view(self):
+        # no copy of the caller's array, and no write through the field
         grid = make_grid(16, 4.0)
-        f = Field((grid, grid), np.zeros((16, 16)))
-        assert f.axes == ("x0", "x1")
+        caller = np.zeros((16, 16), dtype=complex)
+        f = Field((grid, grid), caller)
+        assert np.shares_memory(f.values, caller)
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.values *= 2
+        assert caller.flags.writeable
 
 
 class TestTensorProduct:
@@ -200,6 +205,14 @@ class TestSliceNorms:
         traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
         np.testing.assert_allclose(traj.lp_norms(2), slice_lp_norms(values, self.grids, 2), rtol=0, atol=0)
 
+    def test_trajectory_values_are_a_read_only_view(self):
+        values = self.stack(7)
+        traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
+        assert np.shares_memory(traj.values, values)
+        with pytest.raises(ValueError):
+            traj.values[1] = 0.0
+        assert values.flags.writeable
+
     def test_trajectory_nonfinite_rejected(self):
         values = self.stack(5)
         values[2, 3, 4] = np.inf
@@ -256,67 +269,6 @@ class TestNormReduction:
             l32 = values_lp_norm(values, grids, Fraction(3, 2))
         assert l1 == pytest.approx(1e160 * 6.0 * 5.0, rel=1e-14)
         assert math.isfinite(l32)
-
-
-class TestMixedNorm:
-    def test_indicator_row_sup_of_integral(self):
-        grid = make_grid(16, 8.0)
-        vals = np.zeros((16, 16))
-        vals[:, 5] = 1.0  # one y-column switched on for every x
-        u = Field((grid, grid), vals, axes=("x", "y"))
-        spec = MixedNormSpec((("x", 1), ("y", math.inf)))
-        # sup over y of the x-integral: the column integrates to length 8
-        assert mixed_norm(u, spec) == pytest.approx(8.0, rel=1e-12)
-
-    def test_equal_exponents_collapse_to_lp(self):
-        grid = make_grid(16, 3.0)
-        rng = np.random.default_rng(11)
-        u = Field(
-            (grid, grid),
-            rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)),
-            axes=("x", "y"),
-        )
-        for r in (1, 2, 3):
-            spec = MixedNormSpec((("x", r), ("y", r)))
-            assert mixed_norm(u, spec) == pytest.approx(lp_norm(u, r), rel=1e-12)
-
-    def test_one_inf_ordering_inequality(self):
-        grid = make_grid(16, 3.0)
-        rng = np.random.default_rng(13)
-        u = Field(
-            (grid, grid),
-            rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)),
-            axes=("x", "y"),
-        )
-        inner_first = mixed_norm(u, MixedNormSpec((("x", 1), ("y", math.inf))))
-        outer_first = mixed_norm(u, MixedNormSpec((("y", math.inf), ("x", 1))))
-        assert inner_first <= outer_first + 1e-10
-
-    def test_axis_mismatch_rejected(self):
-        grid = make_grid(16, 3.0)
-        u = Field((grid, grid), np.zeros((16, 16)), axes=("x", "y"))
-        with pytest.raises(ValueError):
-            mixed_norm(u, MixedNormSpec((("x", 1), ("z", 2))))
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        r_pair=st.sampled_from(
-            [(rt, r) for rt in (1, 4 / 3, 2, 3, 4, math.inf) for r in (1, 4 / 3, 2, 3, 4, math.inf) if rt <= r]
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_minkowski_integral_inequality(self, seed, r_pair):
-        r_tilde, r = r_pair
-        grid = make_grid(12, 2.5)
-        rng = np.random.default_rng(seed)
-        u = Field(
-            (grid, grid),
-            rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)),
-            axes=("x", "y"),
-        )
-        lhs = mixed_norm(u, MixedNormSpec((("x", r_tilde), ("y", r))))
-        rhs = mixed_norm(u, MixedNormSpec((("y", r), ("x", r_tilde))))
-        assert lhs <= rhs + 1e-10
 
 
 class TestGaussianField:
