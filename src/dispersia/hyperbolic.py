@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import HYPERBOLIC, Field, Grid1D, SpectralFactor, _axis_shape
+from .fields import HYPERBOLIC, Field, Grid1D, SpectralFactor, _axis_shape, _read_only, transform_workers
 
 RHO_H3 = 1.0
 
@@ -43,7 +43,7 @@ class SphericalProfile:
             raise ValueError("values must match the grid")
         if not np.all(np.isfinite(vals)):
             raise ValueError("profile values must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(vals))
 
     def as_field(self) -> Field:
         return Field((self.grid,), self.values)
@@ -55,6 +55,18 @@ def dual_lattice(grid: Grid1D) -> np.ndarray:
     return np.pi * np.arange(1, grid.n_points + 1) / grid.r_max
 
 
+def _complex_dst(transform, values: np.ndarray, axis: int) -> np.ndarray:
+    """The type-II `transform` (sfft.dst or sfft.idst) of complex values
+    along one axis as one real transform: the (re, im) pairs become a
+    trailing axis of a float view, where scipy would make two strided real
+    calls. Each 1-D transform is computed as before, so the result is
+    bit-identical. Always a fresh array."""
+    axis = axis % values.ndim  # never the appended (re, im) axis
+    x = np.ascontiguousarray(values, dtype=complex)
+    out = transform(x.view(float).reshape(x.shape + (2,)), type=2, axis=axis, workers=transform_workers(x))
+    return out.view(complex)[..., 0]
+
+
 def h3_factor(grid: Grid1D) -> SpectralFactor:
     """The H^3 radial factor in spectral form: the type-II sine transform of
     sinh(r) f(r) along the axis, spectrum lambda^2 + rho^2 on the dual
@@ -63,10 +75,12 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
     sinh_r = np.sinh(grid.nodes)
 
     def forward(values, axis):
-        return sfft.dst(values * _axis_shape(values, axis, sinh_r), type=2, axis=axis)
+        return _complex_dst(sfft.dst, values * _axis_shape(values, axis, sinh_r), axis)
 
     def inverse(coeffs, axis):
-        return sfft.idst(coeffs, type=2, axis=axis) / _axis_shape(coeffs, axis, sinh_r)
+        out = _complex_dst(sfft.idst, coeffs, axis)
+        out /= _axis_shape(out, axis, sinh_r)
+        return out
 
     return SpectralFactor(forward, inverse, dual_lattice(grid) ** 2 + RHO_H3**2)
 

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import EUCLIDEAN, Field, Grid1D, SeparableField, SpectralFactor, _axis_shape
+from .fields import (
+    EUCLIDEAN,
+    Field,
+    Grid1D,
+    SeparableField,
+    SpectralFactor,
+    _abs_squared,
+    _axis_shape,
+    transform_workers,
+)
 from .hyperbolic import h3_factor
 
 
@@ -92,8 +101,8 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
 def _free_factor(grid: Grid1D) -> SpectralFactor:
     """The free torus factor: FFT along the axis, spectrum xi^2."""
     return SpectralFactor(
-        lambda values, axis: sfft.fft(values, axis=axis),
-        lambda coeffs, axis: sfft.ifft(coeffs, axis=axis),
+        lambda values, axis: sfft.fft(values, axis=axis, workers=transform_workers(values)),
+        lambda coeffs, axis: sfft.ifft(coeffs, axis=axis, workers=transform_workers(coeffs)),
         torus_frequencies(grid) ** 2,
     )
 
@@ -178,7 +187,9 @@ class SpectralProduct:
     fft_axes: tuple[int, ...]
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        out = sfft.fftn(values, axes=self.fft_axes) if self.fft_axes else values
+        out = values
+        if self.fft_axes:
+            out = sfft.fftn(values, axes=self.fft_axes, workers=transform_workers(values))
         for axis, factor in enumerate(self.factors):
             if axis not in self.fft_axes:
                 out = factor.forward(out, axis)
@@ -189,7 +200,9 @@ class SpectralProduct:
         for axis, factor in enumerate(self.factors):
             if axis not in self.fft_axes:
                 out = factor.inverse(out, axis)
-        return sfft.ifftn(out, axes=self.fft_axes) if self.fft_axes else out
+        if self.fft_axes:
+            out = sfft.ifftn(out, axes=self.fft_axes, workers=transform_workers(out))
+        return out
 
     def phase(self, t: float, scale: complex = 1.0) -> np.ndarray:
         """scale * exp(-itS); the scalar goes into the first 1-D phase, so it
@@ -272,7 +285,8 @@ def two_particle_propagate(
         s = (idx[:, None] + idx[None, :]) % n
         d = (idx[:, None] - idx[None, :]) % n
         mult2d = np.exp(-1j * dt * (xi[s] ** 2 + xi[d] ** 2))
-        w = _strang(w, lambda x: sfft.ifft2(sfft.fft2(x) * mult2d), half, steps)
+        workers = transform_workers(w)
+        w = _strang(w, lambda x: sfft.ifft2(sfft.fft2(x, workers=workers) * mult2d, workers=workers), half, steps)
     return two_particle_rotate(u0.with_values(w), "inverse")
 
 
@@ -286,7 +300,12 @@ def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: fl
     dt = t / steps
     mult = np.exp(-1j * dt * (xi[:, None] ** 2 + xi[None, :] ** 2))
     half = np.exp(-0.5j * dt * v2d)
-    return u0.with_values(_strang(u0.values, lambda w: sfft.ifft2(sfft.fft2(w) * mult), half, steps))
+    workers = transform_workers(u0.values)
+
+    def kinetic(w):
+        return sfft.ifft2(sfft.fft2(w, workers=workers) * mult, workers=workers)
+
+    return u0.with_values(_strang(u0.values, kinetic, half, steps))
 
 
 def peak_centers(u: Field | SeparableField) -> tuple[float, ...]:
@@ -305,6 +324,13 @@ def _boundary_mask(grid: Grid1D, center: float) -> np.ndarray:
         d = np.abs(np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2)
         return d > 0.45 * grid.length
     return x > 0.95 * grid.length
+
+
+def _sum_last_axis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j values[..., j] weights[j], by einsum and not by a matrix
+    product: a BLAS call wakes the OpenBLAS thread pool, whose threads then
+    spin on the cores that the next transform's workers need."""
+    return np.einsum("...j,j->...", values, weights)
 
 
 def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
@@ -326,19 +352,21 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
             b = float(np.sum(density * m)) / total
             frac = b + (1.0 - b) * frac
         return frac
-    mask = np.zeros(u.values.shape, dtype=bool)
-    for axis, m in enumerate(masks):
-        mask |= _axis_shape(u.values, axis, m).astype(bool)
-    # fold the weights into the density one axis at a time: a standalone
-    # product of sinh^2 weights overflows on large radial grids, while the
-    # weighted density stays bounded for fields with finite weighted mass
-    weighted = np.abs(u.values) ** 2
-    for axis, grid in enumerate(u.grids):
-        weighted = weighted * _axis_shape(u.values, axis, grid.weights)
-    total = float(np.sum(weighted))
+    # contract the weighted density one trailing axis at a time, carrying
+    # the total and the boundary part of the mass over the axes done so
+    # far: a point of the next axis inside its mask counts all of its mass
+    # as boundary. Every sum has non-negative terms, so a tiny fraction
+    # keeps its relative accuracy, and folding the weights in one axis at a
+    # time keeps a product of sinh^2 weights from overflowing on large
+    # radial grids.
+    squared, w = _abs_squared(u.values), u.grids[-1].weights
+    total, boundary = _sum_last_axis(squared, w), _sum_last_axis(squared, w * masks[-1])
+    for grid, m in zip(reversed(u.grids[:-1]), reversed(masks[:-1])):
+        boundary = _sum_last_axis(np.where(m, total, boundary), grid.weights)
+        total = _sum_last_axis(total, grid.weights)
     if total == 0:
         return 0.0
-    return float(np.sum(weighted * mask)) / total
+    return float(boundary) / float(total)
 
 
 def spectral_radius(u: Field, axis: int = 0, mass_fraction: float = 0.9999) -> float:
@@ -347,7 +375,7 @@ def spectral_radius(u: Field, axis: int = 0, mass_fraction: float = 0.9999) -> f
     grid = u.grids[axis]
     if grid.kind != EUCLIDEAN:
         raise ValueError("spectral radius is defined for euclidean axes")
-    spec = sfft.fft(u.values, axis=axis)
+    spec = sfft.fft(u.values, axis=axis, workers=transform_workers(u.values))
     power = np.abs(spec) ** 2
     other = tuple(i for i in range(u.rank) if i != axis)
     if other:

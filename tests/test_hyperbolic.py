@@ -55,6 +55,14 @@ class TestSphericalTransform:
         den = weighted_l2(grid, f.values)
         assert num / den <= 1e-10
 
+    def test_profile_values_are_a_read_only_view(self):
+        grid = make_grid(16, 8.0, HYPERBOLIC)
+        vals = np.ones(16, dtype=complex)
+        f = SphericalProfile(grid, vals)
+        with pytest.raises(ValueError):
+            f.values[0] = np.nan
+        assert np.shares_memory(f.values, vals)
+
     def test_euclidean_grid_rejected(self):
         grid = make_grid(64, 10.0)
         with pytest.raises(ValueError):

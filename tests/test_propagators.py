@@ -1,10 +1,13 @@
 """Euclidean propagators through the product_propagate entry point: free
 flow against the closed-form Gaussian, split-step order, product
-factorization, flow properties of every factor kind, and the two-particle
-rotation."""
+factorization, flow properties of every factor kind, the two-particle
+rotation, the wrap monitor, and bit-identity of the threaded and real-view
+transforms."""
 
 import functools
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersia import hyperbolic, propagators
 from dispersia.decay import norm_series
 from dispersia.fields import (
     HYPERBOLIC,
@@ -21,7 +25,9 @@ from dispersia.fields import (
     lp_norm,
     make_grid,
     tensor_product,
+    transform_workers,
 )
+from dispersia.hyperbolic import _complex_dst, h3_factor, inverse_spherical_transform
 from dispersia.propagators import (
     PotentialSpec,
     PropagatorSpec,
@@ -463,6 +469,47 @@ class TestWrapMonitor:
         assert math.isfinite(frac)
         assert frac < 1e-10
 
+    @staticmethod
+    def direct_fraction(u, centers):
+        """Sum of w |u|^2 over the union of the per-axis boundary masks,
+        over the sum of w |u|^2, on the full product grid."""
+        w = functools.reduce(np.multiply.outer, [g.weights for g in u.grids])
+        masks = [propagators._boundary_mask(g, c) for g, c in zip(u.grids, centers)]
+        mask = functools.reduce(np.logical_or.outer, masks)
+        density = w * np.abs(u.values) ** 2
+        return float(np.sum(density[mask])) / float(np.sum(density))
+
+    def test_dense_rank3_matches_direct_sum(self):
+        grids = (make_grid(24, 12.0), make_grid(20, 6.0, HYPERBOLIC), make_grid(16, 10.0))
+        rng = np.random.default_rng(7)
+        shape = tuple(g.n_points for g in grids)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-grids[1].nodes)[:, None]
+        u = Field(grids, values)
+        for centers in ((6.0, 0.0, 5.0), (1.0, 0.0, 9.5)):
+            frac = boundary_mass_fraction(u, centers)
+            assert 0.01 < frac < 1
+            assert frac == pytest.approx(self.direct_fraction(u, centers), rel=1e-14)
+
+    def test_dense_tiny_fraction_keeps_relative_accuracy(self):
+        # |u|^2 = exp(-d^2 / 4.05) is about 1e-35 at the boundary (d = 0.45 L
+        # = 18): a total - interior form would return 0 here
+        grid = make_grid(128, 40.0)
+        g = gaussian_field(grid, math.sqrt(4.05 / 2))
+        u = tensor_product(g, g)
+        frac = boundary_mass_fraction(u, peak_centers(u))
+        assert 0 < frac < 1e-30
+        assert frac == pytest.approx(self.direct_fraction(u, peak_centers(u)), rel=1e-14)
+
+    def test_dense_h3_near_radius_bound_no_overflow(self):
+        torus, radial = make_grid(64, 30.0), make_grid(512, 354.0, HYPERBOLIC)
+        u = tensor_product(gaussian_field(torus, 1.0), gaussian_field(radial, 1.0, center=2.0))
+        centers = peak_centers(u)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            frac = boundary_mass_fraction(u, centers)
+        assert math.isfinite(frac)
+        assert frac == pytest.approx(self.direct_fraction(u, centers), rel=1e-14)
+
     def test_spectral_radius_of_plane_wave(self):
         grid = make_grid(128, 32.0)
         k = 5
@@ -475,6 +522,52 @@ class TestWrapMonitor:
         grid = make_grid(256, 64.0)
         u = gaussian_field(grid, 1.0)
         assert required_torus_length(u, 10.0) == pytest.approx(2 * required_torus_length(u, 5.0))
+
+
+class TestTransformThreads:
+    """The worker count of a transform comes from its size and the CPU
+    affinity alone, and changes no bit of any result."""
+
+    def test_size_gate(self):
+        assert transform_workers(np.empty(2**18 - 1, dtype=complex)) == 1
+        assert transform_workers(np.empty((512, 512), dtype=complex)) == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("kind", ["free", "hyperbolic-radial"])
+    def test_product_propagate_independent_of_workers(self, kind, monkeypatch):
+        first = make_grid(512, 200.0)
+        second = make_grid(512, 40.0, HYPERBOLIC) if kind == "hyperbolic-radial" else make_grid(512, 150.0)
+        specs = [PropagatorSpec("free", first), PropagatorSpec(kind, second)]
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        u = Field((first, second), values * np.exp(-second.nodes / 4))
+        assert u.values.size >= 2**18
+        threaded = product_propagate(specs, u, 1.7).values
+        for workers in (1, 2):
+            for module in (propagators, hyperbolic):
+                monkeypatch.setattr(module, "transform_workers", lambda values, n=workers: n)
+            assert np.array_equal(product_propagate(specs, u, 1.7).values, threaded)
+
+    @pytest.mark.parametrize("transform", [sfft.dst, sfft.idst], ids=["dst", "idst"])
+    def test_complex_dst_matches_scipy(self, transform):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((48, 40)) + 1j * rng.standard_normal((48, 40))
+        cases = [(x, 0), (x, 1), (x, -1), (x[0], 0), (x[0], -1), (x.T, 0), (x.T, -1)]
+        for values, axis in cases:
+            expected = transform(values, type=2, axis=axis)
+            assert np.array_equal(_complex_dst(transform, values, axis), expected)
+
+    def test_inverse_transforms_leave_coefficients_unchanged(self):
+        grid = make_grid(64, 16.0, HYPERBOLIC)
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        kept = coeffs.copy()
+        inverse_spherical_transform(grid, coeffs)
+        assert np.array_equal(coeffs, kept)
+        stack = np.multiply.outer(coeffs, coeffs)
+        kept = stack.copy()
+        for axis in (0, 1):
+            h3_factor(grid).inverse(stack, axis)
+        assert np.array_equal(stack, kept)
 
 
 class TestDispersiveRatioSeries:
