@@ -6,9 +6,12 @@ and the Duhamel fixed-point iteration, whose contraction ratios in the
 Y-norm ||u||_{Linf_t L2} + ||u||_{Lp_t Lq} are the quantitative
 diagnostics of the small-data well-posedness scheme.
 
-Every route works on one stacked Trajectory and applies the linear product
-flow in the spectral domain (propagators.spectral_product), so its factors
-must have an exact spectral form: free or hyperbolic-radial.
+Every route applies the linear product flow in the spectral domain
+(propagators.spectral_product), so its factors must have an exact
+spectral form: free or hyperbolic-radial. The Picard iteration works on
+one stacked Trajectory; the split-step yields its saved states one at a
+time, which splitstep_nls stacks and CauchyTails, the scattering
+diagnostic, consumes as they come.
 
 The equation solved is i u_t + Lap u = F(u), matching the package's
 linear multiplier convention exp(-i t xi^2); the nonlinear substep phase
@@ -25,7 +28,7 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, slice_lp_norms, values_lp_norms
+from .fields import Field, Trajectory, slice_lp_norms, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
 
 GAUGE_INVARIANT = "gauge-invariant"
@@ -69,19 +72,28 @@ def apply_nonlinearity(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
     return nl.mu * mag**nl.gamma * np.ones_like(values)
 
 
-def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float) -> np.ndarray:
+def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float, work) -> np.ndarray:
     """Pointwise flow of i u_t = F(u) over dt.
 
     Gauge-invariant: exact phase rotation (the modulus is invariant for
-    real mu), built from the cosine and sine of the real angle. Modulus-
+    real mu), built from the cosine and sine of the real angle. It runs in
+    place: `values` is overwritten and returned, and `work`, a float and a
+    complex array of its shape, holds the angle and the phase. Modulus-
     power: explicit midpoint step, second order, which keeps the overall
-    Strang scheme at its design order."""
+    Strang scheme at its design order; it returns a new array, leaves
+    `values` as it was and does not use `work`."""
     if nl.variant == GAUGE_INVARIANT:
-        angle = dt * complex(nl.mu).real * np.abs(values) ** (nl.gamma - 1)
-        phase = np.empty(values.shape, dtype=complex)
+        angle, phase = work
+        # the operations and their order of dt * mu * |u| ** (gamma - 1),
+        # cos and -sin, then values * phase: results stay bit for bit
+        np.abs(values, out=angle)
+        angle **= nl.gamma - 1
+        angle *= dt * complex(nl.mu).real
         np.cos(angle, out=phase.real)
-        np.negative(np.sin(angle), out=phase.imag)
-        return values * phase
+        np.sin(angle, out=phase.imag)
+        np.negative(phase.imag, out=phase.imag)
+        values *= phase
+        return values
     k1 = -1j * nl.mu * np.abs(values) ** nl.gamma
     mid = values + 0.5 * dt * k1
     k2 = -1j * nl.mu * np.abs(mid) ** nl.gamma
@@ -106,36 +118,48 @@ def saved_steps(T: float, dt: float, save_stride: int) -> list[int]:
     return [0] + [s for s in range(1, n_steps + 1) if s % save_stride == 0 or s == n_steps]
 
 
-def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
-    """Strang-split NLS trajectory sampled at the saved_steps of T, dt and
-    save_stride, under the product flow of `specs` (one spec per axis of
-    u0). The linear step is one forward transform, the phase of dt (built
-    once) and one inverse transform."""
+def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1):
+    """Strang-split NLS states at the saved_steps of T, dt and save_stride,
+    under the product flow of `specs` (one spec per axis of u0), yielded as
+    (time, values) pairs in time order. The loop never writes to a yielded
+    array, nor to u0. The linear step is one forward transform, the phase
+    of dt (built once) and one inverse transform, each free to overwrite
+    its input; the gauge-invariant substeps run in place, in two buffers
+    kept for the whole run."""
     saved = saved_steps(T, dt, save_stride)
     n_steps = saved[-1]
     flow = spectral_product(specs, u0.grids)
     kinetic = flow.phase(dt)
-    out = np.empty((len(saved),) + u0.values.shape, dtype=complex)
-    out[0] = u0.values
+    work = (np.empty(u0.values.shape), np.empty(u0.values.shape, dtype=complex))
+    yield 0.0, u0.values
     j = 1
-    values = _nonlinear_substep(u0.values, nl, dt / 2)
+    values = _nonlinear_substep(u0.values.copy(), nl, dt / 2, work)
     for step in range(1, n_steps + 1):
-        coeffs = flow.forward(values)
+        coeffs = flow.forward(values, overwrite=True)
         coeffs *= kinetic
-        values = flow.inverse(coeffs)
+        values = flow.inverse(coeffs, overwrite=True)
         if step == saved[j]:
-            values = _nonlinear_substep(values, nl, dt / 2)
-            out[j] = values
+            values = _nonlinear_substep(values, nl, dt / 2, work)
+            yield step * dt, values.copy()
             j += 1
             if step < n_steps:
-                values = _nonlinear_substep(values, nl, dt / 2)
+                values = _nonlinear_substep(values, nl, dt / 2, work)
         elif nl.variant == GAUGE_INVARIANT:
             # the exact phase rotations form a group: the closing half step
             # of this step and the opening one of the next are one full step
-            values = _nonlinear_substep(values, nl, dt)
+            values = _nonlinear_substep(values, nl, dt, work)
         else:
-            values = _nonlinear_substep(_nonlinear_substep(values, nl, dt / 2), nl, dt / 2)
-    return Trajectory([s * dt for s in saved], u0.grids, out)
+            values = _nonlinear_substep(_nonlinear_substep(values, nl, dt / 2, work), nl, dt / 2, work)
+
+
+def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
+    """The states of splitstep_states stacked into one Trajectory."""
+    out = np.empty((len(saved_steps(T, dt, save_stride)),) + u0.values.shape, dtype=complex)
+    times = []
+    for j, (t, values) in enumerate(splitstep_states(u0, nl, specs, T, dt, save_stride)):
+        out[j] = values
+        times.append(t)
+    return Trajectory(times, u0.grids, out)
 
 
 @dataclass(frozen=True)
@@ -222,8 +246,14 @@ def picard_iterate(
             prev = pulled
         return norms
 
-    traj = Trajectory(times, grids, v)
-    history = [PicardState(k=0, y_norm=_y_norm(times, traj.lp_norms(2), traj.lp_norms(q), p), distance=None, ratio=None)]
+    history = [
+        PicardState(
+            k=0,
+            y_norm=_y_norm(times, slice_lp_norms(v, grids, 2), slice_lp_norms(v, grids, q), p),
+            distance=None,
+            ratio=None,
+        )
+    ]
     converged = False
     contractive = True
     ref_scale = None
@@ -231,7 +261,11 @@ def picard_iterate(
     growing = 0
     for k in range(1, max_iter + 1):
         l2, lq, change_l2, change_lq = duhamel_sweep()
-        traj = Trajectory(times, grids, v)
+        # a slice with a non-finite value has a non-finite L2 norm, so the
+        # stack is read again only when a norm is not finite (|u|^2 can
+        # overflow where u does not)
+        if not np.all(np.isfinite(l2)) and not np.all(np.isfinite(v)):
+            raise ValueError("field values must be finite")
         d = _y_norm(times, change_l2, change_lq, p)
         y = _y_norm(times, l2, lq, p)
         ratio = None if prev_distance in (None, 0.0) else d / prev_distance
@@ -253,23 +287,47 @@ def picard_iterate(
         history=tuple(history),
         converged=converged,
         contractive=contractive,
-        trajectory=traj,
+        trajectory=Trajectory(times, grids, v),
         times=tuple(times),
     )
 
 
+class CauchyTails:
+    """The Cauchy tail table tail(t_i) = max_{j >= i} ||z(t_j) - z(t_i)||_{L^2}
+    of the profiles z(t) = e^{-itL} u(t) under the product flow of `specs`,
+    built as the states arrive in time order: `add` takes the next state,
+    forms its profile and raises each earlier tail to its distance from
+    the new profile. After the last state, `tails` is the table."""
+
+    def __init__(self, specs, grids):
+        self.grids = tuple(grids)
+        self._flow = spectral_product(specs, self.grids)
+        self.times: list[float] = []
+        self.profiles: list[np.ndarray] = []
+        self._tails: list[float] = []
+
+    def add(self, t: float, values: np.ndarray) -> None:
+        # validated as a Field: states streamed from splitstep_states pass
+        # through no Trajectory, which would refuse a non-finite value
+        state = Field(self.grids, values)
+        z = self._flow.inverse(self._flow.phase(-t) * self._flow.forward(state.values))
+        for i, earlier in enumerate(self.profiles):
+            self._tails[i] = max(self._tails[i], values_lp_norm(z - earlier, self.grids, 2))
+        self.times.append(float(t))
+        self.profiles.append(z)
+        self._tails.append(0.0)
+
+    @property
+    def tails(self) -> list[tuple[float, float]]:
+        return list(zip(self.times, self._tails))
+
+
 def scattering_diagnostic(trajectory: Trajectory, specs):
     """Profiles z(t) = e^{-itL} u(t) under the product flow of `specs`, and
-    the Cauchy tail table tail(t1) = max_{t2 >= t1} ||z(t2) - z(t1)||_{L^2}.
+    the Cauchy tail table of CauchyTails.
 
     The last profile is the numerical scattering state candidate."""
-    flow = spectral_product(specs, trajectory.grids)
-    z = np.empty_like(trajectory.values)
-    for i, t in enumerate(trajectory.times):
-        z[i] = flow.inverse(flow.phase(-t) * flow.forward(trajectory.values[i]))
-    z = Trajectory(trajectory.times, trajectory.grids, z)
-    tails = [
-        (float(t1), float(slice_lp_norms(z.values[i:], z.grids, 2, minus=z.values[i]).max()))
-        for i, t1 in enumerate(z.times)
-    ]
-    return z, tails
+    acc = CauchyTails(specs, trajectory.grids)
+    for t, values in zip(trajectory.times, trajectory.values):
+        acc.add(t, values)
+    return Trajectory(acc.times, acc.grids, np.array(acc.profiles)), acc.tails

@@ -181,27 +181,30 @@ class SpectralProduct:
     product grid: `forward` applies every factor's transform on its own
     axis (the torus axes `fft_axes` in one FFT call), `phase(t)` is
     exp(-itS) as the outer product of the 1-D factor phases, and `inverse`
-    undoes `forward`. Then e^{itL} u = inverse(phase(t) * forward(u))."""
+    undoes `forward`. Then e^{itL} u = inverse(phase(t) * forward(u)).
+    With overwrite=True the FFT may write its result into the array it is
+    given, which the caller must then not read again; the result is the
+    same."""
 
     factors: tuple[SpectralFactor, ...]
     fft_axes: tuple[int, ...]
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
+    def forward(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         out = values
         if self.fft_axes:
-            out = sfft.fftn(values, axes=self.fft_axes, workers=transform_workers(values))
+            out = sfft.fftn(values, axes=self.fft_axes, workers=transform_workers(values), overwrite_x=overwrite)
         for axis, factor in enumerate(self.factors):
             if axis not in self.fft_axes:
                 out = factor.forward(out, axis)
         return out
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+    def inverse(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         out = coeffs
         for axis, factor in enumerate(self.factors):
             if axis not in self.fft_axes:
                 out = factor.inverse(out, axis)
         if self.fft_axes:
-            out = sfft.ifftn(out, axes=self.fft_axes, workers=transform_workers(out))
+            out = sfft.ifftn(out, axes=self.fft_axes, workers=transform_workers(out), overwrite_x=overwrite)
         return out
 
     def phase(self, t: float, scale: complex = 1.0) -> np.ndarray:

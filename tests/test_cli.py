@@ -6,9 +6,10 @@ import threading
 import warnings
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
-from dispersia import experiments
+from dispersia import experiments, nls
 from dispersia.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -19,6 +20,7 @@ from dispersia.cli import (
     main,
 )
 from dispersia.experiments import list_experiments, parse_config
+from dispersia.nls import CauchyTails
 
 EXPECTED_NAMES = [
     "free-product-decay",
@@ -162,6 +164,21 @@ SMALL_NLS = (
     "[experiment]\nname = nls-smalldata\n[grid]\nn_points = 64\nlength = 32\n"
     "[time]\nt_final = 2\ndt = 0.1\n"
 )
+SMALL_SCATTERING = (
+    "[experiment]\nname = nls-scattering\n[grid]\nn_points = 64\nlength = 32\n"
+    "[time]\nt_final = 30\ndt = 0.1\nsave_stride = 10\n"
+)
+
+
+def run_in_thread(path):
+    """Exit codes of `dispersia run path` on a daemon thread, joined for at
+    most 120 s, so that a run that hangs fails the test instead of the suite."""
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(["run", path])), daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "the run hangs after the worker raised"
+    return codes
 
 
 class TestNLSRunners:
@@ -171,25 +188,50 @@ class TestNLSRunners:
 
         monkeypatch.setattr(experiments, "splitstep_nls", broken)
         path = write_config(tmp_path, SMALL_NLS)
-        codes = []
-        runner = threading.Thread(target=lambda: codes.append(main(["run", path])), daemon=True)
-        runner.start()
-        runner.join(timeout=120)
-        assert not runner.is_alive(), "the run hangs after the worker raised"
-        assert codes == [EXIT_INVALID_ARGUMENT]
+        assert run_in_thread(path) == [EXIT_INVALID_ARGUMENT]
         assert "split-step broke" in capsys.readouterr().err
         assert not (output_root / "nls-smalldata" / "picard.json").exists()
 
-    def test_threaded_picard_json_matches_inline(self, tmp_path, capsys, monkeypatch):
+    def test_scattering_worker_exception_surfaces(self, tmp_path, capsys, output_root, monkeypatch):
+        def broken(self, t, values):
+            raise ValueError("tail accumulator broke")
+
+        monkeypatch.setattr(CauchyTails, "add", broken)
+        path = write_config(tmp_path, SMALL_SCATTERING)
+        assert run_in_thread(path) == [EXIT_INVALID_ARGUMENT]
+        assert "tail accumulator broke" in capsys.readouterr().err
+        assert not (output_root / "nls-scattering" / "tails.csv").exists()
+        assert not (output_root / "nls-scattering" / "scattering.json").exists()
+
+    def test_nonfinite_picard_iterate_exits_5(self, tmp_path, capsys, output_root, monkeypatch):
+        monkeypatch.setattr(nls, "apply_nonlinearity", lambda values, nl: np.full_like(values, np.nan))
         path = write_config(tmp_path, SMALL_NLS)
+        assert run_in_thread(path) == [EXIT_INVALID_ARGUMENT]
+        assert "field values must be finite" in capsys.readouterr().err
+        assert not (output_root / "nls-smalldata" / "picard.json").exists()
+
+    def test_threaded_picard_json_matches_inline(self, tmp_path, capsys, monkeypatch):
+        # both NLS runners: the nls-smalldata chains and the nls-scattering
+        # tail worker give the same bytes run inline at submit
+        runs = {
+            "nls-smalldata": (write_config(tmp_path, SMALL_NLS, "small.cfg"), ("picard.json",)),
+            "nls-scattering": (
+                write_config(tmp_path, SMALL_SCATTERING, "scattering.cfg"),
+                ("tails.csv", "scattering.json"),
+            ),
+        }
         outputs = {}
         for mode in ("threaded", "inline"):
             if mode == "inline":
                 monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlineExecutor)
             monkeypatch.setenv("DISPERSIA_OUTPUT_ROOT", str(tmp_path / mode))
-            assert main(["run", path]) == EXIT_OK
-            outputs[mode] = (tmp_path / mode / "nls-smalldata" / "picard.json").read_bytes()
-        assert outputs["threaded"] == outputs["inline"]
+            for name, (path, artifacts) in runs.items():
+                assert main(["run", path]) == EXIT_OK
+                for artifact in artifacts:
+                    outputs[mode, name, artifact] = (tmp_path / mode / name / artifact).read_bytes()
+        assert len(outputs) == 6
+        for (mode, name, artifact), data in outputs.items():
+            assert data == outputs["inline", name, artifact]
 
     @pytest.mark.parametrize(
         "time_section,key",

@@ -13,6 +13,7 @@ from dispersia.fields import (
     HYPERBOLIC,
     Field,
     Trajectory,
+    _abs_squared,
     gaussian_field,
     lp_norm,
     make_grid,
@@ -259,6 +260,34 @@ class TestNormReduction:
         assert values_lp_norms(values, grids, self.EXPONENTS) == [
             values_lp_norm(values, grids, r) for r in self.EXPONENTS
         ]
+
+    @pytest.mark.parametrize(
+        "scale",
+        [1.0, 1e-160, 1e-310, 1e150, 1e154],
+        ids=["random", "subnormal-squares", "subnormal-values", "large", "near-overflow"],
+    )
+    @pytest.mark.parametrize(
+        "layout",
+        ["contiguous", "transposed", "sliced", "sliced-last-axis", "transposed-stack", "scalar"],
+    )
+    def test_abs_squared_is_the_sum_of_two_squares(self, scale, layout):
+        # the one-pass square of the (re, im) view must give re^2 + im^2 bit
+        # for bit, on any layout, including the ones the view cannot take
+        rng = np.random.default_rng(7)
+        stack = scale * (rng.standard_normal((4, 24, 20)) + 1j * rng.standard_normal((4, 24, 20)))
+        values = {
+            "contiguous": stack[0],
+            "transposed": stack[0].T,
+            "sliced": stack[::2, 3:17],
+            "sliced-last-axis": stack[1, :, ::3],
+            "transposed-stack": stack.transpose(2, 0, 1),
+            "scalar": stack[0, 0, 0],
+        }[layout]
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.square(values.real) + np.square(values.imag)
+            got = _abs_squared(values)
+        assert got.shape == np.shape(values)
+        assert np.array_equal(got, expected)
 
     def test_huge_modulus_l1_stays_finite(self):
         # |u|^2 overflows at |u| = 1e160; the norms below r = 2 never form it

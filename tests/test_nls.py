@@ -9,15 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersia import experiments
+from dispersia import experiments, nls
 from dispersia.exponents import HypothesisViolation, select_nls_exponents
-from dispersia.fields import HYPERBOLIC, Field, Trajectory, gaussian_field, lp_norm, make_grid, tensor_product
+from dispersia.fields import (
+    HYPERBOLIC,
+    Field,
+    Trajectory,
+    gaussian_field,
+    lp_norm,
+    make_grid,
+    slice_lp_norms,
+    tensor_product,
+)
 from dispersia.nls import (
     Nonlinearity,
+    _nonlinear_substep,
     apply_nonlinearity,
     picard_iterate,
     scattering_diagnostic,
     splitstep_nls,
+    splitstep_states,
 )
 from dispersia.propagators import PropagatorSpec, product_propagate, spectral_factor
 
@@ -158,6 +169,73 @@ class TestSplitstepNLS:
         assert traj.times[-1] == pytest.approx(1.0)
 
 
+class TestSplitstepBuffers:
+    """The split-step keeps its temporaries in buffers it reuses; these pin
+    the results to the formulas and the saved states to their own arrays."""
+
+    @staticmethod
+    def gauge_oracle(values, nl, dt):
+        # the gauge-invariant substep as one expression, before its buffers
+        angle = dt * complex(nl.mu).real * np.abs(values) ** (nl.gamma - 1)
+        phase = np.empty(values.shape, dtype=complex)
+        np.cos(angle, out=phase.real)
+        np.negative(np.sin(angle), out=phase.imag)
+        return values * phase
+
+    @pytest.mark.parametrize("gamma", [3.0, 5 / 3, 2.5, 7.0])
+    @pytest.mark.parametrize("mu", [1.0, -0.7])
+    def test_gauge_substep_matches_formula_bit_for_bit(self, gamma, mu):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((48, 40)) + 1j * rng.standard_normal((48, 40))
+        nl = Nonlinearity(gamma=gamma, mu=mu)
+        work = (np.empty(values.shape), np.empty(values.shape, dtype=complex))
+        for dt in (0.05, 0.1, 1.0):
+            expected = self.gauge_oracle(values, nl, dt)
+            buffered = values.copy()
+            got = _nonlinear_substep(buffered, nl, dt, work)
+            assert got is buffered
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("variant", ["gauge-invariant", "modulus-power"])
+    def test_saved_slices_match_stride_one(self, variant):
+        u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
+        nl = Nonlinearity(gamma=3.0, variant=variant)
+        every = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1)
+        strided = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
+        rows = [0, 3, 6, 9, 12, 15, 18, 20]
+        assert np.array_equal(strided.times, every.times[rows])
+        expected = every.values[rows]
+        if variant == "modulus-power":
+            # the same substeps in the same order: equal bit for bit
+            assert np.array_equal(strided.values, expected)
+        else:
+            # between saved steps the strided run fuses the two half-step
+            # rotations into one full step, which agrees to round-off only;
+            # a saved state overwritten by a later step would differ by O(dt)
+            assert np.max(np.abs(strided.values - expected)) <= 1e-14 * np.max(np.abs(expected)) * len(every.times)
+
+    @pytest.mark.parametrize("variant", ["gauge-invariant", "modulus-power"])
+    def test_yielded_states_are_their_own_arrays(self, variant):
+        u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
+        nl = Nonlinearity(gamma=3.0, variant=variant)
+        states = list(splitstep_states(u0, nl, specs, T=2.0, dt=0.1, save_stride=3))
+        traj = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
+        assert [t for t, _ in states] == list(traj.times)
+        assert np.array_equal(np.array([v for _, v in states]), traj.values)
+        for j, (_, a) in enumerate(states):
+            for _, b in states[j + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("variant", ["gauge-invariant", "modulus-power"])
+    @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
+    def test_caller_datum_unchanged(self, variant, setup):
+        u0, specs = setup()
+        caller = np.array(u0.values)
+        before = caller.copy()
+        splitstep_nls(Field(u0.grids, caller), Nonlinearity(gamma=3.0, variant=variant), specs, T=1.0, dt=0.1)
+        assert np.array_equal(caller, before)
+
+
 class TestPicardIterate:
     def exponents(self):
         return select_nls_exponents(1, 1, 3)
@@ -243,6 +321,13 @@ class TestPicardIterate:
         with pytest.raises(HypothesisViolation):
             picard_iterate(u0, Nonlinearity(gamma=3.5), specs, sel, 1.0, 0.1)
 
+    def test_nonfinite_iterate_refused(self, monkeypatch):
+        # the sweep's L2 norms stand in for a finiteness pass over the stack
+        u0, specs = small_data_setup(n=64, length=32.0)
+        monkeypatch.setattr(nls, "apply_nonlinearity", lambda values, nl: np.full_like(values, np.nan))
+        with pytest.raises(ValueError, match="field values must be finite"):
+            picard_iterate(u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, 0.1)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_large_data_reported_not_raised(self):
         u0, specs = small_data_setup(amplitude=20.0)
@@ -261,6 +346,19 @@ class TestScatteringDiagnostic:
         _, tails = scattering_diagnostic(traj, specs)
         for _, tail in tails:
             assert tail <= 1e-10
+
+    def test_tails_match_the_pairwise_table(self):
+        # the running maxima give the table of all pairwise distances
+        # tail(t_i) = max_{j >= i} ||z(t_j) - z(t_i)||, bit for bit
+        u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
+        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=4.0, dt=0.1, save_stride=5)
+        z, tails = scattering_diagnostic(traj, specs)
+        expected = [
+            (float(t), float(slice_lp_norms(z.values[i:], z.grids, 2, minus=z.values[i]).max()))
+            for i, t in enumerate(z.times)
+        ]
+        assert tails == expected
+        assert tails[0][1] > 0
 
     def test_tails_monotone_nonincreasing(self):
         u0, specs = small_data_setup()
