@@ -1,7 +1,7 @@
 """Numerical laboratory for dispersive decay on product domains.
 
-Building blocks: 1-D spectral Schrodinger propagators (free, split-step
-with potential, hyperbolic-radial), tensor composition across factors,
+Building blocks: 1-D spectral Schrodinger propagators (free, free plus
+a potential, hyperbolic-radial), tensor composition across factors,
 exact rational Strichartz exponent algebra, a log-log decay-rate
 measurement harness, and a small-data NLS fixed-point solver with
 scattering diagnostics.
@@ -54,5 +54,4 @@ from .nls import (
     apply_nonlinearity,
     splitstep_nls,
     picard_iterate,
-    scattering_diagnostic,
 )

@@ -106,6 +106,13 @@ def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _refuse(cfg: ExperimentConfig, section: str, keys, reason: str):
+    """Refuse keys that are not settings, rather than ignore them."""
+    for key in keys:
+        if key in cfg.settings.get(section, {}):
+            raise ConfigError(f"[{section}] {key} is not a setting: {reason}")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -168,7 +175,7 @@ def _radial_bump(grid, center: float, width: float) -> np.ndarray:
     return values / lp_norm(Field((grid,), values), 1)
 
 
-def _decay_verdict(cfg, report, label, evolve, u0, window, n_times, q, predicted, tol, sequential, **extra):
+def _decay_verdict(cfg, report, label, evolve, u0, window, n_times, q, predicted, tol, sequential=False, **extra):
     """Shared tail of every decay experiment: the ratio series
     ||u(t)||_q / ||u0||_q' on log-spaced times, its power-law fit over the
     window, the verdict against slope -predicted, and the series.csv and
@@ -199,20 +206,20 @@ _DECAY_PRESETS = {
 }
 
 # (preset, factor count) -> defaults of n_points, length (r_max on H^3),
-# data width, t_min, t_max, n_times, tolerance, split steps per unit time.
-# The runs evolve factored data, so cost no longer grows with the factor
-# count; the smaller 3-factor grid and shorter window are kept so that the
-# committed configs keep their verdicts and artifacts.
+# data width, t_min, t_max, n_times, tolerance. The runs evolve factored
+# data, so cost no longer grows with the factor count; the smaller 3-factor
+# grid and shorter window are kept so that the committed configs keep their
+# verdicts and artifacts.
 _DECAY_DEFAULTS = {
-    ("free-product-decay", 1): (2048, 600.0, 1.0, 2.0, 50.0, 15, 0.05, None),
-    ("free-product-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.05, None),
-    ("free-product-decay", 3): (200, 140.0, 1.0, 2.0, 12.0, 8, 0.05, None),
-    ("potential-product-decay", 1): (2048, 300.0, 1.0, 3.0, 30.0, 12, 0.10, 64),
-    ("potential-product-decay", 2): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12, 32),
-    ("potential-product-decay", 3): (2048, 1040.0, 1.0, 10.0, 80.0, 10, 0.12, 32),
-    ("hyperbolic-decay", 1): (1120, 280.0, 0.8, 2.0, 40.0, 14, 0.10, None),
-    ("hyperbolic-product-decay", 2): (1120, 280.0, 0.8, 2.0, 40.0, 10, 0.15, None),
-    ("interpolated-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.08, None),
+    ("free-product-decay", 1): (2048, 600.0, 1.0, 2.0, 50.0, 15, 0.05),
+    ("free-product-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.05),
+    ("free-product-decay", 3): (200, 140.0, 1.0, 2.0, 12.0, 8, 0.05),
+    ("potential-product-decay", 1): (2048, 300.0, 1.0, 3.0, 30.0, 12, 0.10),
+    ("potential-product-decay", 2): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12),
+    ("potential-product-decay", 3): (2048, 1040.0, 1.0, 10.0, 80.0, 10, 0.12),
+    ("hyperbolic-decay", 1): (1120, 280.0, 0.8, 2.0, 40.0, 14, 0.10),
+    ("hyperbolic-product-decay", 2): (1120, 280.0, 0.8, 2.0, 40.0, 10, 0.15),
+    ("interpolated-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.08),
 }
 
 
@@ -220,12 +227,13 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     """Every product decay preset: k copies of one factor flow, a separable
     datum evolved factor by factor, the L^q' -> L^q ratio series, and
     predicted slope -(sum of the factor rates)(1 - 2/q)."""
+    _refuse(cfg, "time", ["split_steps_per_unit_time"], "every factor flow is exact, with no time step")
     kind, k, k_settable, q, label = _DECAY_PRESETS[cfg.name]
     if k_settable:
         k = _get(cfg, "grid", "factors", k, int)
     if (cfg.name, k) not in _DECAY_DEFAULTS:
         raise ConfigError(f"[grid] factors = {k} is not supported by {cfg.name}")
-    n, length, width, t_min, t_max, n_times, tol, spp = _DECAY_DEFAULTS[cfg.name, k]
+    n, length, width, t_min, t_max, n_times, tol = _DECAY_DEFAULTS[cfg.name, k]
     hyperbolic = kind == "hyperbolic-radial"
     n = _get(cfg, "grid", "n_points", n, int)
     length = _get(cfg, "grid", "r_max" if hyperbolic else "length", length, float)
@@ -240,6 +248,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
         profile = _radial_bump(grid, _get(cfg, "data", "center", 1.5, float), width)
     else:
         profile = gaussian_field(grid, width).values
+    pot = None
     if kind == "free-plus-potential":
         pot = PotentialSpec(
             _get(cfg, "potential", "family", "sech-squared"),
@@ -247,11 +256,8 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
             width=_get(cfg, "potential", "width", 1.0, float),
             center=length / 2,
         )
-        spp = _get(cfg, "time", "split_steps_per_unit_time", spp, int)
-        spec = PropagatorSpec(kind, grid, potential=tuple(pot.sample(grid)), split_steps_per_unit_time=spp)
-    else:
-        spec = PropagatorSpec(kind, grid)
-    specs = [spec] * k
+    # one spec for every factor, so its eigenbasis is built once per run
+    specs = [PropagatorSpec(kind, grid, pot)] * k
     rates = [_FACTOR_RATES[s.kind] for s in specs]
     # the first factor against the product of the others, as in e^{itH} e^{itK}
     predicted = interpolation_exponent(q, DispersionIndex(rates[0], sum(rates[1:])))
@@ -266,8 +272,6 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
         q,
         predicted,
         tol,
-        # split-step factors carry time-step error: continue each sample from the last
-        sequential=any(s.kind == "free-plus-potential" for s in specs),
     )
 
 
@@ -319,6 +323,8 @@ def classify_lattice(m: int, n: int, denominator: int, indices=None):
     """Exact rational classification of the (1/p, 1/q) lattice: triangle
     membership for the product of dimensions (m, n) and admissibility for
     each requested index a+b."""
+    if denominator < 1:
+        raise ValueError(f"lattice denominator must be >= 1, got {denominator}")
     indices = indices or []
     rows = []
     for i in range(denominator // 2 + 1):
@@ -359,12 +365,10 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
 
 
 def _nls_setup(cfg: ExperimentConfig):
-    for key in ("m_eff", "n_eff"):
-        if key in cfg.settings.get("nls", {}):
-            raise ConfigError(
-                f"[nls] {key} is not a setting: the exponent dimensions come from the factors "
-                "the run builds, two 1-D tori (m = n = 1)"
-            )
+    _refuse(
+        cfg, "nls", ["m_eff", "n_eff"],
+        "the exponent dimensions come from the factors the run builds, two 1-D tori (m = n = 1)",
+    )
     n = _get(cfg, "grid", "n_points", 256, int)
     length = _get(cfg, "grid", "length", 64.0, float)
     width = _get(cfg, "data", "width", 2.0, float)
@@ -500,7 +504,7 @@ REGISTRY = [
      "L1->Linf decay of 1-3 free torus factors; slope vs. sum of per-factor rates",
      "propagator factorization, per-factor rate additivity"),
     ("potential-product-decay", run_product_decay,
-     "decay with nonnegative 1-D potentials on each factor (split-step)",
+     "decay with nonnegative 1-D potentials on each factor (exact eigenbasis flow)",
      "1-D weighted potential class, split potentials"),
     ("two-particle", run_two_particle,
      "interaction potential of the difference variable via the lattice coordinate rotation",

@@ -7,11 +7,10 @@ Y-norm ||u||_{Linf_t L2} + ||u||_{Lp_t Lq} are the quantitative
 diagnostics of the small-data well-posedness scheme.
 
 Every route applies the linear product flow in the spectral domain
-(propagators.spectral_product), so its factors must have an exact
-spectral form: free or hyperbolic-radial. The Picard iteration works on
-one stacked Trajectory; the split-step yields its saved states one at a
-time, which splitstep_nls stacks and CauchyTails, the scattering
-diagnostic, consumes as they come.
+(propagators.spectral_product), for any mix of factor kinds. The Picard
+iteration works on one stacked Trajectory; the split-step yields its
+saved states one at a time, which splitstep_nls stacks and CauchyTails,
+the scattering diagnostic, consumes as they come.
 
 The equation solved is i u_t + Lap u = F(u), matching the package's
 linear multiplier convention exp(-i t xi^2); the nonlinear substep phase
@@ -297,7 +296,8 @@ class CauchyTails:
     of the profiles z(t) = e^{-itL} u(t) under the product flow of `specs`,
     built as the states arrive in time order: `add` takes the next state,
     forms its profile and raises each earlier tail to its distance from
-    the new profile. After the last state, `tails` is the table."""
+    the new profile. After the last state, `tails` is the table, and the
+    last profile is the numerical scattering state candidate."""
 
     def __init__(self, specs, grids):
         self.grids = tuple(grids)
@@ -321,13 +321,3 @@ class CauchyTails:
     def tails(self) -> list[tuple[float, float]]:
         return list(zip(self.times, self._tails))
 
-
-def scattering_diagnostic(trajectory: Trajectory, specs):
-    """Profiles z(t) = e^{-itL} u(t) under the product flow of `specs`, and
-    the Cauchy tail table of CauchyTails.
-
-    The last profile is the numerical scattering state candidate."""
-    acc = CauchyTails(specs, trajectory.grids)
-    for t, values in zip(trajectory.times, trajectory.values):
-        acc.add(t, values)
-    return Trajectory(acc.times, acc.grids, np.array(acc.profiles)), acc.tails

@@ -2,19 +2,19 @@
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
-xi = 2 pi k / L, i.e. exp(i t Laplacian). Potential and nonlinear substeps
-then carry phase exp(-i V dt), so every substep is a modulus-1 multiplier
-and the schemes are exactly unitary.
+xi = 2 pi k / L, i.e. exp(i t Laplacian). A potential factor is the flow
+of -Laplacian + V, and a Strang potential substep carries phase
+exp(-i V dt), so every substep is a modulus-1 multiplier and the schemes
+are exactly unitary.
 
-The free and hyperbolic-radial factors have an exact spectral form
-(`spectral_factor`); on a product of such factors `spectral_product` gives
-the flow as one forward transform, one phase and one inverse transform.
+Every factor kind has an exact spectral form (`spectral_factor`); on a
+product of factors `spectral_product` gives the flow as one forward
+transform, one phase and one inverse transform.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,6 @@ from .fields import (
     SeparableField,
     SpectralFactor,
     _abs_squared,
-    _axis_shape,
     transform_workers,
 )
 from .hyperbolic import h3_factor
@@ -73,25 +72,18 @@ class PotentialSpec:
 class PropagatorSpec:
     kind: str  # free | free-plus-potential | hyperbolic-radial
     grid: Grid1D
-    potential: tuple | None = None  # sampled V on the grid nodes
-    split_steps_per_unit_time: int = 64
+    potential: PotentialSpec | None = None
 
     def __post_init__(self):
         if self.kind not in ("free", "free-plus-potential", "hyperbolic-radial"):
             raise ValueError(f"unknown propagator kind {self.kind!r}")
         if (self.potential is not None) != (self.kind == "free-plus-potential"):
             raise ValueError("potential present iff kind is free-plus-potential")
-        if self.potential is not None:
-            v = np.asarray(self.potential, dtype=float)
-            if v.shape != (self.grid.n_points,):
-                raise ValueError("potential samples must match the grid")
-            object.__setattr__(self, "potential", tuple(v))
-        if self.split_steps_per_unit_time < 1:
-            raise ValueError("split_steps_per_unit_time must be >= 1")
 
-    @property
-    def potential_array(self) -> np.ndarray:
-        return np.asarray(self.potential, dtype=float)
+    @functools.cached_property
+    def factor(self) -> SpectralFactor:
+        """spectral_factor(self), built on first use and freed with the spec."""
+        return spectral_factor(self)
 
 
 def torus_frequencies(grid: Grid1D) -> np.ndarray:
@@ -107,14 +99,45 @@ def _free_factor(grid: Grid1D) -> SpectralFactor:
     )
 
 
+def _matrix_along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """matrix @ values along one axis of a complex array, as one real
+    matrix product on the (re, im) float view. Always a fresh array."""
+    x = np.ascontiguousarray(np.moveaxis(values, axis, 0), dtype=complex)
+    out = matrix @ x.view(float).reshape(len(x), -1)
+    return np.moveaxis(out.view(complex).reshape(x.shape), 0, axis)
+
+
+def _potential_factor(grid: Grid1D, potential: PotentialSpec) -> SpectralFactor:
+    """The free-plus-potential torus factor -D^2 + V in its exact spectral
+    form: the eigenbasis E of the real symmetric matrix of the spectral
+    -D^2 (the circulant whose column is the inverse FFT of xi^2) plus
+    diag(V). Forward is E^T along the axis, inverse E, and the spectrum
+    is the eigenvalues (Trefethen, Spectral Methods in MATLAB, 2000)."""
+    n = grid.n_points
+    column = sfft.ifft(torus_frequencies(grid) ** 2).real
+    # the circulant is symmetric, so it is the Toeplitz matrix column[|i - j|]:
+    # row i is the window of (c[n-1], ..., c[1], c[0], c[1], ..., c[n-1])
+    # that puts c[0] in column i
+    mirrored = np.concatenate((column[:0:-1], column))
+    matrix = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+    matrix[np.diag_indices(n)] += potential.sample(grid)
+    lam, vecs = np.linalg.eigh(matrix)
+    return SpectralFactor(
+        lambda values, axis: _matrix_along(vecs.T, values, axis),
+        lambda coeffs, axis: _matrix_along(vecs, coeffs, axis),
+        lam,
+    )
+
+
 def spectral_factor(spec: PropagatorSpec) -> SpectralFactor:
-    """The exact spectral form of a factor kind that has one (free,
-    hyperbolic-radial); free-plus-potential has none."""
+    """The exact spectral form of a factor kind: the Fourier basis (free),
+    the potential eigenbasis (free-plus-potential) or the sine transform
+    (hyperbolic-radial)."""
     if spec.kind == "free":
         return _free_factor(spec.grid)
-    if spec.kind == "hyperbolic-radial":
-        return h3_factor(spec.grid)
-    raise ValueError(f"factor kind {spec.kind!r} has no exact spectral form")
+    if spec.kind == "free-plus-potential":
+        return _potential_factor(spec.grid, spec.potential)
+    return h3_factor(spec.grid)
 
 
 def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int) -> np.ndarray:
@@ -126,26 +149,6 @@ def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int
         out = kinetic_step(out)
         out *= full if k < steps - 1 else half_phase
     return out
-
-
-def _splitstep_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int) -> np.ndarray:
-    """Strang splitting of a free-plus-potential factor along one axis;
-    negative t runs the scheme backward."""
-    if t == 0:
-        return values.copy()
-    n = max(1, math.ceil(abs(t) * spec.split_steps_per_unit_time))
-    dt = t / n
-    half = _axis_shape(values, axis, np.exp(-0.5j * dt * spec.potential_array))
-    free = _free_factor(spec.grid)
-    return _strang(values, lambda w: free.propagate(w, dt, axis), half, n)
-
-
-def propagate_axis(spec: PropagatorSpec, values: np.ndarray, t: float, axis: int) -> np.ndarray:
-    """Apply one factor propagator along a single axis of a values array:
-    split-step for free-plus-potential, the exact spectral form otherwise."""
-    if spec.kind == "free-plus-potential":
-        return _splitstep_axis(spec, values, t, axis)
-    return spectral_factor(spec).propagate(values, t, axis)
 
 
 def _check_specs(specs, grids) -> list:
@@ -167,11 +170,11 @@ def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | Sep
     specs = _check_specs(specs, u.grids)
     if isinstance(u, SeparableField):
         return SeparableField(
-            tuple(f.with_values(propagate_axis(spec, f.values, t, 0)) for spec, f in zip(specs, u.factors))
+            tuple(f.with_values(spec.factor.propagate(f.values, t, 0)) for spec, f in zip(specs, u.factors))
         )
     values = u.values
     for axis, spec in enumerate(specs):
-        values = propagate_axis(spec, values, t, axis)
+        values = spec.factor.propagate(values, t, axis)
     return u.with_values(values)
 
 
@@ -217,10 +220,10 @@ class SpectralProduct:
 
 def spectral_product(specs, grids) -> SpectralProduct:
     """The spectral form of the product flow of `specs` on `grids` (one
-    spec per axis). Every factor must have an exact spectral form."""
+    spec per axis)."""
     specs = _check_specs(specs, grids)
     return SpectralProduct(
-        tuple(spectral_factor(s) for s in specs),
+        tuple(s.factor for s in specs),
         tuple(axis for axis, s in enumerate(specs) if s.kind == "free"),
     )
 

@@ -124,6 +124,24 @@ class TestExitCodes:
         assert main(["run", path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    def test_split_step_key_refused(self, tmp_path, capsys, output_root):
+        # the potential factor flow is exact: a step count is not a setting
+        path = write_config(
+            tmp_path,
+            "[experiment]\nname = potential-product-decay\n[grid]\nfactors = 2\n"
+            "[time]\nsplit_steps_per_unit_time = 32\n",
+        )
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "split_steps_per_unit_time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("denominator", [0, -2])
+    def test_nonpositive_lattice_denominator_refused(self, tmp_path, capsys, output_root, denominator):
+        path = write_config(
+            tmp_path, f"[experiment]\nname = admissible-region\n[exponents]\ndenominator = {denominator}\n"
+        )
+        assert main(["run", path]) == EXIT_INVALID_ARGUMENT
+        assert "denominator" in capsys.readouterr().err
+
     def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
         # sinh(r)^2 overflows float64 near r = 355
         path = write_config(tmp_path, "[experiment]\nname = hyperbolic-decay\n[grid]\nr_max = 800\n")
@@ -274,6 +292,11 @@ class TestAdmissibleSubcommand:
         main(["admissible", "--m", "2", "--n", "2", "--grid", "12", "--indices", "2"])
         out = capsys.readouterr().out
         assert "0,1/2,True" in out
+
+    @pytest.mark.parametrize("denominator", ["0", "-2"])
+    def test_nonpositive_grid_refused(self, capsys, denominator):
+        assert main(["admissible", "--m", "2", "--n", "2", "--grid", denominator]) == EXIT_INVALID_ARGUMENT
+        assert "denominator" in capsys.readouterr().err
 
     def test_endpoint_classified(self, capsys):
         main(["admissible", "--m", "2", "--n", "2", "--grid", "4", "--indices", "2"])

@@ -14,7 +14,6 @@ from dispersia.exponents import HypothesisViolation, select_nls_exponents
 from dispersia.fields import (
     HYPERBOLIC,
     Field,
-    Trajectory,
     gaussian_field,
     lp_norm,
     make_grid,
@@ -22,15 +21,15 @@ from dispersia.fields import (
     tensor_product,
 )
 from dispersia.nls import (
+    CauchyTails,
     Nonlinearity,
     _nonlinear_substep,
     apply_nonlinearity,
     picard_iterate,
-    scattering_diagnostic,
     splitstep_nls,
     splitstep_states,
 )
-from dispersia.propagators import PropagatorSpec, product_propagate, spectral_factor
+from dispersia.propagators import PotentialSpec, PropagatorSpec, product_propagate
 
 
 def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
@@ -48,6 +47,24 @@ def free_h3_setup(amplitude=0.05):
     u0 = tensor_product(gaussian_field(torus, 2.0), gaussian_field(radial, 1.0, center=3.0))
     specs = [PropagatorSpec("free", torus), PropagatorSpec("hyperbolic-radial", radial)]
     return u0.with_values(amplitude * u0.values), specs
+
+
+def free_potential_setup(amplitude=0.05):
+    """A small free x free-plus-potential product: a Gaussian on each torus,
+    a sech-squared bump on the second."""
+    grid = make_grid(64, 32.0)
+    pot = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=12.0)
+    u0 = tensor_product(gaussian_field(grid, 2.0), gaussian_field(grid, 2.0))
+    specs = [PropagatorSpec("free", grid), PropagatorSpec("free-plus-potential", grid, pot)]
+    return u0.with_values(amplitude * u0.values), specs
+
+
+def cauchy_tails(traj, specs) -> CauchyTails:
+    """The CauchyTails of a stored trajectory, fed in time order."""
+    acc = CauchyTails(specs, traj.grids)
+    for t, values in zip(traj.times, traj.values):
+        acc.add(t, values)
+    return acc
 
 
 def l2_difference(u0, a, b):
@@ -124,6 +141,10 @@ class TestSplitstepNLS:
 
     def test_mu_zero_matches_linear_on_free_h3(self):
         self.assert_mu_zero_matches_linear(*free_h3_setup())
+
+    def test_mu_zero_matches_linear_on_free_potential(self):
+        # the potential factor's eigenbasis is a spectral form like any other
+        self.assert_mu_zero_matches_linear(*free_potential_setup())
 
     def test_gauge_invariant_mass_conservation(self):
         u0, specs = small_data_setup()
@@ -343,7 +364,7 @@ class TestScatteringDiagnostic:
     def test_linear_flow_has_zero_tails(self):
         u0, specs = small_data_setup()
         traj = splitstep_nls(u0, Nonlinearity(gamma=3.0, mu=0.0), specs, T=4.0, dt=0.2)
-        _, tails = scattering_diagnostic(traj, specs)
+        tails = cauchy_tails(traj, specs).tails
         for _, tail in tails:
             assert tail <= 1e-10
 
@@ -352,10 +373,11 @@ class TestScatteringDiagnostic:
         # tail(t_i) = max_{j >= i} ||z(t_j) - z(t_i)||, bit for bit
         u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
         traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=4.0, dt=0.1, save_stride=5)
-        z, tails = scattering_diagnostic(traj, specs)
+        acc = cauchy_tails(traj, specs)
+        tails, z = acc.tails, np.array(acc.profiles)
         expected = [
-            (float(t), float(slice_lp_norms(z.values[i:], z.grids, 2, minus=z.values[i]).max()))
-            for i, t in enumerate(z.times)
+            (float(t), float(slice_lp_norms(z[i:], acc.grids, 2, minus=z[i]).max()))
+            for i, t in enumerate(acc.times)
         ]
         assert tails == expected
         assert tails[0][1] > 0
@@ -363,7 +385,7 @@ class TestScatteringDiagnostic:
     def test_tails_monotone_nonincreasing(self):
         u0, specs = small_data_setup()
         traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=20.0, dt=0.1, save_stride=10)
-        _, tails = scattering_diagnostic(traj, specs)
+        tails = cauchy_tails(traj, specs).tails
         values = [tail for _, tail in tails]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
@@ -371,7 +393,7 @@ class TestScatteringDiagnostic:
     def test_small_data_tail_decrease(self):
         u0, specs = small_data_setup(n=256, length=128.0)
         traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=40.0, dt=0.1, save_stride=10)
-        _, tails = scattering_diagnostic(traj, specs)
+        tails = cauchy_tails(traj, specs).tails
 
         def tail_at(t_query):
             return min(tails, key=lambda s: abs(s[0] - t_query))[1]
@@ -384,7 +406,7 @@ class TestScatteringDiagnostic:
         u0, specs = small_data_setup(n=256, length=128.0)
         gamma = 3.0
         traj = splitstep_nls(u0, Nonlinearity(gamma=gamma), specs, T=20.0, dt=0.1, save_stride=10)
-        _, tails = scattering_diagnostic(traj, specs)
+        tails = cauchy_tails(traj, specs).tails
         p = q = 1 + gamma
         # calibrate the aggregated constant on the first window, then check
         # the power law on later windows
@@ -403,7 +425,9 @@ class TestSpectralRoutes:
     """The routes apply the product flow in the spectral domain; these pin
     them to product_propagate."""
 
-    @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
+    @pytest.mark.parametrize(
+        "setup", [small_data_setup, free_h3_setup, free_potential_setup], ids=["free-free", "free-h3", "free-potential"]
+    )
     def test_one_duhamel_sweep_matches_direct_reference(self, setup):
         u0, specs = setup(amplitude=0.3)
         nl = Nonlinearity(gamma=3.0)
@@ -423,20 +447,3 @@ class TestSpectralRoutes:
             )
             expected = flow(u0.values, t) - 1j * integral
             assert np.max(np.abs(result.trajectory.values[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-    def test_potential_factor_refused(self):
-        grid = make_grid(32, 16.0)
-        specs = [
-            PropagatorSpec("free", grid),
-            PropagatorSpec("free-plus-potential", grid, potential=tuple(np.zeros(32))),
-        ]
-        u0 = tensor_product(gaussian_field(grid), gaussian_field(grid))
-        nl = Nonlinearity(gamma=3.0)
-        with pytest.raises(ValueError, match="free-plus-potential"):
-            spectral_factor(specs[1])
-        with pytest.raises(ValueError, match="free-plus-potential"):
-            splitstep_nls(u0, nl, specs, T=1.0, dt=0.1)
-        with pytest.raises(ValueError, match="free-plus-potential"):
-            picard_iterate(u0, nl, specs, select_nls_exponents(1, 1, 3), 1.0, 0.1)
-        with pytest.raises(ValueError, match="free-plus-potential"):
-            scattering_diagnostic(Trajectory([0.0], u0.grids, u0.values[None]), specs)
