@@ -289,6 +289,12 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     n_times = _get(cfg, "time", "n_times", 10, int)
     eq_tol = _get(cfg, "fit", "equivalence_tolerance", 1e-6, float)
     tol = _get(cfg, "fit", "tolerance", 0.12, float)
+    if not t_eq > 0:
+        raise ConfigError(f"[time] t_equivalence must be > 0 (got {t_eq}): at t = 0 both routes return the datum")
+    if steps_eq < 1:
+        raise ConfigError(f"[time] equivalence_steps must be >= 1 (got {steps_eq})")
+    if spp < 1:
+        raise ConfigError(f"[time] split_steps_per_unit_time must be >= 1 (got {spp})")
     grid = make_grid(n, length)
     pot = PotentialSpec("sech-squared", amplitude=amplitude, width=v_width, center=0.0)
     v = pot.sample(grid)
@@ -307,7 +313,7 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         cfg,
         report,
         "two-particle decay slope",
-        lambda u, t: two_particle_propagate(grid, v, u, t, max(1, math.ceil(t * spp))),
+        lambda u, t: two_particle_propagate(grid, v, u, t, math.ceil(t * spp)),
         u0,
         (t_min, t_max),
         n_times,

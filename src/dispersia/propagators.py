@@ -248,15 +248,17 @@ def two_particle_rotate(u: Field, direction: str = "forward") -> Field:
     A bijection on the (Z_N)^2 lattice exactly when N is odd (the map has
     determinant 2)."""
     n = _require_two_particle_grid(u)
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     if direction == "forward":
-        inv2 = (n + 1) // 2  # inverse of 2 mod odd N
-        out = u.values[(inv2 * (j + k)) % n, (inv2 * (j - k)) % n]
+        c = (n + 1) // 2  # inverse of 2 mod odd N
     elif direction == "inverse":
-        out = u.values[(j + k) % n, (j - k) % n]
+        c = 1
     else:
         raise ValueError("direction must be 'forward' or 'inverse'")
-    return u.with_values(out)
+    # out[j, k] = values[c (j + k) mod N, c (j - k) mod N]
+    j = np.arange(n)[:, np.newaxis]
+    k = np.arange(n)
+    flat = (c * (j + k)) % n * n + (c * (j - k)) % n
+    return u.with_values(u.values.reshape(-1)[flat])
 
 
 def two_particle_propagate(
@@ -266,7 +268,13 @@ def two_particle_propagate(
     variable: rotate to sum/difference coordinates, split-step there with
     Laplacian coefficient 2 (the unnormalized rotation doubles the
     Laplacian) and the one-variable potential acting along the difference
-    axis, rotate back."""
+    axis, rotate back.
+
+    The potential phase is constant along the sum axis (axis 0), so it
+    commutes with the FFT along that axis: the sum axis is transformed once
+    per call, and each Strang step transforms the difference axis only,
+    row by row in sum momentum. This is the 2-D Strang scheme with half of
+    its transform work."""
     n = _require_two_particle_grid(u0)
     if u0.grids[0] != grid:
         raise ValueError("field grid does not match the given grid")
@@ -292,7 +300,16 @@ def two_particle_propagate(
         d = (idx[:, None] - idx[None, :]) % n
         mult2d = np.exp(-1j * dt * (xi[s] ** 2 + xi[d] ** 2))
         workers = transform_workers(w)
-        w = _strang(w, lambda x: sfft.ifft2(sfft.fft2(x, workers=workers) * mult2d, workers=workers), half, steps)
+
+        def kinetic(x):
+            x = sfft.fft(x, axis=1, workers=workers, overwrite_x=True)
+            x *= mult2d
+            return sfft.ifft(x, axis=1, workers=workers, overwrite_x=True)
+
+        # w is the read-only view of a Field: the first transform copies
+        w = sfft.fft(w, axis=0, workers=workers)
+        w = _strang(w, kinetic, half, steps)
+        w = sfft.ifft(w, axis=0, workers=workers, overwrite_x=True)
     return two_particle_rotate(u0.with_values(w), "inverse")
 
 

@@ -134,6 +134,24 @@ class TestExitCodes:
         assert main(["run", path]) == EXIT_CONFIG
         assert "split_steps_per_unit_time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("split_steps_per_unit_time", 0),
+            ("split_steps_per_unit_time", -5),
+            ("t_equivalence", 0),
+            ("t_equivalence", -1),
+            ("equivalence_steps", 0),
+        ],
+    )
+    def test_two_particle_time_keys_refused(self, tmp_path, capsys, output_root, key, value):
+        # a step count below one or a zero-time route comparison is refused,
+        # not replaced by one step or passed vacuously
+        path = write_config(tmp_path, f"[experiment]\nname = two-particle\n[time]\n{key} = {value}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("denominator", [0, -2])
     def test_nonpositive_lattice_denominator_refused(self, tmp_path, capsys, output_root, denominator):
         path = write_config(

@@ -441,6 +441,64 @@ class TestTwoParticlePropagate:
         diff = lp_norm(rotated.with_values(rotated.values - reference.values), 2)
         assert diff <= 1e-6
 
+    @staticmethod
+    def strang_2d(grid, v, u, t, steps):
+        """The rotated Strang scheme with a full 2-D FFT pair in every
+        kinetic step, the form without the sum-axis shortcut."""
+        n = grid.n_points
+        dt = t / steps
+        half = np.exp(-0.5j * dt * v)[np.newaxis, :]
+        xi = torus_frequencies(grid)
+        idx = np.arange(n)
+        mult2d = np.exp(-1j * dt * (xi[(idx[:, None] + idx) % n] ** 2 + xi[(idx[:, None] - idx) % n] ** 2))
+        w = two_particle_rotate(u, "forward").values
+        w = propagators._strang(w, lambda x: sfft.ifft2(sfft.fft2(x) * mult2d), half, steps)
+        return two_particle_rotate(u.with_values(w), "inverse")
+
+    def sech_case(self, n=81, length=40.0):
+        grid = make_grid(n, length)
+        v = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=0.0).sample(grid)
+        u = tensor_product(gaussian_field(grid, 1.0, center=-3.0), gaussian_field(grid, 1.5, center=4.0))
+        return grid, v, u
+
+    def test_matches_2d_strang_oracle(self):
+        grid, v, u = self.sech_case()
+        out = two_particle_propagate(grid, v, u, 1.0, 64).values
+        oracle = self.strang_2d(grid, v, u, 1.0, 64).values
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("a", [1, 5, -7])
+    def test_commutes_with_sum_direction_shift(self, a):
+        # V(x - y) is invariant under (x, y) -> (x + a h, y + a h), so the
+        # flow is too: the conserved centre-of-mass momentum the sum-axis
+        # shortcut rests on
+        grid, v, u = self.sech_case()
+
+        def shift(f):
+            return f.with_values(np.roll(f.values, (a, a), axis=(0, 1)))
+
+        flowed_then_shifted = shift(two_particle_propagate(grid, v, u, 1.0, 16)).values
+        shifted_then_flowed = two_particle_propagate(grid, v, shift(u), 1.0, 16).values
+        scale = np.max(np.abs(flowed_then_shifted))
+        assert np.max(np.abs(shifted_then_flowed - flowed_then_shifted)) <= 1e-12 * scale
+
+    def test_leaves_datum_unchanged(self):
+        grid, v, u = self.sech_case(n=27, length=15.0)
+        values = np.array(u.values)
+        kept = values.copy()
+        datum = Field(u.grids, values)
+        two_particle_propagate(grid, v, datum, 1.0, 8)
+        assert np.array_equal(values, kept)
+        assert np.array_equal(datum.values, kept)
+
+    def test_independent_of_workers(self, monkeypatch):
+        grid, v, u = self.sech_case(n=513, length=200.0)
+        assert u.values.size >= 2**18
+        threaded = two_particle_propagate(grid, v, u, 0.5, 3).values
+        for workers in (1, 2):
+            monkeypatch.setattr(propagators, "transform_workers", lambda values, n=workers: n)
+            assert np.array_equal(two_particle_propagate(grid, v, u, 0.5, 3).values, threaded)
+
     def test_t0_identity(self):
         grid = make_grid(9, 5.0)
         u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
