@@ -106,6 +106,14 @@ def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _positive(cfg: ExperimentConfig, section: str, key: str, default: float) -> float:
+    """A float setting that must exceed 0 (NaN is refused too)."""
+    value = _get(cfg, section, key, default, float)
+    if not value > 0:
+        raise ConfigError(f"[{section}] {key} must be > 0 (got {value})")
+    return value
+
+
 def _refuse(cfg: ExperimentConfig, section: str, keys, reason: str):
     """Refuse keys that are not settings, rather than ignore them."""
     for key in keys:
@@ -237,7 +245,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     hyperbolic = kind == "hyperbolic-radial"
     n = _get(cfg, "grid", "n_points", n, int)
     length = _get(cfg, "grid", "r_max" if hyperbolic else "length", length, float)
-    width = _get(cfg, "data", "width", width, float)
+    width = _positive(cfg, "data", "width", width)
     t_min = _get(cfg, "time", "t_min", t_min, float)
     t_max = _get(cfg, "time", "t_max", t_max, float)
     n_times = _get(cfg, "time", "n_times", n_times, int)
@@ -278,7 +286,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
 def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     n = _get(cfg, "grid", "n_points", 243, int)
     length = _get(cfg, "grid", "length", 160.0, float)
-    width = _get(cfg, "data", "width", 1.0, float)
+    width = _positive(cfg, "data", "width", 1.0)
     amplitude = _get(cfg, "potential", "amplitude", 0.5, float)
     v_width = _get(cfg, "potential", "width", 1.0, float)
     t_eq = _get(cfg, "time", "t_equivalence", 1.0, float)
@@ -377,7 +385,7 @@ def _nls_setup(cfg: ExperimentConfig):
     )
     n = _get(cfg, "grid", "n_points", 256, int)
     length = _get(cfg, "grid", "length", 64.0, float)
-    width = _get(cfg, "data", "width", 2.0, float)
+    width = _positive(cfg, "data", "width", 2.0)
     amp = _get(cfg, "data", "amplitude", 0.05, float)
     gamma = _get(cfg, "nls", "gamma", 3.0, float)
     mu = _get(cfg, "nls", "mu", 1.0, float)
@@ -392,7 +400,7 @@ def _nls_setup(cfg: ExperimentConfig):
 
 def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     T = _get(cfg, "time", "t_final", 10.0, float)
-    dt = _get(cfg, "time", "dt", 0.1, float)
+    dt = _positive(cfg, "time", "dt", 0.1)
     max_iter = _get(cfg, "nls", "max_iter", 8, int)
     tol = _get(cfg, "nls", "tol", 1e-10, float)
     agree_tol = _get(cfg, "fit", "cross_method_tolerance", 1e-4, float)
@@ -458,7 +466,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
 
 def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     T = _get(cfg, "time", "t_final", 40.0, float)
-    dt = _get(cfg, "time", "dt", 0.1, float)
+    dt = _positive(cfg, "time", "dt", 0.1)
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _get(cfg, "fit", "tail_decrease_factor", 10.0, float)
     u0, specs, nl, _ = _nls_setup(cfg)

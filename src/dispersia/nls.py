@@ -27,7 +27,7 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, slice_lp_norms, values_lp_norm, values_lp_norms
+from .fields import Field, Trajectory, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
 
 GAUGE_INVARIANT = "gauge-invariant"
@@ -64,11 +64,15 @@ class Nonlinearity:
 
 
 def apply_nonlinearity(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
-    """F(u) at every point of a values array."""
+    """F(u) at every point of a values array. The power acts in place on
+    the |u| temporary, which gives mu * |u| ** (gamma - 1) * u
+    (gauge-invariant) and mu * |u| ** gamma (modulus-power) bit for bit."""
     mag = np.abs(values)
+    mag **= nl.gamma - 1 if nl.variant == GAUGE_INVARIANT else nl.gamma
+    mag = nl.mu * mag
     if nl.variant == GAUGE_INVARIANT:
-        return nl.mu * mag ** (nl.gamma - 1) * values
-    return nl.mu * mag**nl.gamma * np.ones_like(values)
+        return mag * values
+    return mag * np.ones_like(values)
 
 
 def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float, work) -> np.ndarray:
@@ -100,6 +104,8 @@ def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float, work) ->
 
 
 def _time_steps(T: float, dt: float) -> int:
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_steps = round(T / dt)
     if not math.isclose(n_steps * dt, T, rel_tol=1e-9):
         raise ValueError("T must be an integer multiple of dt")
@@ -109,8 +115,6 @@ def _time_steps(T: float, dt: float) -> int:
 def saved_steps(T: float, dt: float, save_stride: int) -> list[int]:
     """The steps a split-step run of length T saves: step 0, every
     save_stride-th step and the last one. Step s is at time s * dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if save_stride < 1:
         raise ValueError(f"save_stride must be >= 1, got {save_stride}")
     n_steps = _time_steps(T, dt)
@@ -214,45 +218,51 @@ def picard_iterate(
     grids = f.grids
     flow = spectral_product(specs, grids)
     f_hat = flow.forward(f.values)
-    # the iterate, one slice per time; each sweep overwrites it in place
+    # On the time lattice e^{i t_i L} = (e^{i dt L})^i: every slice steps
+    # the spectral linear part by the one phase of dt. The initial iterate
+    # is that linear evolution; each sweep overwrites the stack in place.
+    step = flow.phase(dt)
     v = np.empty((len(times),) + f.values.shape, dtype=complex)
-    for i, t in enumerate(times):
-        v[i] = flow.inverse(flow.phase(t) * f_hat)
+    norms0 = np.empty((2, len(times)))
+    lin = f_hat.copy()
+    for i in range(len(times)):
+        if i:
+            lin *= step
+        v[i] = flow.inverse(lin)
+        norms0[:, i] = values_lp_norms(v[i], grids, (2, q))
 
     def duhamel_sweep() -> np.ndarray:
         """Replace v by the next iterate; return the L2 and Lq norms of each
         new slice (rows 0, 1) and of its change (rows 2, 3)."""
-        # e^{i(t_i - t_j)L} = e^{i t_i L} e^{-i t_j L}: pull each source
-        # slice back to time 0 in the spectral domain and accumulate the
-        # trapezoid sum there; each output is one phase and one inverse.
-        # F(v) enters as i u_t + Lap u = F(u) => Duhamel source -i F, so the
-        # pull-back phase carries the trapezoid weight -i dt/2.
-        # The sum is kept apart from f_hat, so that its terms are rounded
+        # F(v) enters as i u_t + Lap u = F(u) => Duhamel source -i F, and
+        # h_i = -i dt/2 forward(F(v_i)) is its trapezoid term at t_i. In the
+        # spectral domain the sum at t_i is acc_i = step (acc_{i-1} +
+        # h_{i-1}) + h_i, and the slice is inverse(lin_i + acc_i). The sum
+        # is kept apart from the linear part, so that its terms are rounded
         # at their own scale rather than at the scale of f_hat.
         norms = np.empty((4, len(times)))
-        acc = np.zeros_like(f_hat)
-        for i, t in enumerate(times):
-            pulled = flow.forward(apply_nonlinearity(v[i], nl))
-            pulled *= flow.phase(-t, scale=-0.5j * dt)
+        # the buffers of the sweep, reused slice by slice
+        lin, acc, total = f_hat.copy(), np.zeros_like(f_hat), np.empty_like(f_hat)
+        for i in range(len(times)):
+            h = flow.forward(apply_nonlinearity(v[i], nl), overwrite=True)
+            h *= -0.5j * dt
             if i:
                 acc += prev
-                acc += pulled
-                new = flow.inverse(flow.phase(t) * (f_hat + acc))
+                acc *= step
+                acc += h
+                lin *= step
+                np.add(lin, acc, out=total)
+                new = flow.inverse(total, overwrite=True)
             else:
                 new = f.values
-            norms[:, i] = [*values_lp_norms(new, grids, (2, q)), *values_lp_norms(new - v[i], grids, (2, q))]
+            # the slice holds its change until the new values are copied in
+            np.subtract(new, v[i], out=v[i])
+            norms[:, i] = [*values_lp_norms(new, grids, (2, q)), *values_lp_norms(v[i], grids, (2, q))]
             v[i] = new
-            prev = pulled
+            prev = h
         return norms
 
-    history = [
-        PicardState(
-            k=0,
-            y_norm=_y_norm(times, slice_lp_norms(v, grids, 2), slice_lp_norms(v, grids, q), p),
-            distance=None,
-            ratio=None,
-        )
-    ]
+    history = [PicardState(k=0, y_norm=_y_norm(times, *norms0, p), distance=None, ratio=None)]
     converged = False
     contractive = True
     ref_scale = None

@@ -210,12 +210,8 @@ class SpectralProduct:
             out = sfft.ifftn(out, axes=self.fft_axes, workers=transform_workers(out), overwrite_x=overwrite)
         return out
 
-    def phase(self, t: float, scale: complex = 1.0) -> np.ndarray:
-        """scale * exp(-itS); the scalar goes into the first 1-D phase, so it
-        costs no pass over the grid."""
-        phases = [f.phase(t) for f in self.factors]
-        phases[0] = scale * phases[0]
-        return functools.reduce(np.multiply.outer, phases)
+    def phase(self, t: float) -> np.ndarray:
+        return functools.reduce(np.multiply.outer, [f.phase(t) for f in self.factors])
 
 
 def spectral_product(specs, grids) -> SpectralProduct:

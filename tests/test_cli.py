@@ -152,6 +152,25 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("width", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("name", [n for n in EXPECTED_NAMES if n != "admissible-region"])
+    def test_nonpositive_data_width_refused(self, tmp_path, capsys, output_root, name, width):
+        # a zero width gives an all-zero or non-finite datum, and the
+        # Gaussian's width enters squared, so a negative one ran as its
+        # absolute value
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[data]\nwidth = {width}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[data] width" in capsys.readouterr().err
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize("dt", ["0", "-0.1"])
+    @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])
+    def test_nonpositive_dt_refused(self, tmp_path, capsys, output_root, name, dt):
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[time]\ndt = {dt}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[time] dt" in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("denominator", [0, -2])
     def test_nonpositive_lattice_denominator_refused(self, tmp_path, capsys, output_root, denominator):
         path = write_config(

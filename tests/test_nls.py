@@ -1,6 +1,7 @@
 """Small-data NLS: split-step integrator, Duhamel fixed point, and the
 scattering diagnostics."""
 
+import functools
 import math
 import os
 
@@ -19,6 +20,7 @@ from dispersia.fields import (
     make_grid,
     slice_lp_norms,
     tensor_product,
+    values_lp_norms,
 )
 from dispersia.nls import (
     CauchyTails,
@@ -29,7 +31,7 @@ from dispersia.nls import (
     splitstep_nls,
     splitstep_states,
 )
-from dispersia.propagators import PotentialSpec, PropagatorSpec, product_propagate
+from dispersia.propagators import PotentialSpec, PropagatorSpec, product_propagate, spectral_product
 
 
 def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
@@ -112,6 +114,21 @@ class TestApplyNonlinearity:
             * np.max(np.abs(u.values - v.values))
         )
         assert lhs <= rhs * (1 + 1e-9)
+
+    @pytest.mark.parametrize("gamma", [3.0, 5 / 3, 2.5, 2.0])
+    @pytest.mark.parametrize("mu", [1.0, -0.7, 2, 1 + 0j, np.float64(0.3)], ids=repr)
+    def test_matches_formula_bit_for_bit(self, gamma, mu):
+        # the in-place powers of |u| give the one-expression formulas exactly
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((24, 20)) + 1j * rng.standard_normal((24, 20))
+        values[0, :3] = 0
+        gauge = apply_nonlinearity(values, Nonlinearity(gamma=gamma, mu=mu))
+        expected = mu * np.abs(values) ** (gamma - 1) * values
+        assert np.array_equal(gauge.view(np.uint64), expected.view(np.uint64))
+        for m in (mu, 0.4 - 1.5j):
+            modulus = apply_nonlinearity(values, Nonlinearity(gamma=gamma, variant="modulus-power", mu=m))
+            expected = m * np.abs(values) ** gamma * np.ones_like(values)
+            assert np.array_equal(modulus.view(np.uint64), expected.view(np.uint64))
 
     def test_gamma_at_most_one_rejected(self):
         with pytest.raises(ValueError):
@@ -342,6 +359,22 @@ class TestPicardIterate:
         with pytest.raises(HypothesisViolation):
             picard_iterate(u0, Nonlinearity(gamma=3.5), specs, sel, 1.0, 0.1)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_refused(self, dt):
+        u0, specs = small_data_setup(n=64, length=32.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            picard_iterate(u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, dt)
+
+    @pytest.mark.parametrize(
+        "setup", [small_data_setup, free_h3_setup, free_potential_setup], ids=["free-free", "free-h3", "free-potential"]
+    )
+    def test_caller_datum_unchanged(self, setup):
+        u0, specs = setup()
+        caller = np.array(u0.values)
+        before = caller.copy()
+        picard_iterate(Field(u0.grids, caller), Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, 0.1, max_iter=2)
+        assert np.array_equal(caller, before)
+
     def test_nonfinite_iterate_refused(self, monkeypatch):
         # the sweep's L2 norms stand in for a finiteness pass over the stack
         u0, specs = small_data_setup(n=64, length=32.0)
@@ -447,3 +480,74 @@ class TestSpectralRoutes:
             )
             expected = flow(u0.values, t) - 1j * integral
             assert np.max(np.abs(result.trajectory.values[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def per_slice_phase_picard(f, nl, specs, exponents, T, dt, sweeps):
+    """The Picard iteration as it was before the lattice recursion: every
+    slice pulls its source back to time 0 with a phase of its own time,
+    scaled by the trapezoid weight, and pushes the sum forward with
+    another. Returns the Y-norms, the distances (None at k = 0) and the
+    last iterate."""
+    p, q = float(exponents.p), float(exponents.q)
+    times = [i * dt for i in range(round(T / dt) + 1)]
+    grids = f.grids
+    flow = spectral_product(specs, grids)
+
+    def phase(t, scale=1.0):
+        phases = [factor.phase(t) for factor in flow.factors]
+        phases[0] = scale * phases[0]
+        return functools.reduce(np.multiply.outer, phases)
+
+    f_hat = flow.forward(f.values)
+    v = np.array([flow.inverse(phase(t) * f_hat) for t in times])
+    y_norms = [nls._y_norm(times, slice_lp_norms(v, grids, 2), slice_lp_norms(v, grids, q), p)]
+    distances = [None]
+    for _ in range(sweeps):
+        norms = np.empty((4, len(times)))
+        acc = np.zeros_like(f_hat)
+        for i, t in enumerate(times):
+            pulled = flow.forward(apply_nonlinearity(v[i], nl))
+            pulled *= phase(-t, scale=-0.5j * dt)
+            if i:
+                acc += prev
+                acc += pulled
+                new = flow.inverse(phase(t) * (f_hat + acc))
+            else:
+                new = f.values
+            norms[:, i] = [*values_lp_norms(new, grids, (2, q)), *values_lp_norms(new - v[i], grids, (2, q))]
+            v[i] = new
+            prev = pulled
+        y_norms.append(nls._y_norm(times, norms[0], norms[1], p))
+        distances.append(nls._y_norm(times, norms[2], norms[3], p))
+    return y_norms, distances, v
+
+
+class TestPicardLatticeRecursion:
+    """The sweep steps the linear part and the Duhamel sum by the one phase
+    of dt; it must agree with the per-slice phases of each time to
+    round-off."""
+
+    @pytest.mark.parametrize(
+        "setup", [small_data_setup, free_h3_setup, free_potential_setup], ids=["free-free", "free-h3", "free-potential"]
+    )
+    def test_matches_per_slice_phase_sweep(self, setup):
+        # the default amplitudes contract on every setup: a diverging run
+        # would amplify the round-off it compares
+        u0, specs = setup()
+        nl = Nonlinearity(gamma=3.0)
+        sel = select_nls_exponents(1, 1, 3)
+        sweeps = 4
+        result = picard_iterate(u0, nl, specs, sel, 3.0, 0.1, max_iter=sweeps, tol=0)
+        y_ref, d_ref, v_ref = per_slice_phase_picard(u0, nl, specs, sel, 3.0, 0.1, sweeps)
+        assert [s.k for s in result.history] == list(range(sweeps + 1))
+        for state, y, d in zip(result.history, y_ref, d_ref):
+            assert abs(state.y_norm - y) <= 1e-13 * y
+            if d is None:
+                assert state.distance is None
+            else:
+                # a distance is a difference of iterates, each rounded at the
+                # scale of the Y-norm: near the noise floor its relative
+                # drift is larger, its drift against the Y-norm is not
+                assert abs(state.distance - d) <= 1e-13 * y
+        scale = np.max(np.abs(v_ref))
+        assert np.max(np.abs(result.trajectory.values - v_ref)) <= 1e-13 * scale
