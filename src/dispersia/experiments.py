@@ -183,13 +183,26 @@ def _radial_bump(grid, center: float, width: float) -> np.ndarray:
     return values / lp_norm(Field((grid,), values), 1)
 
 
-def _decay_verdict(cfg, report, label, evolve, u0, window, n_times, q, predicted, tol, sequential=False, **extra):
-    """Shared tail of every decay experiment: the ratio series
-    ||u(t)||_q / ||u0||_q' on log-spaced times, its power-law fit over the
-    window, the verdict against slope -predicted, and the series.csv and
-    fit.json artifacts (fit.json also carries the `extra` entries)."""
+def _decay_window(cfg, t_min, t_max, n_times):
+    """The [time] window (t_min, t_max) and its n_times log-spaced sample
+    times, checked before any solve: the fit reads at least 5 samples of a
+    window of positive times."""
+    t_min = _positive(cfg, "time", "t_min", t_min)
+    t_max = _get(cfg, "time", "t_max", t_max, float)
+    n_times = _get(cfg, "time", "n_times", n_times, int)
+    if not t_min < t_max < math.inf:
+        raise ConfigError(f"[time] t_max must be finite and > t_min = {t_min} (got {t_max})")
+    if n_times < 5:
+        raise ConfigError(f"[time] n_times must be >= 5: the fit reads at least 5 samples (got {n_times})")
+    return (t_min, t_max), np.geomspace(t_min, t_max, n_times)
+
+
+def _decay_verdict(cfg, report, label, series, u0, window, q, predicted, tol, **extra):
+    """Shared tail of every decay experiment: the norms ||u(t)||_q of
+    `series` divided by ||u0||_q', their power-law fit over the window, the
+    verdict against slope -predicted, and the series.csv and fit.json
+    artifacts (fit.json also carries the `extra` entries)."""
     base = lp_norm(u0, dual_exponent(q))
-    series = norm_series(evolve, u0, np.geomspace(*window, n_times), float(q), sequential=sequential)
     series = [replace(s, value=s.value / base) for s in series]
     fit = fit_decay_exponent(series, window)
     rep = compare_prediction(fit, predicted, tol)
@@ -246,10 +259,8 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     n = _get(cfg, "grid", "n_points", n, int)
     length = _get(cfg, "grid", "r_max" if hyperbolic else "length", length, float)
     width = _positive(cfg, "data", "width", width)
-    t_min = _get(cfg, "time", "t_min", t_min, float)
-    t_max = _get(cfg, "time", "t_max", t_max, float)
-    n_times = _get(cfg, "time", "n_times", n_times, int)
-    tol = _get(cfg, "fit", "tolerance", tol, float)
+    window, times = _decay_window(cfg, t_min, t_max, n_times)
+    tol = _positive(cfg, "fit", "tolerance", tol)
     q = INF if q is None else _exponent_from_str(_get(cfg, "exponents", "q", q))
     grid = make_grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
     if hyperbolic:
@@ -269,18 +280,9 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     rates = [_FACTOR_RATES[s.kind] for s in specs]
     # the first factor against the product of the others, as in e^{itH} e^{itK}
     predicted = interpolation_exponent(q, DispersionIndex(rates[0], sum(rates[1:])))
-    _decay_verdict(
-        cfg,
-        report,
-        label.format(k=k, q=q),
-        lambda u, t: product_propagate(specs, u, t),
-        SeparableField((Field((grid,), profile),) * k),
-        (t_min, t_max),
-        n_times,
-        q,
-        predicted,
-        tol,
-    )
+    u0 = SeparableField((Field((grid,), profile),) * k)
+    series = norm_series(lambda u, t: product_propagate(specs, u, t), u0, times, float(q))
+    _decay_verdict(cfg, report, label.format(k=k, q=q), series, u0, window, q, predicted, tol)
 
 
 def run_two_particle(cfg: ExperimentConfig, report: RunReport):
@@ -292,11 +294,9 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     t_eq = _get(cfg, "time", "t_equivalence", 1.0, float)
     steps_eq = _get(cfg, "time", "equivalence_steps", 64, int)
     spp = _get(cfg, "time", "split_steps_per_unit_time", 32, int)
-    t_min = _get(cfg, "time", "t_min", 2.0, float)
-    t_max = _get(cfg, "time", "t_max", 10.0, float)
-    n_times = _get(cfg, "time", "n_times", 10, int)
-    eq_tol = _get(cfg, "fit", "equivalence_tolerance", 1e-6, float)
-    tol = _get(cfg, "fit", "tolerance", 0.12, float)
+    window, times = _decay_window(cfg, 2.0, 10.0, 10)
+    eq_tol = _positive(cfg, "fit", "equivalence_tolerance", 1e-6)
+    tol = _positive(cfg, "fit", "tolerance", 0.12)
     if not t_eq > 0:
         raise ConfigError(f"[time] t_equivalence must be > 0 (got {t_eq}): at t = 0 both routes return the datum")
     if steps_eq < 1:
@@ -307,10 +307,28 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     pot = PotentialSpec("sech-squared", amplitude=amplitude, width=v_width, center=0.0)
     v = pot.sample(grid)
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
-    # route equivalence at matched step counts
-    rotated = two_particle_propagate(grid, v, u0, t_eq, steps_eq)
-    reference = original_coordinates_reference(grid, v, u0, t_eq, steps_eq)
-    diff = lp_norm(rotated.with_values(rotated.values - reference.values), 2)
+
+    def route_difference():
+        # route equivalence at matched step counts
+        rotated = two_particle_propagate(grid, v, u0, t_eq, steps_eq)
+        reference = original_coordinates_reference(grid, v, u0, t_eq, steps_eq)
+        return lp_norm(rotated.with_values(rotated.values - reference.values), 2)
+
+    # The route solves and the decay series only read u0, grid and v and
+    # write arrays of their own, and the transforms and ufuncs release the
+    # GIL, so the worker takes the second core with results bit-identical to
+    # running in sequence. The series stays on the calling thread; a worker
+    # exception re-raises from result() before any artifact is written.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(route_difference)
+        series = norm_series(
+            lambda u, t: two_particle_propagate(grid, v, u, t, math.ceil(t * spp)),
+            u0,
+            times,
+            math.inf,
+            sequential=True,
+        )
+        diff = worker.result()
     report.add(
         "two-particle route equivalence (L2)",
         diff <= eq_tol,
@@ -321,14 +339,12 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         cfg,
         report,
         "two-particle decay slope",
-        lambda u, t: two_particle_propagate(grid, v, u, t, math.ceil(t * spp)),
+        series,
         u0,
-        (t_min, t_max),
-        n_times,
+        window,
         INF,
         Fraction(1),
         tol,
-        sequential=True,
         equivalence_l2_difference=diff,
     )
 
@@ -402,9 +418,9 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     T = _get(cfg, "time", "t_final", 10.0, float)
     dt = _positive(cfg, "time", "dt", 0.1)
     max_iter = _get(cfg, "nls", "max_iter", 8, int)
-    tol = _get(cfg, "nls", "tol", 1e-10, float)
-    agree_tol = _get(cfg, "fit", "cross_method_tolerance", 1e-4, float)
-    scaling_tol = _get(cfg, "fit", "scaling_tolerance", 0.2, float)
+    tol = _positive(cfg, "nls", "tol", 1e-10)
+    agree_tol = _positive(cfg, "fit", "cross_method_tolerance", 1e-4)
+    scaling_tol = _positive(cfg, "fit", "scaling_tolerance", 0.2)
     if max_iter < 2:
         raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
     u0, specs, nl, sel = _nls_setup(cfg)
@@ -468,7 +484,7 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     T = _get(cfg, "time", "t_final", 40.0, float)
     dt = _positive(cfg, "time", "dt", 0.1)
     stride = _get(cfg, "time", "save_stride", 10, int)
-    decrease = _get(cfg, "fit", "tail_decrease_factor", 10.0, float)
+    decrease = _positive(cfg, "fit", "tail_decrease_factor", 10.0)
     u0, specs, nl, _ = _nls_setup(cfg)
     t1, t2 = 1.0, 20.0
     saved = [s * dt for s in saved_steps(T, dt, stride)]

@@ -285,16 +285,17 @@ def two_particle_propagate(
     if t > 0:
         dt = t / steps
         half = np.exp(-0.5j * dt * v)[np.newaxis, :]
-        xi = torus_frequencies(grid)
+        xi2 = torus_frequencies(grid) ** 2
         # Kinetic symbol transported through the lattice map: the sum and
         # difference indices of a rotated mode carry the original
         # frequencies, and xi_s^2 + xi_d^2 = 2(xi_m^2 + xi_n^2) on
         # unwrapped modes -- the doubled Laplacian of the rotation,
         # realized without the index-halving aliasing of the raw symbol.
+        # The n x n index arrays are temporaries, freed as they are read.
         idx = np.arange(n)
-        s = (idx[:, None] + idx[None, :]) % n
-        d = (idx[:, None] - idx[None, :]) % n
-        mult2d = np.exp(-1j * dt * (xi[s] ** 2 + xi[d] ** 2))
+        mult2d = np.exp(
+            -1j * dt * (xi2[(idx[:, None] + idx[None, :]) % n] + xi2[(idx[:, None] - idx[None, :]) % n])
+        )
         workers = transform_workers(w)
 
         def kinetic(x):
@@ -311,18 +312,23 @@ def two_particle_propagate(
 
 def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
     """Reference two-particle solve in the original coordinates: 2-D Strang
-    split-step with the sampled two-variable potential V(x - y)."""
+    split-step with the sampled two-variable potential V(x - y). Each
+    kinetic step runs in place on the Strang iterate, which `_strang`
+    allocates, so the caller's values are never written."""
     n = grid.n_points
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    v2d = np.asarray(potential, dtype=float)[(j - k) % n]
+    idx = np.arange(n)
     xi = torus_frequencies(grid)
     dt = t / steps
     mult = np.exp(-1j * dt * (xi[:, None] ** 2 + xi[None, :] ** 2))
-    half = np.exp(-0.5j * dt * v2d)
+    # the half-phase of the samples V(x_j - y_k); the 2-D samples are freed
+    # once it is built
+    half = np.exp(-0.5j * dt * np.asarray(potential, dtype=float)[(idx[:, None] - idx[None, :]) % n])
     workers = transform_workers(u0.values)
 
     def kinetic(w):
-        return sfft.ifft2(sfft.fft2(w, workers=workers) * mult, workers=workers)
+        w = sfft.fft2(w, workers=workers, overwrite_x=True)
+        w *= mult
+        return sfft.ifft2(w, workers=workers, overwrite_x=True)
 
     return u0.with_values(_strang(u0.values, kinetic, half, steps))
 

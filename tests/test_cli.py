@@ -33,6 +33,14 @@ EXPECTED_NAMES = [
     "nls-smalldata",
     "nls-scattering",
 ]
+DECAY_RUNNERS = [
+    "free-product-decay",
+    "potential-product-decay",
+    "two-particle",
+    "hyperbolic-decay",
+    "hyperbolic-product-decay",
+    "interpolated-decay",
+]
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -171,6 +179,47 @@ class TestExitCodes:
         assert "[time] dt" in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize(
+        "time_section, key",
+        [
+            ("t_min = 0\n", "[time] t_min"),
+            ("t_min = -1\n", "[time] t_min"),
+            ("t_min = nan\n", "[time] t_min"),
+            ("t_min = 5\nt_max = 5\n", "[time] t_max"),
+            ("t_min = 5\nt_max = 4\n", "[time] t_max"),
+            ("n_times = 4\n", "[time] n_times"),
+        ],
+        ids=["t_min-zero", "t_min-negative", "t_min-nan", "t_max-equal", "t_max-below", "n_times-4"],
+    )
+    @pytest.mark.parametrize("name", DECAY_RUNNERS)
+    def test_bad_decay_window_refused(self, tmp_path, capsys, output_root, name, time_section, key):
+        # a window with no positive start, no width or fewer samples than
+        # the fit reads is refused before any solve
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[time]\n{time_section}")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "name, section, key",
+        [(name, "fit", "tolerance") for name in DECAY_RUNNERS]
+        + [
+            ("two-particle", "fit", "equivalence_tolerance"),
+            ("nls-smalldata", "fit", "cross_method_tolerance"),
+            ("nls-smalldata", "fit", "scaling_tolerance"),
+            ("nls-smalldata", "nls", "tol"),
+            ("nls-scattering", "fit", "tail_decrease_factor"),
+        ],
+    )
+    def test_nonpositive_tolerance_refused(self, tmp_path, capsys, output_root, name, section, key, value):
+        # a verdict against a tolerance that is not > 0 can never pass (or,
+        # for the tail factor, divides by zero)
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[{section}]\n{key} = {value}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("denominator", [0, -2])
     def test_nonpositive_lattice_denominator_refused(self, tmp_path, capsys, output_root, denominator):
         path = write_config(
@@ -223,6 +272,11 @@ SMALL_SCATTERING = (
     "[experiment]\nname = nls-scattering\n[grid]\nn_points = 64\nlength = 32\n"
     "[time]\nt_final = 30\ndt = 0.1\nsave_stride = 10\n"
 )
+SMALL_TWO_PARTICLE = (
+    "[experiment]\nname = two-particle\n[grid]\nn_points = 63\nlength = 80\n"
+    "[time]\nt_equivalence = 0.5\nequivalence_steps = 8\nsplit_steps_per_unit_time = 8\n"
+    "t_min = 1\nt_max = 4\nn_times = 6\n[fit]\ntolerance = 0.5\n"
+)
 
 
 def run_in_thread(path):
@@ -266,13 +320,18 @@ class TestNLSRunners:
         assert not (output_root / "nls-smalldata" / "picard.json").exists()
 
     def test_threaded_picard_json_matches_inline(self, tmp_path, capsys, monkeypatch):
-        # both NLS runners: the nls-smalldata chains and the nls-scattering
-        # tail worker give the same bytes run inline at submit
+        # every threaded runner: the nls-smalldata chains, the nls-scattering
+        # tail worker and the two-particle route solves give the same bytes
+        # run inline at submit
         runs = {
             "nls-smalldata": (write_config(tmp_path, SMALL_NLS, "small.cfg"), ("picard.json",)),
             "nls-scattering": (
                 write_config(tmp_path, SMALL_SCATTERING, "scattering.cfg"),
                 ("tails.csv", "scattering.json"),
+            ),
+            "two-particle": (
+                write_config(tmp_path, SMALL_TWO_PARTICLE, "two-particle.cfg"),
+                ("series.csv", "fit.json", "summary.txt"),
             ),
         }
         outputs = {}
@@ -284,7 +343,7 @@ class TestNLSRunners:
                 assert main(["run", path]) == EXIT_OK
                 for artifact in artifacts:
                     outputs[mode, name, artifact] = (tmp_path / mode / name / artifact).read_bytes()
-        assert len(outputs) == 6
+        assert len(outputs) == 12
         for (mode, name, artifact), data in outputs.items():
             assert data == outputs["inline", name, artifact]
 
@@ -300,6 +359,19 @@ class TestNLSRunners:
         assert main(["run", path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not output_root.exists()
+
+
+class TestTwoParticleRunner:
+    def test_worker_exception_surfaces(self, tmp_path, capsys, output_root, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("reference solve broke")
+
+        monkeypatch.setattr(experiments, "original_coordinates_reference", broken)
+        path = write_config(tmp_path, SMALL_TWO_PARTICLE)
+        assert run_in_thread(path) == [EXIT_INVALID_ARGUMENT]
+        assert "reference solve broke" in capsys.readouterr().err
+        assert not (output_root / "two-particle" / "fit.json").exists()
+        assert not (output_root / "two-particle" / "series.csv").exists()
 
 
 class TestDecayDefaults:
