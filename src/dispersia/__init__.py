@@ -15,7 +15,6 @@ from .fields import (
     SeparableField,
     Trajectory,
     make_grid,
-    tensor_product,
     lp_norm,
 )
 from .propagators import (
@@ -24,11 +23,6 @@ from .propagators import (
     product_propagate,
     two_particle_rotate,
     two_particle_propagate,
-)
-from .hyperbolic import (
-    SphericalProfile,
-    spherical_transform,
-    inverse_spherical_transform,
 )
 from .exponents import (
     INF,

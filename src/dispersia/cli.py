@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .exponents import HypothesisViolation
-from .experiments import ConfigError, UnknownExperiment, classify_lattice, list_experiments, run
+from .experiments import ConfigError, UnknownExperiment, _fractions_from_str, classify_lattice, list_experiments, run
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -40,8 +39,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
-    indices = [Fraction(s) for s in args.indices.split(",") if s.strip()]
-    rows = classify_lattice(args.m, args.n, args.grid, indices)
+    rows = classify_lattice(args.m, args.n, args.grid, _fractions_from_str(args.indices))
     header = list(rows[0].keys())
     print(",".join(header))
     for row in rows:

@@ -102,7 +102,7 @@ def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
         return default
     try:
         return cast(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides by zero
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
@@ -157,6 +157,11 @@ def _exponent_from_str(s: str):
     if s in ("inf", "infinity", "oo"):
         return INF
     return Fraction(s)
+
+
+def _fractions_from_str(s: str) -> list[Fraction]:
+    """A comma-separated list of exact rationals; empty entries are skipped."""
+    return [Fraction(x) for x in s.split(",") if x.strip()]
 
 
 @dataclass
@@ -223,7 +228,7 @@ _DECAY_PRESETS = {
     "potential-product-decay": ("free-plus-potential", 1, True, None, "{k}-factor potential decay slope"),
     "hyperbolic-decay": ("hyperbolic-radial", 1, False, None, "hyperbolic large-time decay slope"),
     "hyperbolic-product-decay": ("hyperbolic-radial", 2, False, None, "hyperbolic product large-time decay slope"),
-    "interpolated-decay": ("free", 2, False, "4", "interpolated decay slope (q={q})"),
+    "interpolated-decay": ("free", 2, False, Fraction(4), "interpolated decay slope (q={q})"),
 }
 
 # (preset, factor count) -> defaults of n_points, length (r_max on H^3),
@@ -261,7 +266,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     width = _positive(cfg, "data", "width", width)
     window, times = _decay_window(cfg, t_min, t_max, n_times)
     tol = _positive(cfg, "fit", "tolerance", tol)
-    q = INF if q is None else _exponent_from_str(_get(cfg, "exponents", "q", q))
+    q = INF if q is None else _get(cfg, "exponents", "q", q, _exponent_from_str)
     grid = make_grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
     if hyperbolic:
         profile = _radial_bump(grid, _get(cfg, "data", "center", 1.5, float), width)
@@ -377,8 +382,7 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
     m = _get(cfg, "exponents", "m", 2, int)
     n = _get(cfg, "exponents", "n", 2, int)
     denominator = _get(cfg, "exponents", "denominator", 12, int)
-    ab_list = _get(cfg, "exponents", "indices", "1/2,1,3/2,2,3")
-    indices = [Fraction(s) for s in ab_list.split(",") if s.strip()]
+    indices = _get(cfg, "exponents", "indices", _fractions_from_str("1/2,1,3/2,2,3"), _fractions_from_str)
     rows = classify_lattice(m, n, denominator, indices)
     header = list(rows[0].keys())
     lines = [f"# fingerprint={cfg.fingerprint} version={__version__}", ",".join(header)]
@@ -414,8 +418,19 @@ def _nls_setup(cfg: ExperimentConfig):
     return u0, specs, nl, sel
 
 
+def _k2_ratio(result, run: str) -> float:
+    """The k = 2 contraction ratio of a Picard run, which the scaling check
+    compares; a run that converged at sweep 1 has none."""
+    if len(result.history) < 3 or result.history[2].ratio is None:
+        raise ConfigError(
+            f"the {run} Picard run converged at sweep 1, so it has no k = 2 contraction ratio for the "
+            "scaling check; raise [data] amplitude or lower [nls] tol"
+        )
+    return result.history[2].ratio
+
+
 def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
-    T = _get(cfg, "time", "t_final", 10.0, float)
+    T = _positive(cfg, "time", "t_final", 10.0)
     dt = _positive(cfg, "time", "dt", 0.1)
     max_iter = _get(cfg, "nls", "max_iter", 8, int)
     tol = _positive(cfg, "nls", "tol", 1e-10)
@@ -430,7 +445,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         # depends on sweeps 1 and 2 alone; the run's trajectory is freed
         # before the split-step run
         half = u0.with_values(0.5 * u0.values)
-        r_half = picard_iterate(half, nl, specs, sel, T, dt, max_iter=2, tol=tol).history[2].ratio
+        r_half = _k2_ratio(picard_iterate(half, nl, specs, sel, T, dt, max_iter=2, tol=tol), "half-data")
         return r_half, splitstep_nls(u0, nl, specs, T, dt / 2, save_stride=2)
 
     # The two chains only read u0 and specs and write arrays of their own,
@@ -442,6 +457,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         worker = pool.submit(half_data_then_splitstep)
         result = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol)
         r_half, traj = worker.result()
+    r_full = _k2_ratio(result, "full-data")
     ratios = [s.ratio for s in result.history if s.ratio is not None]
     contracting = bool(ratios) and all(r < 1 for r in ratios)
     report.add(
@@ -449,7 +465,6 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         result.converged and contracting,
         f"ratios={['%.3e' % r for r in ratios]}",
     )
-    r_full = result.history[2].ratio
     expected = 2.0 ** -(nl.gamma - 1)
     scale_ok = abs(r_half / r_full - expected) <= scaling_tol * expected
     report.add(
@@ -457,7 +472,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         scale_ok,
         f"ratio_half/ratio_full={r_half / r_full:.4f} expected={expected:.4f} rel tol={scaling_tol}",
     )
-    diff = float(slice_lp_norms(result.trajectory.values, u0.grids, 2, minus=traj.values).max())
+    diff = float(slice_lp_norms(result.values, u0.grids, 2, minus=traj.values).max())
     report.add(
         "Picard vs split-step agreement (Linf_t L2)",
         diff <= agree_tol,
@@ -481,7 +496,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
 
 
 def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
-    T = _get(cfg, "time", "t_final", 40.0, float)
+    T = _positive(cfg, "time", "t_final", 40.0)
     dt = _positive(cfg, "time", "dt", 0.1)
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _positive(cfg, "fit", "tail_decrease_factor", 10.0)

@@ -65,12 +65,6 @@ class Grid1D:
         return self.length / self.n_points
 
     @property
-    def r_max(self) -> float:
-        if self.kind != HYPERBOLIC:
-            raise ValueError("r_max only defined for hyperbolic-radial grids")
-        return self.length
-
-    @property
     def nodes(self) -> np.ndarray:
         dx = self.spacing
         if self.kind == EUCLIDEAN:
@@ -219,16 +213,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "values", _read_only(vals))
-
-    def lp_norms(self, r) -> np.ndarray:
-        """lp_norm of the state at each time."""
-        return slice_lp_norms(self.values, self.grids, r)
-
-
-def tensor_product(f: Field, g: Field) -> Field:
-    if f.rank != 1 or g.rank != 1:
-        raise ValueError("tensor_product expects two rank-1 fields")
-    return Field(f.grids + g.grids, np.multiply.outer(f.values, g.values))
 
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:

@@ -8,18 +8,18 @@ spectral multiplier exp(-i t (lambda^2 + rho^2)) with rho = 1 (the bottom
 of the spectrum of minus the Laplace-Beltrami operator on H^3).
 
 Normalization of the transform pair is operational: the inverse is the
-exact inverse of the forward map, and the Plancherel dual weights are
-fixed here and frozen by a golden test.
+exact inverse of the forward map. With the unnormalized type-II sine
+transform the weighted L^2 norm of f equals a weighted l^2 norm of its
+coefficients, with weight 4 pi dr / (2n) on every mode but the top one,
+which carries half of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft as sfft
 
-from .fields import HYPERBOLIC, Field, Grid1D, SpectralFactor, _axis_shape, _read_only, transform_workers
+from .fields import HYPERBOLIC, Grid1D, SpectralFactor, _axis_shape, transform_workers
 
 RHO_H3 = 1.0
 
@@ -29,30 +29,10 @@ def _require_hyperbolic(grid: Grid1D):
         raise ValueError("a hyperbolic-radial grid is required")
 
 
-@dataclass(frozen=True)
-class SphericalProfile:
-    """Complex radial samples f(r_j) on a truncated H^3 radial grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        _require_hyperbolic(self.grid)
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError("values must match the grid")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("profile values must be finite")
-        object.__setattr__(self, "values", _read_only(vals))
-
-    def as_field(self) -> Field:
-        return Field((self.grid,), self.values)
-
-
 def dual_lattice(grid: Grid1D) -> np.ndarray:
     """Dual lattice lambda_k = k pi / r_max, k = 1..n."""
     _require_hyperbolic(grid)
-    return np.pi * np.arange(1, grid.n_points + 1) / grid.r_max
+    return np.pi * np.arange(1, grid.n_points + 1) / grid.length
 
 
 def _complex_dst(transform, values: np.ndarray, axis: int) -> np.ndarray:
@@ -83,28 +63,3 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
         return out
 
     return SpectralFactor(forward, inverse, dual_lattice(grid) ** 2 + RHO_H3**2)
-
-
-def spherical_transform(f: SphericalProfile) -> np.ndarray:
-    """f(r) -> f_hat(lambda) via the sine transform of sinh(r) f(r)."""
-    return h3_factor(f.grid).forward(f.values, 0)
-
-
-def inverse_spherical_transform(grid: Grid1D, coeffs: np.ndarray) -> SphericalProfile:
-    _require_hyperbolic(grid)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (grid.n_points,):
-        raise ValueError("coefficients must match the grid")
-    return SphericalProfile(grid, h3_factor(grid).inverse(coeffs, 0))
-
-
-def dual_weights(grid: Grid1D) -> np.ndarray:
-    """Plancherel weights on the dual lattice: with these, the weighted
-    L^2(4 pi sinh^2 r dr) norm of f equals the weighted l^2 norm of the
-    transform. The top mode carries half the weight of the others
-    (orthogonality of the type-II sine vectors)."""
-    _require_hyperbolic(grid)
-    n = grid.n_points
-    w = np.full(n, 4.0 * np.pi * grid.spacing / (2 * n))
-    w[-1] = 4.0 * np.pi * grid.spacing / (4 * n)
-    return w

@@ -8,13 +8,15 @@ diagnostics of the small-data well-posedness scheme.
 
 Every route applies the linear product flow in the spectral domain
 (propagators.spectral_product), for any mix of factor kinds. The Picard
-iteration works on one stacked Trajectory; the split-step yields its
-saved states one at a time, which splitstep_nls stacks and CauchyTails,
-the scattering diagnostic, consumes as they come.
+iteration overwrites one stack of its time slices in place; the
+split-step yields its saved states one at a time, which splitstep_nls
+stacks into a Trajectory and CauchyTails, the scattering diagnostic,
+consumes as they come.
 
-The equation solved is i u_t + Lap u = F(u), matching the package's
-linear multiplier convention exp(-i t xi^2); the nonlinear substep phase
-is exp(-i F'(|u|) dt).
+The equation solved is i u_t + Lap u = F(u) with the gauge-invariant
+power F(u) = mu |u|^(gamma-1) u, matching the package's linear multiplier
+convention exp(-i t xi^2); the nonlinear substep is the exact phase
+rotation exp(-i mu |u|^(gamma-1) dt).
 """
 
 from __future__ import annotations
@@ -27,30 +29,23 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, values_lp_norm, values_lp_norms
+from .fields import Field, Trajectory, _read_only, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
-
-GAUGE_INVARIANT = "gauge-invariant"
-MODULUS_POWER = "modulus-power"
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Power nonlinearity: gauge-invariant F(u) = mu |u|^(gamma-1) u, or the
-    non-gauge-invariant modulus power F(u) = mu |u|^gamma."""
+    """Gauge-invariant power nonlinearity F(u) = mu |u|^(gamma-1) u."""
 
     gamma: float
-    variant: str = GAUGE_INVARIANT
-    mu: complex = 1.0
+    mu: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
-        if self.variant not in (GAUGE_INVARIANT, MODULUS_POWER):
-            raise ValueError(f"unknown nonlinearity variant {self.variant!r}")
-        if self.variant == GAUGE_INVARIANT and complex(self.mu).imag != 0:
+        if complex(self.mu).imag != 0:
             # the exact phase-rotation substep keeps |u| only for real mu
-            raise ValueError(f"gauge-invariant mu must be real, got {self.mu!r}")
+            raise ValueError(f"mu must be real, got {self.mu!r}")
 
     @property
     def exact_gamma(self) -> Fraction:
@@ -58,49 +53,34 @@ class Nonlinearity:
         closest fraction with denominator at most 10^6."""
         return Fraction(self.gamma).limit_denominator(10**6)
 
-    @property
-    def growth_constant(self) -> float:
-        return abs(self.mu) * max(1.0, self.gamma)
-
 
 def apply_nonlinearity(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
     """F(u) at every point of a values array. The power acts in place on
-    the |u| temporary, which gives mu * |u| ** (gamma - 1) * u
-    (gauge-invariant) and mu * |u| ** gamma (modulus-power) bit for bit."""
+    the |u| temporary, which gives mu * |u| ** (gamma - 1) * u bit for
+    bit."""
     mag = np.abs(values)
-    mag **= nl.gamma - 1 if nl.variant == GAUGE_INVARIANT else nl.gamma
+    mag **= nl.gamma - 1
     mag = nl.mu * mag
-    if nl.variant == GAUGE_INVARIANT:
-        return mag * values
-    return mag * np.ones_like(values)
+    return mag * values
 
 
 def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float, work) -> np.ndarray:
-    """Pointwise flow of i u_t = F(u) over dt.
-
-    Gauge-invariant: exact phase rotation (the modulus is invariant for
-    real mu), built from the cosine and sine of the real angle. It runs in
-    place: `values` is overwritten and returned, and `work`, a float and a
-    complex array of its shape, holds the angle and the phase. Modulus-
-    power: explicit midpoint step, second order, which keeps the overall
-    Strang scheme at its design order; it returns a new array, leaves
-    `values` as it was and does not use `work`."""
-    if nl.variant == GAUGE_INVARIANT:
-        angle, phase = work
-        # the operations and their order of dt * mu * |u| ** (gamma - 1),
-        # cos and -sin, then values * phase: results stay bit for bit
-        np.abs(values, out=angle)
-        angle **= nl.gamma - 1
-        angle *= dt * complex(nl.mu).real
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        np.negative(phase.imag, out=phase.imag)
-        values *= phase
-        return values
-    k1 = -1j * nl.mu * np.abs(values) ** nl.gamma
-    mid = values + 0.5 * dt * k1
-    k2 = -1j * nl.mu * np.abs(mid) ** nl.gamma
-    return values + dt * k2
+    """Pointwise flow of i u_t = F(u) over dt: the exact phase rotation
+    (the modulus is invariant for real mu), built from the cosine and sine
+    of the real angle. It runs in place: `values` is overwritten and
+    returned, and `work`, a float and a complex array of its shape, holds
+    the angle and the phase."""
+    angle, phase = work
+    # the operations and their order of dt * mu * |u| ** (gamma - 1),
+    # cos and -sin, then values * phase: results stay bit for bit
+    np.abs(values, out=angle)
+    angle **= nl.gamma - 1
+    angle *= dt * complex(nl.mu).real
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    np.negative(phase.imag, out=phase.imag)
+    values *= phase
+    return values
 
 
 def _time_steps(T: float, dt: float) -> int:
@@ -127,8 +107,8 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
     (time, values) pairs in time order. The loop never writes to a yielded
     array, nor to u0. The linear step is one forward transform, the phase
     of dt (built once) and one inverse transform, each free to overwrite
-    its input; the gauge-invariant substeps run in place, in two buffers
-    kept for the whole run."""
+    its input; the nonlinear substeps run in place, in two buffers kept
+    for the whole run."""
     saved = saved_steps(T, dt, save_stride)
     n_steps = saved[-1]
     flow = spectral_product(specs, u0.grids)
@@ -147,12 +127,10 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
             j += 1
             if step < n_steps:
                 values = _nonlinear_substep(values, nl, dt / 2, work)
-        elif nl.variant == GAUGE_INVARIANT:
+        else:
             # the exact phase rotations form a group: the closing half step
             # of this step and the opening one of the next are one full step
             values = _nonlinear_substep(values, nl, dt, work)
-        else:
-            values = _nonlinear_substep(_nonlinear_substep(values, nl, dt / 2, work), nl, dt / 2, work)
 
 
 def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
@@ -173,13 +151,13 @@ class PicardState:
     ratio: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PicardResult:
     history: tuple[PicardState, ...]
     converged: bool
     contractive: bool
-    trajectory: Trajectory  # the last iterate
     times: tuple[float, ...]
+    values: np.ndarray  # the last iterate, values[i] at times[i]; read-only
 
 
 def _y_norm(times, l2_norms: np.ndarray, q_norms: np.ndarray, p: float) -> float:
@@ -203,7 +181,8 @@ def picard_iterate(
     flow of `specs` (one spec per axis of f).
 
     Returns the full diagnostic history (Y-norms, successive distances,
-    contraction ratios). Divergence (3 consecutive growing distances) is
+    contraction ratios) and the last iterate, a read-only stack of its
+    time slices. Divergence (3 consecutive growing distances) is
     reported via contractive=False, not raised.
     """
     gamma = nl.exact_gamma
@@ -296,8 +275,8 @@ def picard_iterate(
         history=tuple(history),
         converged=converged,
         contractive=contractive,
-        trajectory=Trajectory(times, grids, v),
         times=tuple(times),
+        values=_read_only(v),
     )
 
 

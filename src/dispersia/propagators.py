@@ -393,27 +393,3 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
         return 0.0
     return float(boundary) / float(total)
 
-
-def spectral_radius(u: Field, axis: int = 0, mass_fraction: float = 0.9999) -> float:
-    """Smallest frequency radius containing the given fraction of the
-    spectral L^2 mass along one (euclidean) axis."""
-    grid = u.grids[axis]
-    if grid.kind != EUCLIDEAN:
-        raise ValueError("spectral radius is defined for euclidean axes")
-    spec = sfft.fft(u.values, axis=axis, workers=transform_workers(u.values))
-    power = np.abs(spec) ** 2
-    other = tuple(i for i in range(u.rank) if i != axis)
-    if other:
-        power = power.sum(axis=other)
-    xi = np.abs(torus_frequencies(grid))
-    order = np.argsort(xi, kind="stable")
-    cum = np.cumsum(power[order])
-    target = mass_fraction * cum[-1]
-    i = int(np.searchsorted(cum, target))
-    return float(xi[order[min(i, len(xi) - 1)]])
-
-
-def required_torus_length(u: Field, t_max: float, axis: int = 0) -> float:
-    """Minimum torus length keeping the run free of wrap-around up to
-    t_max: spectral mass travels at group speed <= 2 xi_eff."""
-    return 4.0 * spectral_radius(u, axis=axis) * t_max

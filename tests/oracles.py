@@ -1,8 +1,13 @@
-"""Independent brute-force oracles shared by the unit and acceptance
-tests. Written directly from the defining inequalities, no shared code
-with the library classifiers."""
+"""Independent oracles shared by the unit and acceptance tests, written
+directly from their definitions with no shared code with the library:
+the exponent classifiers, the dense product state of two fields, and the
+Plancherel weights of the H^3 sine transform."""
 
 from fractions import Fraction
+
+import numpy as np
+
+from dispersia.fields import Field
 
 HALF = Fraction(1, 2)
 
@@ -30,3 +35,19 @@ def triangle_oracle(inv_p: Fraction, inv_q: Fraction, m: int, n: int) -> bool:
         return True
     inside_square = 0 < inv_p <= HALF and 0 < inv_q <= HALF
     return inside_square and 2 * inv_p + (m + n) * inv_q >= Fraction(m + n, 2)
+
+
+def product_field(f: Field, g: Field) -> Field:
+    """The dense product state f (x) g of two fields on the product of their grids."""
+    return Field(f.grids + g.grids, np.multiply.outer(f.values, g.values))
+
+
+def h3_plancherel_weights(grid) -> np.ndarray:
+    """Weights on the dual lattice of an H^3 radial grid under which the
+    weighted l^2 norm of the unnormalized type-II sine transform equals the
+    L^2(4 pi sinh^2 r dr) norm of f: 4 pi dr / (2n) on every mode and half
+    of that on the top one (orthogonality of the type-II sine vectors)."""
+    n = grid.n_points
+    w = np.full(n, 4.0 * np.pi * grid.spacing / (2 * n))
+    w[-1] = 4.0 * np.pi * grid.spacing / (4 * n)
+    return w

@@ -39,11 +39,12 @@ def run_experiment(tmp_path, monkeypatch):
 
 class TestAcceptance:
     def test_criterion_01_factorization_identity(self):
-        from dispersia.fields import gaussian_field, lp_norm, make_grid, tensor_product
+        from dispersia.fields import gaussian_field, lp_norm, make_grid
         from dispersia.propagators import PropagatorSpec, product_propagate, torus_frequencies
+        from oracles import product_field
 
         grid = make_grid(512, 200.0)
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 2.0))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 2.0))
         start = time.monotonic()
         swept = product_propagate([PropagatorSpec("free", grid)] * 2, u, 3.0)
         xi = torus_frequencies(grid)
@@ -108,33 +109,29 @@ class TestAcceptance:
             details.append(rep.lines[-1].split(": ", 1)[1])
         report("criterion 6 hyperbolic large-time decay", ok, "; ".join(details))
 
-    def test_criterion_07_spherical_transform(self):
+    def test_criterion_07_h3_sine_transform(self):
         from dispersia.fields import HYPERBOLIC, make_grid
-        from dispersia.hyperbolic import (
-            SphericalProfile,
-            dual_weights,
-            inverse_spherical_transform,
-            spherical_transform,
-        )
+        from dispersia.hyperbolic import h3_factor
+        from oracles import h3_plancherel_weights
 
         grid = make_grid(512, 40.0, HYPERBOLIC)
+        factor = h3_factor(grid)
         rng = np.random.default_rng(7)
         vals = (rng.standard_normal(512) + 1j * rng.standard_normal(512)) * np.exp(-grid.nodes / 4)
-        f = SphericalProfile(grid, vals)
         w = grid.weights
 
         def wl2(v):
             return math.sqrt(float(np.sum(w * np.abs(v) ** 2)))
 
-        coeffs = spherical_transform(f)
-        back = inverse_spherical_transform(grid, coeffs)
-        round_trip = wl2(back.values - f.values) / wl2(f.values)
+        coeffs = factor.forward(vals, 0)
+        back = factor.inverse(coeffs, 0)
+        round_trip = wl2(back - vals) / wl2(vals)
         plancherel = abs(
-            math.sqrt(float(np.sum(dual_weights(grid) * np.abs(coeffs) ** 2))) - wl2(f.values)
-        ) / wl2(f.values)
+            math.sqrt(float(np.sum(h3_plancherel_weights(grid) * np.abs(coeffs) ** 2))) - wl2(vals)
+        ) / wl2(vals)
         r = grid.nodes
         bump = np.exp(-(((r - 0.3) / 0.05) ** 2))
-        hyperbolic = spherical_transform(SphericalProfile(grid, bump))
+        hyperbolic = factor.forward(bump, 0)
         euclidean = sfft.dst(r * bump, type=2)
         limit = float(np.linalg.norm(hyperbolic - euclidean) / np.linalg.norm(euclidean))
         report(

@@ -228,6 +228,24 @@ class TestExitCodes:
         assert main(["run", path]) == EXIT_INVALID_ARGUMENT
         assert "denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("interpolated-decay", "q", "abc"),
+            ("interpolated-decay", "q", "nan"),
+            ("interpolated-decay", "q", "1/0"),
+            ("admissible-region", "indices", "x"),
+            ("admissible-region", "indices", "1/2,1/0"),
+        ],
+    )
+    def test_malformed_exponent_key_refused(self, tmp_path, capsys, output_root, name, key, value):
+        # an exponent key that is not an exact rational is a config error
+        # that names the key, not an invalid argument from the library
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[exponents]\n{key} = {value}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert f"[exponents] {key}" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
         # sinh(r)^2 overflows float64 near r = 355
         path = write_config(tmp_path, "[experiment]\nname = hyperbolic-decay\n[grid]\nr_max = 800\n")
@@ -347,6 +365,31 @@ class TestNLSRunners:
         for (mode, name, artifact), data in outputs.items():
             assert data == outputs["inline", name, artifact]
 
+    @pytest.mark.parametrize("t_final", ["0", "-1"])
+    @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])
+    def test_nonpositive_t_final_refused(self, tmp_path, capsys, output_root, name, t_final):
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[time]\nt_final = {t_final}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[time] t_final" in capsys.readouterr().err
+        assert not output_root.exists()
+
+    def test_zero_amplitude_refused(self, tmp_path, capsys, output_root):
+        # both Picard runs converge at sweep 1 on a zero datum, so neither
+        # has the k = 2 ratio that the scaling check compares
+        path = write_config(tmp_path, SMALL_NLS + "[data]\namplitude = 0\n")
+        assert run_in_thread(path) == [EXIT_CONFIG]
+        err = capsys.readouterr().err
+        assert "[data] amplitude" in err and "[nls] tol" in err
+        assert not (output_root / "nls-smalldata" / "picard.json").exists()
+
+    def test_tolerance_met_at_sweep_1_refused(self, tmp_path, capsys, output_root):
+        # a tolerance the first sweep already meets stops both runs before
+        # the k = 2 ratio too
+        path = write_config(tmp_path, SMALL_NLS + "[nls]\ntol = 1\n")
+        assert run_in_thread(path) == [EXIT_CONFIG]
+        assert "[nls] tol" in capsys.readouterr().err
+        assert not (output_root / "nls-smalldata" / "picard.json").exists()
+
     @pytest.mark.parametrize(
         "time_section,key",
         [("t_final = 40\ndt = 0.1\nsave_stride = 100\n", "save_stride"), ("t_final = 10\ndt = 0.1\n", "t_final")],
@@ -430,6 +473,14 @@ class TestRunArtifacts:
         assert (out_dir / "lattice.csv").exists()
         summary = (out_dir / "summary.txt").read_text()
         assert "[PASS]" in summary
+
+    def test_lattice_columns_follow_indices(self, tmp_path, capsys, output_root):
+        # the indices key is a comma list of exact rationals, spaces and an
+        # empty entry allowed; each index gets its own admissibility column
+        path = write_config(tmp_path, "[experiment]\nname = admissible-region\n[exponents]\nindices = 1/2, 3,\n")
+        assert main(["run", path]) == EXIT_OK
+        header = (output_root / "admissible-region" / "lattice.csv").read_text().splitlines()[1]
+        assert header == "inv_p,inv_q,in_triangle,admissible_ab_1/2,admissible_ab_3"
 
     def test_fingerprint_embedded(self, tmp_path, capsys, output_root):
         out_dir = self.run_admissible(tmp_path, output_root)

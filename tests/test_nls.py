@@ -19,7 +19,6 @@ from dispersia.fields import (
     lp_norm,
     make_grid,
     slice_lp_norms,
-    tensor_product,
     values_lp_norms,
 )
 from dispersia.nls import (
@@ -32,12 +31,13 @@ from dispersia.nls import (
     splitstep_states,
 )
 from dispersia.propagators import PotentialSpec, PropagatorSpec, product_propagate, spectral_product
+from oracles import product_field
 
 
 def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
     grid = make_grid(n, length)
     specs = [PropagatorSpec("free", grid)] * 2
-    u0 = tensor_product(gaussian_field(grid, width), gaussian_field(grid, width))
+    u0 = product_field(gaussian_field(grid, width), gaussian_field(grid, width))
     u0 = u0.with_values(amplitude * u0.values)
     return u0, specs
 
@@ -46,7 +46,7 @@ def free_h3_setup(amplitude=0.05):
     """A small free x H^3 product: a torus Gaussian times a radial shell."""
     torus = make_grid(64, 32.0)
     radial = make_grid(48, 12.0, HYPERBOLIC)
-    u0 = tensor_product(gaussian_field(torus, 2.0), gaussian_field(radial, 1.0, center=3.0))
+    u0 = product_field(gaussian_field(torus, 2.0), gaussian_field(radial, 1.0, center=3.0))
     specs = [PropagatorSpec("free", torus), PropagatorSpec("hyperbolic-radial", radial)]
     return u0.with_values(amplitude * u0.values), specs
 
@@ -56,7 +56,7 @@ def free_potential_setup(amplitude=0.05):
     a sech-squared bump on the second."""
     grid = make_grid(64, 32.0)
     pot = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=12.0)
-    u0 = tensor_product(gaussian_field(grid, 2.0), gaussian_field(grid, 2.0))
+    u0 = product_field(gaussian_field(grid, 2.0), gaussian_field(grid, 2.0))
     specs = [PropagatorSpec("free", grid), PropagatorSpec("free-plus-potential", grid, pot)]
     return u0.with_values(amplitude * u0.values), specs
 
@@ -89,13 +89,6 @@ class TestApplyNonlinearity:
         out = apply_nonlinearity(u.values, Nonlinearity(gamma=3.0, mu=1.0))
         assert out[0] == pytest.approx(8j, abs=1e-14)
 
-    def test_modulus_power_variant(self):
-        grid = make_grid(8, 2.0)
-        vals = np.full(8, -3.0 + 4.0j)
-        u = Field((grid,), vals)
-        out = apply_nonlinearity(u.values, Nonlinearity(gamma=2.0, variant="modulus-power", mu=1.0))
-        assert np.allclose(out, 25.0)
-
     @given(seed=st.integers(0, 500), gamma=st.floats(1.5, 4.0))
     @settings(max_examples=40, deadline=None)
     def test_difference_bound(self, seed, gamma):
@@ -107,7 +100,8 @@ class TestApplyNonlinearity:
         fu = apply_nonlinearity(u.values, nl)
         fv = apply_nonlinearity(v.values, nl)
         lhs = np.max(np.abs(fu - fv))
-        c = nl.growth_constant
+        # |F(u) - F(v)| <= C (|u| + |v|)^(gamma-1) |u - v| with C = |mu| max(1, gamma)
+        c = abs(nl.mu) * max(1.0, gamma)
         rhs = (
             c
             * (lp_norm(u, math.inf) + lp_norm(v, math.inf)) ** (gamma - 1)
@@ -125,25 +119,16 @@ class TestApplyNonlinearity:
         gauge = apply_nonlinearity(values, Nonlinearity(gamma=gamma, mu=mu))
         expected = mu * np.abs(values) ** (gamma - 1) * values
         assert np.array_equal(gauge.view(np.uint64), expected.view(np.uint64))
-        for m in (mu, 0.4 - 1.5j):
-            modulus = apply_nonlinearity(values, Nonlinearity(gamma=gamma, variant="modulus-power", mu=m))
-            expected = m * np.abs(values) ** gamma * np.ones_like(values)
-            assert np.array_equal(modulus.view(np.uint64), expected.view(np.uint64))
 
     def test_gamma_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             Nonlinearity(gamma=1.0)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            Nonlinearity(gamma=2.0, variant="cubic-ish")
 
     def test_complex_mu_rejected_for_gauge_invariant(self):
         # the gauge substep is a pure phase only for real mu
         with pytest.raises(ValueError, match="real"):
             Nonlinearity(gamma=3.0, mu=1 + 0.5j)
         assert Nonlinearity(gamma=3.0, mu=1 + 0j).mu == 1
-        assert Nonlinearity(gamma=3.0, variant="modulus-power", mu=1 + 0.5j).mu == 1 + 0.5j
 
 
 class TestSplitstepNLS:
@@ -171,10 +156,10 @@ class TestSplitstepNLS:
         for values in traj.values:
             assert lp_norm(u0.with_values(values), 2) == pytest.approx(base, rel=1e-10)
 
-    def error_ratio(self, variant):
+    def error_ratio(self):
         """Self-convergence error ratio at dt = 1/8 and 1/16 against dt = 1/256."""
         u0, specs = small_data_setup(amplitude=0.3)
-        nl = Nonlinearity(gamma=3.0, variant=variant, mu=1.0)
+        nl = Nonlinearity(gamma=3.0, mu=1.0)
         ref = splitstep_nls(u0, nl, specs, T=1.0, dt=1.0 / 256).values[-1]
 
         def error(dt):
@@ -183,12 +168,7 @@ class TestSplitstepNLS:
         return error(1.0 / 8) / error(1.0 / 16)
 
     def test_second_order_self_convergence(self):
-        assert self.error_ratio("gauge-invariant") == pytest.approx(4.0, rel=0.25)
-
-    def test_modulus_power_second_order(self):
-        # Strang splitting stays second order with the midpoint substep of
-        # the modulus-power variant (Lubich, Math. Comp. 2008)
-        assert self.error_ratio("modulus-power") == pytest.approx(4.0, rel=0.25)
+        assert self.error_ratio() == pytest.approx(4.0, rel=0.25)
 
     def test_t_not_multiple_of_dt_rejected(self):
         u0, specs = small_data_setup()
@@ -234,28 +214,22 @@ class TestSplitstepBuffers:
             assert got is buffered
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("variant", ["gauge-invariant", "modulus-power"])
-    def test_saved_slices_match_stride_one(self, variant):
+    def test_saved_slices_match_stride_one(self):
         u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
-        nl = Nonlinearity(gamma=3.0, variant=variant)
+        nl = Nonlinearity(gamma=3.0)
         every = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1)
         strided = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
         rows = [0, 3, 6, 9, 12, 15, 18, 20]
         assert np.array_equal(strided.times, every.times[rows])
         expected = every.values[rows]
-        if variant == "modulus-power":
-            # the same substeps in the same order: equal bit for bit
-            assert np.array_equal(strided.values, expected)
-        else:
-            # between saved steps the strided run fuses the two half-step
-            # rotations into one full step, which agrees to round-off only;
-            # a saved state overwritten by a later step would differ by O(dt)
-            assert np.max(np.abs(strided.values - expected)) <= 1e-14 * np.max(np.abs(expected)) * len(every.times)
+        # between saved steps the strided run fuses the two half-step
+        # rotations into one full step, which agrees to round-off only; a
+        # saved state overwritten by a later step would differ by O(dt)
+        assert np.max(np.abs(strided.values - expected)) <= 1e-14 * np.max(np.abs(expected)) * len(every.times)
 
-    @pytest.mark.parametrize("variant", ["gauge-invariant", "modulus-power"])
-    def test_yielded_states_are_their_own_arrays(self, variant):
+    def test_yielded_states_are_their_own_arrays(self):
         u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
-        nl = Nonlinearity(gamma=3.0, variant=variant)
+        nl = Nonlinearity(gamma=3.0)
         states = list(splitstep_states(u0, nl, specs, T=2.0, dt=0.1, save_stride=3))
         traj = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
         assert [t for t, _ in states] == list(traj.times)
@@ -264,13 +238,12 @@ class TestSplitstepBuffers:
             for _, b in states[j + 1:]:
                 assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("variant", ["gauge-invariant", "modulus-power"])
     @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
-    def test_caller_datum_unchanged(self, variant, setup):
+    def test_caller_datum_unchanged(self, setup):
         u0, specs = setup()
         caller = np.array(u0.values)
         before = caller.copy()
-        splitstep_nls(Field(u0.grids, caller), Nonlinearity(gamma=3.0, variant=variant), specs, T=1.0, dt=0.1)
+        splitstep_nls(Field(u0.grids, caller), Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1)
         assert np.array_equal(caller, before)
 
 
@@ -284,7 +257,14 @@ class TestPicardIterate:
         result = picard_iterate(zero, Nonlinearity(gamma=3.0), specs, self.exponents(), 2.0, 0.2)
         assert result.converged
         assert result.history[-1].k == 1
-        assert np.allclose(result.trajectory.values, 0)
+        assert np.allclose(result.values, 0)
+
+    def test_last_iterate_is_read_only(self):
+        u0, specs = small_data_setup(n=64, length=32.0)
+        result = picard_iterate(u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, 0.1, max_iter=2)
+        assert result.values.shape == (len(result.times),) + u0.values.shape
+        with pytest.raises(ValueError):
+            result.values[0] = 0.0
 
     def test_contraction_ratios_below_one(self):
         u0, specs = small_data_setup()
@@ -310,7 +290,7 @@ class TestPicardIterate:
         nl = Nonlinearity(gamma=3.0)
         result = picard_iterate(u0, nl, specs, self.exponents(), 5.0, 0.1, max_iter=8, tol=1e-10)
         traj = splitstep_nls(u0, nl, specs, T=5.0, dt=0.05, save_stride=2)
-        diff = max(l2_difference(u0, up, us) for up, us in zip(result.trajectory.values, traj.values))
+        diff = max(l2_difference(u0, up, us) for up, us in zip(result.values, traj.values))
         assert diff <= 1e-4
 
     def test_linear_response_in_mu(self):
@@ -444,7 +424,7 @@ class TestScatteringDiagnostic:
         # calibrate the aggregated constant on the first window, then check
         # the power law on later windows
         t1s = [t for t, _ in tails[:-2]]
-        q_norms = traj.lp_norms(q)
+        q_norms = slice_lp_norms(traj.values, traj.grids, q)
         bounds = []
         for t1 in t1s:
             keep = traj.times >= t1
@@ -479,7 +459,7 @@ class TestSpectralRoutes:
                 for j in range(1, i + 1)
             )
             expected = flow(u0.values, t) - 1j * integral
-            assert np.max(np.abs(result.trajectory.values[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert np.max(np.abs(result.values[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def per_slice_phase_picard(f, nl, specs, exponents, T, dt, sweeps):
@@ -550,4 +530,4 @@ class TestPicardLatticeRecursion:
                 # drift is larger, its drift against the Y-norm is not
                 assert abs(state.distance - d) <= 1e-13 * y
         scale = np.max(np.abs(v_ref))
-        assert np.max(np.abs(result.trajectory.values - v_ref)) <= 1e-13 * scale
+        assert np.max(np.abs(result.values - v_ref)) <= 1e-13 * scale

@@ -24,22 +24,20 @@ from dispersia.fields import (
     gaussian_field,
     lp_norm,
     make_grid,
-    tensor_product,
     transform_workers,
 )
-from dispersia.hyperbolic import _complex_dst, h3_factor, inverse_spherical_transform
+from dispersia.hyperbolic import _complex_dst, h3_factor
 from dispersia.propagators import (
     PotentialSpec,
     PropagatorSpec,
     boundary_mass_fraction,
     peak_centers,
     product_propagate,
-    required_torus_length,
-    spectral_radius,
     torus_frequencies,
     two_particle_propagate,
     two_particle_rotate,
 )
+from oracles import product_field
 
 
 def free_gaussian_closed_form(x, t, center):
@@ -203,7 +201,7 @@ class TestProductPropagate:
 
         grid = make_grid(512, 200.0)
         specs = [PropagatorSpec("free", grid), PropagatorSpec("free", grid)]
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 2.0))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 2.0))
         start = time.monotonic()
         swept = product_propagate(specs, u, 3.0)
         direct = self.direct_2d_oracle(u, 3.0)
@@ -236,13 +234,13 @@ class TestProductPropagate:
     def test_t0_identity(self):
         grid = make_grid(64, 30.0)
         specs = [PropagatorSpec("free", grid)] * 2
-        u = tensor_product(random_field(grid, 1), random_field(grid, 2))
+        u = product_field(random_field(grid, 1), random_field(grid, 2))
         out = product_propagate(specs, u, 0.0)
         assert np.allclose(out.values, u.values, atol=1e-14)
 
     def test_spec_count_mismatch_rejected(self):
         grid = make_grid(64, 30.0)
-        u = tensor_product(random_field(grid), random_field(grid))
+        u = product_field(random_field(grid), random_field(grid))
         with pytest.raises(ValueError):
             product_propagate([PropagatorSpec("free", grid)], u, 1.0)
 
@@ -421,7 +419,7 @@ class TestTwoParticleRotate:
 class TestTwoParticlePropagate:
     def test_zero_potential_matches_2d_free_oracle(self):
         grid = make_grid(81, 40.0)
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.5))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.5))
         out = two_particle_propagate(grid, np.zeros(81), u, 1.0, 32)
         xi = torus_frequencies(grid)
         mult = np.exp(-1j * 1.0 * (xi[:, None] ** 2 + xi[None, :] ** 2))
@@ -435,7 +433,7 @@ class TestTwoParticlePropagate:
         grid = make_grid(81, 40.0)
         pot = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=0.0)
         v = pot.sample(grid)
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
         rotated = two_particle_propagate(grid, v, u, 1.0, 64)
         reference = original_coordinates_reference(grid, v, u, 1.0, 64)
         diff = lp_norm(rotated.with_values(rotated.values - reference.values), 2)
@@ -458,7 +456,7 @@ class TestTwoParticlePropagate:
     def sech_case(self, n=81, length=40.0):
         grid = make_grid(n, length)
         v = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=0.0).sample(grid)
-        u = tensor_product(gaussian_field(grid, 1.0, center=-3.0), gaussian_field(grid, 1.5, center=4.0))
+        u = product_field(gaussian_field(grid, 1.0, center=-3.0), gaussian_field(grid, 1.5, center=4.0))
         return grid, v, u
 
     def test_matches_2d_strang_oracle(self):
@@ -501,14 +499,14 @@ class TestTwoParticlePropagate:
 
     def test_t0_identity(self):
         grid = make_grid(9, 5.0)
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
         out = two_particle_propagate(grid, np.zeros(9), u, 0.0, 1)
         assert np.allclose(out.values, u.values, atol=1e-14)
 
     def test_l2_preserved(self):
         grid = make_grid(27, 15.0)
         pot = PotentialSpec("gaussian-bump", amplitude=1.0, width=1.0, center=0.0)
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
         out = two_particle_propagate(grid, pot.sample(grid), u, 2.0, 32)
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), rel=1e-10)
 
@@ -516,7 +514,7 @@ class TestTwoParticlePropagate:
 class TestWrapMonitor:
     def test_peak_centers_on_shifted_gaussian(self):
         grid = make_grid(128, 40.0)
-        u = tensor_product(gaussian_field(grid, 1.0, center=12.0), gaussian_field(grid, 1.0, center=30.0))
+        u = product_field(gaussian_field(grid, 1.0, center=12.0), gaussian_field(grid, 1.0, center=30.0))
         cx, cy = peak_centers(u)
         assert cx == pytest.approx(12.0, abs=grid.spacing)
         assert cy == pytest.approx(30.0, abs=grid.spacing)
@@ -537,7 +535,7 @@ class TestWrapMonitor:
         from dispersia.fields import HYPERBOLIC
 
         grid = make_grid(256, 280.0, HYPERBOLIC)
-        u = tensor_product(gaussian_field(grid, 1.0, center=2.0), gaussian_field(grid, 1.0, center=2.0))
+        u = product_field(gaussian_field(grid, 1.0, center=2.0), gaussian_field(grid, 1.0, center=2.0))
         frac = boundary_mass_fraction(u, peak_centers(u))
         assert math.isfinite(frac)
         assert frac < 1e-10
@@ -568,33 +566,20 @@ class TestWrapMonitor:
         # = 18): a total - interior form would return 0 here
         grid = make_grid(128, 40.0)
         g = gaussian_field(grid, math.sqrt(4.05 / 2))
-        u = tensor_product(g, g)
+        u = product_field(g, g)
         frac = boundary_mass_fraction(u, peak_centers(u))
         assert 0 < frac < 1e-30
         assert frac == pytest.approx(self.direct_fraction(u, peak_centers(u)), rel=1e-14)
 
     def test_dense_h3_near_radius_bound_no_overflow(self):
         torus, radial = make_grid(64, 30.0), make_grid(512, 354.0, HYPERBOLIC)
-        u = tensor_product(gaussian_field(torus, 1.0), gaussian_field(radial, 1.0, center=2.0))
+        u = product_field(gaussian_field(torus, 1.0), gaussian_field(radial, 1.0, center=2.0))
         centers = peak_centers(u)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
             frac = boundary_mass_fraction(u, centers)
         assert math.isfinite(frac)
         assert frac == pytest.approx(self.direct_fraction(u, centers), rel=1e-14)
-
-    def test_spectral_radius_of_plane_wave(self):
-        grid = make_grid(128, 32.0)
-        k = 5
-        vals = np.exp(2j * np.pi * k * np.arange(128) / 128)
-        u = Field((grid,), vals)
-        xi_k = abs(torus_frequencies(grid)[k])
-        assert spectral_radius(u) == pytest.approx(xi_k, rel=1e-12)
-
-    def test_required_length_scales_linearly_in_time(self):
-        grid = make_grid(256, 64.0)
-        u = gaussian_field(grid, 1.0)
-        assert required_torus_length(u, 10.0) == pytest.approx(2 * required_torus_length(u, 5.0))
 
 
 class TestTransformThreads:
@@ -634,7 +619,7 @@ class TestTransformThreads:
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         kept = coeffs.copy()
-        inverse_spherical_transform(grid, coeffs)
+        h3_factor(grid).inverse(coeffs, 0)
         assert np.array_equal(coeffs, kept)
         stack = np.multiply.outer(coeffs, coeffs)
         kept = stack.copy()
@@ -667,7 +652,7 @@ class TestDispersiveRatioSeries:
     def test_product_ratio_quarter_rule(self):
         grid = make_grid(512, 300.0)
         specs = [PropagatorSpec("free", grid)] * 2
-        u = tensor_product(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
         early, late = self.ratios(specs, u, [4.0, 16.0], math.inf, 1)
         assert early / late == pytest.approx(4.0, rel=0.10)
 
