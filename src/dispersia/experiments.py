@@ -67,6 +67,7 @@ class ExperimentConfig:
     settings: dict  # section -> {key: value str}
     fingerprint: str
     output_dir: str
+    read: set  # the (section, key) pairs asked for so far
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -91,10 +92,12 @@ def parse_config(path: str) -> ExperimentConfig:
         settings=settings,
         fingerprint=fingerprint,
         output_dir=os.path.join(root, out_dir),
+        read={("experiment", "name"), ("output", "dir")},
     )
 
 
 def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
+    cfg.read.add((section, key))
     raw = cfg.settings.get(section, {}).get(key)
     if raw is None:
         if default is None:
@@ -102,7 +105,7 @@ def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
         return default
     try:
         return cast(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides by zero
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
@@ -114,11 +117,13 @@ def _positive(cfg: ExperimentConfig, section: str, key: str, default: float) -> 
     return value
 
 
-def _refuse(cfg: ExperimentConfig, section: str, keys, reason: str):
-    """Refuse keys that are not settings, rather than ignore them."""
-    for key in keys:
-        if key in cfg.settings.get(section, {}):
-            raise ConfigError(f"[{section}] {key} is not a setting: {reason}")
+def _check_all_read(cfg: ExperimentConfig):
+    """Refuse every key that the runner has not read, rather than ignore
+    it. A runner calls this once it has read its settings, before any
+    solve, worker thread or artifact."""
+    unread = [f"[{s}] {k}" for s, keys in cfg.settings.items() for k in keys if (s, k) not in cfg.read]
+    if unread:
+        raise ConfigError(f"not a setting of {cfg.name}: {', '.join(unread)}")
 
 
 def _fmt(x: float) -> str:
@@ -152,16 +157,24 @@ def _write_json(path: str, obj: dict, fingerprint: str):
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _fraction(s: str) -> Fraction:
+    """An exact rational; a zero denominator is a ValueError, as `x` is."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from exc
+
+
 def _exponent_from_str(s: str):
     s = s.strip().lower()
     if s in ("inf", "infinity", "oo"):
         return INF
-    return Fraction(s)
+    return _fraction(s)
 
 
 def _fractions_from_str(s: str) -> list[Fraction]:
     """A comma-separated list of exact rationals; empty entries are skipped."""
-    return [Fraction(x) for x in s.split(",") if x.strip()]
+    return [_fraction(x) for x in s.split(",") if x.strip()]
 
 
 @dataclass
@@ -253,7 +266,6 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     """Every product decay preset: k copies of one factor flow, a separable
     datum evolved factor by factor, the L^q' -> L^q ratio series, and
     predicted slope -(sum of the factor rates)(1 - 2/q)."""
-    _refuse(cfg, "time", ["split_steps_per_unit_time"], "every factor flow is exact, with no time step")
     kind, k, k_settable, q, label = _DECAY_PRESETS[cfg.name]
     if k_settable:
         k = _get(cfg, "grid", "factors", k, int)
@@ -267,11 +279,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     window, times = _decay_window(cfg, t_min, t_max, n_times)
     tol = _positive(cfg, "fit", "tolerance", tol)
     q = INF if q is None else _get(cfg, "exponents", "q", q, _exponent_from_str)
-    grid = make_grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
-    if hyperbolic:
-        profile = _radial_bump(grid, _get(cfg, "data", "center", 1.5, float), width)
-    else:
-        profile = gaussian_field(grid, width).values
+    center = _get(cfg, "data", "center", 1.5, float) if hyperbolic else None
     pot = None
     if kind == "free-plus-potential":
         pot = PotentialSpec(
@@ -280,6 +288,9 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
             width=_get(cfg, "potential", "width", 1.0, float),
             center=length / 2,
         )
+    _check_all_read(cfg)
+    grid = make_grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
+    profile = _radial_bump(grid, center, width) if hyperbolic else gaussian_field(grid, width).values
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
     rates = [_FACTOR_RATES[s.kind] for s in specs]
@@ -308,6 +319,7 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         raise ConfigError(f"[time] equivalence_steps must be >= 1 (got {steps_eq})")
     if spp < 1:
         raise ConfigError(f"[time] split_steps_per_unit_time must be >= 1 (got {spp})")
+    _check_all_read(cfg)
     grid = make_grid(n, length)
     pot = PotentialSpec("sech-squared", amplitude=amplitude, width=v_width, center=0.0)
     v = pot.sample(grid)
@@ -383,6 +395,7 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
     n = _get(cfg, "exponents", "n", 2, int)
     denominator = _get(cfg, "exponents", "denominator", 12, int)
     indices = _get(cfg, "exponents", "indices", _fractions_from_str("1/2,1,3/2,2,3"), _fractions_from_str)
+    _check_all_read(cfg)
     rows = classify_lattice(m, n, denominator, indices)
     header = list(rows[0].keys())
     lines = [f"# fingerprint={cfg.fingerprint} version={__version__}", ",".join(header)]
@@ -399,10 +412,8 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
 
 
 def _nls_setup(cfg: ExperimentConfig):
-    _refuse(
-        cfg, "nls", ["m_eff", "n_eff"],
-        "the exponent dimensions come from the factors the run builds, two 1-D tori (m = n = 1)",
-    )
+    """Datum, factors and exponents of the NLS runs; the exponent dimensions
+    come from the two 1-D torus factors built here, not from settings."""
     n = _get(cfg, "grid", "n_points", 256, int)
     length = _get(cfg, "grid", "length", 64.0, float)
     width = _positive(cfg, "data", "width", 2.0)
@@ -439,6 +450,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     if max_iter < 2:
         raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
     u0, specs, nl, sel = _nls_setup(cfg)
+    _check_all_read(cfg)
 
     def half_data_then_splitstep():
         # the k = 2 ratio is the only thing read of the half-data run, and it
@@ -501,6 +513,7 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _positive(cfg, "fit", "tail_decrease_factor", 10.0)
     u0, specs, nl, _ = _nls_setup(cfg)
+    _check_all_read(cfg)
     t1, t2 = 1.0, 20.0
     saved = [s * dt for s in saved_steps(T, dt, stride)]
 

@@ -2,8 +2,9 @@
 
 Everything here is computed with Fractions; floats never enter the
 admissibility logic, so boundary cases (the endpoint pair, the strict
-inequalities of the low-index regime) classify exactly. Infinity is a
-dedicated sentinel, encoded internally as inverse exponent 0.
+inequalities of the low-index regime) classify exactly. Infinity is
+math.inf (exported as INF), which enters the exact arithmetic only as the
+inverse exponent 0.
 """
 
 from __future__ import annotations
@@ -13,25 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-
-class _Infinity:
-    """Singleton marker for the exponent infinity."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-    def __float__(self):
-        return math.inf
-
-
-INF = _Infinity()
+INF = math.inf
 
 
 class HypothesisViolation(ValueError):
@@ -40,7 +23,7 @@ class HypothesisViolation(ValueError):
 
 def inverse_exponent(q) -> Fraction:
     """Map an exponent in [1, INF] to its exact inverse, with INF -> 0."""
-    if q is INF or (isinstance(q, float) and math.isinf(q)):
+    if q == INF:
         return Fraction(0)
     q = Fraction(q)
     if q < 1:
@@ -48,13 +31,9 @@ def inverse_exponent(q) -> Fraction:
     return 1 / q
 
 
-def exponent_from_inverse(inv: Fraction):
-    return INF if inv == 0 else 1 / Fraction(inv)
-
-
 def dual_exponent(q):
     """The conjugate exponent: 1/q + 1/q' = 1, with dual(INF) = 1."""
-    if q is INF or (isinstance(q, float) and math.isinf(q)):
+    if q == INF:
         return Fraction(1)
     q = Fraction(q)
     if not 1 <= q:
@@ -78,18 +57,6 @@ class ExponentPair:
             raise ValueError("inverse exponents must lie in [0, 1/2]")
         object.__setattr__(self, "inv_p", inv_p)
         object.__setattr__(self, "inv_q", inv_q)
-
-    @classmethod
-    def from_exponents(cls, p, q) -> "ExponentPair":
-        return cls(inverse_exponent(p), inverse_exponent(q))
-
-    @property
-    def p(self):
-        return exponent_from_inverse(self.inv_p)
-
-    @property
-    def q(self):
-        return exponent_from_inverse(self.inv_q)
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,6 @@ class SpectralFactor:
         # the linear artifacts stay byte-identical only in this evaluation order
         return np.exp(-1j * t * self.lam)
 
-    def propagate(self, values: np.ndarray, t: float, axis: int) -> np.ndarray:
-        coeffs = self.forward(values, axis)
-        coeffs *= _axis_shape(values, axis, self.phase(t))
-        return self.inverse(coeffs, axis)
-
 
 def _read_only(vals: np.ndarray) -> np.ndarray:
     """A read-only view of vals: no copy, and no write through the view."""
@@ -250,7 +245,7 @@ def _weighted_axis_norm(
 
 
 def _lp_exponent(r) -> float:
-    """Coerce a norm exponent (number, Fraction, or the INF sentinel) to a
+    """Coerce a norm exponent (number or Fraction, math.inf included) to a
     float >= 1; NaN is refused too."""
     rv = float(r)
     if not rv >= 1:

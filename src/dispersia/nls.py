@@ -299,7 +299,7 @@ class CauchyTails:
         # validated as a Field: states streamed from splitstep_states pass
         # through no Trajectory, which would refuse a non-finite value
         state = Field(self.grids, values)
-        z = self._flow.inverse(self._flow.phase(-t) * self._flow.forward(state.values))
+        z = self._flow.propagate(state.values, -t)
         for i, earlier in enumerate(self.profiles):
             self._tails[i] = max(self._tails[i], values_lp_norm(z - earlier, self.grids, 2))
         self.times.append(float(t))

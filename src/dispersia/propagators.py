@@ -161,33 +161,16 @@ def _check_specs(specs, grids) -> list:
     return specs
 
 
-def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | SeparableField:
-    """The product flow e^{itL} for any mix of factor kinds (one spec per
-    axis; t may be negative). The factor flows are composed axis by axis;
-    they act on disjoint axes, so the sweep order is immaterial up to
-    rounding. A SeparableField stays factored: e^{itL}(f (x) g) is
-    e^{itH} f (x) e^{itK} g."""
-    specs = _check_specs(specs, u.grids)
-    if isinstance(u, SeparableField):
-        return SeparableField(
-            tuple(f.with_values(spec.factor.propagate(f.values, t, 0)) for spec, f in zip(specs, u.factors))
-        )
-    values = u.values
-    for axis, spec in enumerate(specs):
-        values = spec.factor.propagate(values, t, axis)
-    return u.with_values(values)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralProduct:
     """The product flow e^{itL} in spectral form, on single states of one
     product grid: `forward` applies every factor's transform on its own
     axis (the torus axes `fft_axes` in one FFT call), `phase(t)` is
     exp(-itS) as the outer product of the 1-D factor phases, and `inverse`
-    undoes `forward`. Then e^{itL} u = inverse(phase(t) * forward(u)).
-    With overwrite=True the FFT may write its result into the array it is
-    given, which the caller must then not read again; the result is the
-    same."""
+    undoes `forward`; `propagate` is e^{itL} u = inverse(forward(u) *
+    phase(t)). With overwrite=True the FFT may write its result into the
+    array it is given, which the caller must then not read again; the
+    result is the same."""
 
     factors: tuple[SpectralFactor, ...]
     fft_axes: tuple[int, ...]
@@ -213,6 +196,13 @@ class SpectralProduct:
     def phase(self, t: float) -> np.ndarray:
         return functools.reduce(np.multiply.outer, [f.phase(t) for f in self.factors])
 
+    def propagate(self, values: np.ndarray, t: float) -> np.ndarray:
+        """e^{itL} values: forward, the phase of t, and the inverse written
+        into the forward's buffer; `values` is not written."""
+        coeffs = self.forward(values)
+        coeffs *= self.phase(t)
+        return self.inverse(coeffs, overwrite=True)
+
 
 def spectral_product(specs, grids) -> SpectralProduct:
     """The spectral form of the product flow of `specs` on `grids` (one
@@ -222,6 +212,20 @@ def spectral_product(specs, grids) -> SpectralProduct:
         tuple(s.factor for s in specs),
         tuple(axis for axis, s in enumerate(specs) if s.kind == "free"),
     )
+
+
+def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | SeparableField:
+    """The product flow e^{itL} for any mix of factor kinds (one spec per
+    axis; t may be negative), as SpectralProduct.propagate. A
+    SeparableField stays factored: e^{itL}(f (x) g) is e^{itH} f (x)
+    e^{itK} g, each factor flow a 1-factor product."""
+    specs = _check_specs(specs, u.grids)
+    if isinstance(u, SeparableField):
+        return SeparableField(
+            tuple(f.with_values(spectral_product([s], f.grids).propagate(f.values, t))
+                  for s, f in zip(specs, u.factors))
+        )
+    return u.with_values(spectral_product(specs, u.grids).propagate(u.values, t))
 
 
 def _require_two_particle_grid(u: Field) -> int:

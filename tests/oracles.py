@@ -1,7 +1,8 @@
 """Independent oracles shared by the unit and acceptance tests, written
 directly from their definitions with no shared code with the library:
-the exponent classifiers, the dense product state of two fields, and the
-Plancherel weights of the H^3 sine transform."""
+the exponent classifiers, the dense product state of two fields, the
+product flow composed axis by axis, and the Plancherel weights of the H^3
+sine transform."""
 
 from fractions import Fraction
 
@@ -40,6 +41,21 @@ def triangle_oracle(inv_p: Fraction, inv_q: Fraction, m: int, n: int) -> bool:
 def product_field(f: Field, g: Field) -> Field:
     """The dense product state f (x) g of two fields on the product of their grids."""
     return Field(f.grids + g.grids, np.multiply.outer(f.values, g.values))
+
+
+def per_axis_flow(factors, values: np.ndarray, t: float, axes=None) -> np.ndarray:
+    """The product flow of `factors` (SpectralFactors, one per axis of
+    values) composed axis by axis, in the order `axes` (default 0, 1, ...):
+    each factor flow is its forward transform along its axis, the phase
+    exp(-i t lam) broadcast along that axis, and its inverse."""
+    for axis in range(len(factors)) if axes is None else axes:
+        factor = factors[axis]
+        shape = [1] * values.ndim
+        shape[axis] = len(factor.lam)
+        coeffs = factor.forward(values, axis)
+        coeffs *= np.exp(-1j * t * factor.lam).reshape(shape)
+        values = factor.inverse(coeffs, axis)
+    return values
 
 
 def h3_plancherel_weights(grid) -> np.ndarray:

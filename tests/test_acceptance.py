@@ -169,7 +169,7 @@ class TestAcceptance:
                     if in_triangle_T(pair, m, n) != triangle_oracle(pair.inv_p, pair.inv_q, m, n):
                         mismatches += 1
         endpoint = is_admissible(
-            ExponentPair.from_exponents(2, 4), DispersionIndex(Fraction(1), Fraction(1))
+            ExponentPair(Fraction(1, 2), Fraction(1, 4)), DispersionIndex(Fraction(1), Fraction(1))
         )
         endpoint_ok = endpoint == Admissibility.ENDPOINT
         report(

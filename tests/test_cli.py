@@ -143,6 +143,29 @@ class TestExitCodes:
         assert "split_steps_per_unit_time" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, key",
+        [("[grid]\nn_point = 64\n", "[grid] n_point"), ("[grdi]\nn_points = 64\n", "[grdi] n_points")],
+        ids=["misspelt-key", "unknown-section"],
+    )
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_unread_key_refused(self, tmp_path, capsys, output_root, name, text, key):
+        # a key the runner does not read is refused before any solve, not
+        # ignored while the run goes on with the default
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n{text}")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize("name", [n for n, preset in experiments._DECAY_PRESETS.items() if not preset[2]])
+    def test_fixed_factor_count_refused(self, tmp_path, capsys, output_root, name):
+        # these presets have a fixed factor count: [grid] factors = 2 ran
+        # hyperbolic-decay with one factor
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[grid]\nfactors = 2\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[grid] factors" in capsys.readouterr().err
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("split_steps_per_unit_time", 0),
@@ -449,6 +472,11 @@ class TestAdmissibleSubcommand:
     def test_nonpositive_grid_refused(self, capsys, denominator):
         assert main(["admissible", "--m", "2", "--n", "2", "--grid", denominator]) == EXIT_INVALID_ARGUMENT
         assert "denominator" in capsys.readouterr().err
+
+    def test_zero_denominator_index_refused(self, capsys):
+        # a zero denominator is an invalid argument, like any malformed index
+        assert main(["admissible", "--m", "2", "--n", "2", "--indices", "1/2,1/0"]) == EXIT_INVALID_ARGUMENT
+        assert "1/0" in capsys.readouterr().err
 
     def test_endpoint_classified(self, capsys):
         main(["admissible", "--m", "2", "--n", "2", "--grid", "4", "--indices", "2"])

@@ -53,7 +53,7 @@ class TestIsAdmissible:
             assert is_admissible(pair, idx) == Admissibility.ADMISSIBLE
 
     def test_endpoint_ab2_is_2_4(self):
-        pair = ExponentPair.from_exponents(2, 4)
+        pair = ExponentPair(Fraction(1, 2), Fraction(1, 4))
         idx = DispersionIndex(Fraction(1), Fraction(1))  # ab = 2
         assert is_admissible(pair, idx) == Admissibility.ENDPOINT
 
@@ -193,11 +193,6 @@ class TestSelectNLSExponents:
 
 
 class TestInfSentinel:
-    def test_singleton(self):
-        from dispersia.exponents import _Infinity
-
-        assert _Infinity() is INF
-
     def test_float_coercion(self):
         assert float(INF) == math.inf
 
