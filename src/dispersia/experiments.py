@@ -71,7 +71,8 @@ class ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] keys stay in [DEFAULT], not copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -143,18 +144,16 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_series_csv(path: str, series, fingerprint: str):
-    lines = [f"# fingerprint={fingerprint} version={__version__}", "t,value,flagged"]
-    for s in series:
-        lines.append(f"{_fmt(s.t)},{_fmt(s.value)},{int(s.flagged)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(cfg: ExperimentConfig, name: str, header: list, rows):
+    """The CSV artifact `name`: fingerprint comment, header, rows (lists of strings)."""
+    lines = [f"# fingerprint={cfg.fingerprint} version={__version__}", ",".join(header)]
+    lines += [",".join(row) for row in rows]
+    _atomic_write(os.path.join(cfg.output_dir, name), "\n".join(lines) + "\n")
 
 
-def _write_json(path: str, obj: dict, fingerprint: str):
-    obj = dict(obj)
-    obj["fingerprint"] = fingerprint
-    obj["version"] = __version__
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_json(cfg: ExperimentConfig, name: str, obj: dict):
+    obj = {**obj, "fingerprint": cfg.fingerprint, "version": __version__}
+    _atomic_write(os.path.join(cfg.output_dir, name), json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _fraction(s: str) -> Fraction:
@@ -224,8 +223,9 @@ def _decay_verdict(cfg, report, label, series, u0, window, q, predicted, tol, **
     series = [replace(s, value=s.value / base) for s in series]
     fit = fit_decay_exponent(series, window)
     rep = compare_prediction(fit, predicted, tol)
-    _write_series_csv(os.path.join(cfg.output_dir, "series.csv"), series, cfg.fingerprint)
-    _write_json(os.path.join(cfg.output_dir, "fit.json"), {**rep, **extra}, cfg.fingerprint)
+    _write_csv(cfg, "series.csv", ["t", "value", "flagged"],
+               ([_fmt(s.t), _fmt(s.value), str(int(s.flagged))] for s in series))
+    _write_json(cfg, "fit.json", {**rep, **extra})
     report.add(label, rep["verdict"] == "pass", f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}")
 
 
@@ -398,10 +398,7 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
     _check_all_read(cfg)
     rows = classify_lattice(m, n, denominator, indices)
     header = list(rows[0].keys())
-    lines = [f"# fingerprint={cfg.fingerprint} version={__version__}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    _atomic_write(os.path.join(cfg.output_dir, "lattice.csv"), "\n".join(lines) + "\n")
+    _write_csv(cfg, "lattice.csv", header, ([str(row[h]) for h in header] for row in rows))
     sup_point = ExponentPair(Fraction(0), Fraction(1, 2))
     ok = in_triangle_T(sup_point, m, n)
     report.add(
@@ -495,7 +492,8 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         for s in result.history
     ]
     _write_json(
-        os.path.join(cfg.output_dir, "picard.json"),
+        cfg,
+        "picard.json",
         {
             "history": history,
             "converged": result.converged,
@@ -503,7 +501,6 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
             "cross_method_difference": diff,
             "scaling": {"ratio_full": r_full, "ratio_half": r_half, "expected_factor": expected},
         },
-        cfg.fingerprint,
     )
 
 
@@ -541,14 +538,11 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     tails = acc.tails
     early, late = tails[i1][1], tails[i2][1]
     ok = late <= early / decrease
-    lines = [f"# fingerprint={cfg.fingerprint} version={__version__}", "t,tail"]
-    for t, tail in tails:
-        lines.append(f"{_fmt(t)},{_fmt(tail)}")
-    _atomic_write(os.path.join(cfg.output_dir, "tails.csv"), "\n".join(lines) + "\n")
+    _write_csv(cfg, "tails.csv", ["t", "tail"], ([_fmt(t), _fmt(tail)] for t, tail in tails))
     _write_json(
-        os.path.join(cfg.output_dir, "scattering.json"),
+        cfg,
+        "scattering.json",
         {"tail_t1": early, "tail_t2": late, "t1": t1, "t2": t2, "required_factor": decrease},
-        cfg.fingerprint,
     )
     report.add(
         "Cauchy tail decrease",

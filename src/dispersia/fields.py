@@ -111,10 +111,12 @@ class SpectralFactor:
     """A factor operator S on one grid axis in its exact spectral form: a
     transform along the axis that diagonalises S, the spectrum lam of S on
     the transform's dual lattice, and the inverse transform. The factor
-    flow exp(-itS) is forward, the phase exp(-i t lam), inverse."""
+    flow exp(-itS) is forward, the phase exp(-i t lam), inverse. With
+    overwrite=True a transform may write into the array it is given (one
+    that returns a fresh array ignores the flag)."""
 
-    forward: Callable[[np.ndarray, int], np.ndarray]  # (values, axis) -> coefficients
-    inverse: Callable[[np.ndarray, int], np.ndarray]  # (coefficients, axis) -> values
+    forward: Callable[..., np.ndarray]  # (values, axis, overwrite=False) -> coefficients
+    inverse: Callable[..., np.ndarray]  # (coefficients, axis, overwrite=False) -> values
     lam: np.ndarray
 
     def phase(self, t: float) -> np.ndarray:

@@ -50,14 +50,14 @@ def _complex_dst(transform, values: np.ndarray, axis: int) -> np.ndarray:
 def h3_factor(grid: Grid1D) -> SpectralFactor:
     """The H^3 radial factor in spectral form: the type-II sine transform of
     sinh(r) f(r) along the axis, spectrum lambda^2 + rho^2 on the dual
-    lattice."""
+    lattice. Both transforms return a fresh array and ignore `overwrite`."""
     _require_hyperbolic(grid)
     sinh_r = np.sinh(grid.nodes)
 
-    def forward(values, axis):
+    def forward(values, axis, overwrite=False):
         return _complex_dst(sfft.dst, values * _axis_shape(values, axis, sinh_r), axis)
 
-    def inverse(coeffs, axis):
+    def inverse(coeffs, axis, overwrite=False):
         out = _complex_dst(sfft.idst, coeffs, axis)
         out /= _axis_shape(out, axis, sinh_r)
         return out

@@ -9,7 +9,7 @@ are exactly unitary.
 
 Every factor kind has an exact spectral form (`spectral_factor`); on a
 product of factors `spectral_product` gives the flow as one forward
-transform, one phase and one inverse transform.
+transform per axis, one phase and one inverse transform per axis.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import scipy.fft as sfft
 
 from .fields import (
     EUCLIDEAN,
+    HYPERBOLIC,
     Field,
     Grid1D,
     SeparableField,
@@ -79,6 +80,8 @@ class PropagatorSpec:
             raise ValueError(f"unknown propagator kind {self.kind!r}")
         if (self.potential is not None) != (self.kind == "free-plus-potential"):
             raise ValueError("potential present iff kind is free-plus-potential")
+        if (self.grid.kind == HYPERBOLIC) != (self.kind == "hyperbolic-radial"):
+            raise ValueError(f"kind {self.kind!r} does not run on a {self.grid.kind} grid")
 
     @functools.cached_property
     def factor(self) -> SpectralFactor:
@@ -93,8 +96,8 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
 def _free_factor(grid: Grid1D) -> SpectralFactor:
     """The free torus factor: FFT along the axis, spectrum xi^2."""
     return SpectralFactor(
-        lambda values, axis: sfft.fft(values, axis=axis, workers=transform_workers(values)),
-        lambda coeffs, axis: sfft.ifft(coeffs, axis=axis, workers=transform_workers(coeffs)),
+        lambda x, axis, overwrite=False: sfft.fft(x, axis=axis, workers=transform_workers(x), overwrite_x=overwrite),
+        lambda x, axis, overwrite=False: sfft.ifft(x, axis=axis, workers=transform_workers(x), overwrite_x=overwrite),
         torus_frequencies(grid) ** 2,
     )
 
@@ -123,8 +126,8 @@ def _potential_factor(grid: Grid1D, potential: PotentialSpec) -> SpectralFactor:
     matrix[np.diag_indices(n)] += potential.sample(grid)
     lam, vecs = np.linalg.eigh(matrix)
     return SpectralFactor(
-        lambda values, axis: _matrix_along(vecs.T, values, axis),
-        lambda coeffs, axis: _matrix_along(vecs, coeffs, axis),
+        lambda values, axis, overwrite=False: _matrix_along(vecs.T, values, axis),
+        lambda coeffs, axis, overwrite=False: _matrix_along(vecs, coeffs, axis),
         lam,
     )
 
@@ -165,33 +168,25 @@ def _check_specs(specs, grids) -> list:
 class SpectralProduct:
     """The product flow e^{itL} in spectral form, on single states of one
     product grid: `forward` applies every factor's transform on its own
-    axis (the torus axes `fft_axes` in one FFT call), `phase(t)` is
-    exp(-itS) as the outer product of the 1-D factor phases, and `inverse`
-    undoes `forward`; `propagate` is e^{itL} u = inverse(forward(u) *
-    phase(t)). With overwrite=True the FFT may write its result into the
-    array it is given, which the caller must then not read again; the
-    result is the same."""
+    axis, axis 0 first, `phase(t)` is exp(-itS) as the outer product of the
+    1-D factor phases, and `inverse` undoes `forward`, again axis 0 first;
+    `propagate` is e^{itL} u = inverse(forward(u) * phase(t)). With
+    overwrite=True the first transform may write its result into the array
+    it is given, which the caller must then not read again; the result is
+    the same. Every later transform may overwrite, since its input is the
+    product's own array."""
 
     factors: tuple[SpectralFactor, ...]
-    fft_axes: tuple[int, ...]
 
     def forward(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        out = values
-        if self.fft_axes:
-            out = sfft.fftn(values, axes=self.fft_axes, workers=transform_workers(values), overwrite_x=overwrite)
         for axis, factor in enumerate(self.factors):
-            if axis not in self.fft_axes:
-                out = factor.forward(out, axis)
-        return out
+            values = factor.forward(values, axis, overwrite or axis > 0)
+        return values
 
     def inverse(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        out = coeffs
         for axis, factor in enumerate(self.factors):
-            if axis not in self.fft_axes:
-                out = factor.inverse(out, axis)
-        if self.fft_axes:
-            out = sfft.ifftn(out, axes=self.fft_axes, workers=transform_workers(out), overwrite_x=overwrite)
-        return out
+            coeffs = factor.inverse(coeffs, axis, overwrite or axis > 0)
+        return coeffs
 
     def phase(self, t: float) -> np.ndarray:
         return functools.reduce(np.multiply.outer, [f.phase(t) for f in self.factors])
@@ -207,11 +202,7 @@ class SpectralProduct:
 def spectral_product(specs, grids) -> SpectralProduct:
     """The spectral form of the product flow of `specs` on `grids` (one
     spec per axis)."""
-    specs = _check_specs(specs, grids)
-    return SpectralProduct(
-        tuple(s.factor for s in specs),
-        tuple(axis for axis, s in enumerate(specs) if s.kind == "free"),
-    )
+    return SpectralProduct(tuple(s.factor for s in _check_specs(specs, grids)))
 
 
 def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | SeparableField:

@@ -156,6 +156,16 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not output_root.exists()
 
+    def test_default_section_key_refused_as_written(self, tmp_path, capsys, output_root):
+        # [DEFAULT] is an ordinary section: its key is refused under the
+        # section it was written in, not copied into every other section
+        path = write_config(tmp_path, "[DEFAULT]\nm = 2\n[experiment]\nname = admissible-region\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[DEFAULT] m" in err
+        assert "[experiment] m" not in err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("name", [n for n, preset in experiments._DECAY_PRESETS.items() if not preset[2]])
     def test_fixed_factor_count_refused(self, tmp_path, capsys, output_root, name):
         # these presets have a fixed factor count: [grid] factors = 2 ran

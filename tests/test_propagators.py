@@ -185,6 +185,14 @@ class TestSplitstepPropagate:
             PropagatorSpec("free", grid, sech_squared(grid))
         with pytest.raises(ValueError):
             PropagatorSpec("free-plus-potential", grid)
+        # a factor kind runs only on its own grid kind
+        radial = make_grid(64, 12.0, HYPERBOLIC)
+        with pytest.raises(ValueError):
+            PropagatorSpec("free", radial)
+        with pytest.raises(ValueError):
+            PropagatorSpec("free-plus-potential", radial, sech_squared(grid))
+        with pytest.raises(ValueError):
+            PropagatorSpec("hyperbolic-radial", grid)
 
 
 class TestProductPropagate:
@@ -627,6 +635,28 @@ class TestTransformThreads:
         for axis in (0, 1):
             h3_factor(grid).inverse(stack, axis)
         assert np.array_equal(stack, kept)
+        # a product's forward and inverse without overwrite write neither
+        # input, whichever factor kind comes first
+        torus = make_grid(64, 30.0)
+        free, h3 = PropagatorSpec("free", torus), PropagatorSpec("hyperbolic-radial", grid)
+        for specs in ([free, h3], [h3, free], [potential_spec(torus, 0.5), free]):
+            flow = propagators.spectral_product(specs, [s.grid for s in specs])
+            for transform in (flow.forward, flow.inverse):
+                kept = stack.copy()
+                transform(stack)
+                assert np.array_equal(stack, kept)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_torus_product_matches_fftn(self, workers, monkeypatch):
+        # one transform per axis, axis 0 first both ways, is bit-identical
+        # to scipy's transform over both axes
+        monkeypatch.setattr(propagators, "transform_workers", lambda values: workers)
+        grid = make_grid(256, 64.0)
+        flow = propagators.spectral_product([PropagatorSpec("free", grid)] * 2, [grid] * 2)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        assert np.array_equal(flow.forward(values), sfft.fftn(values, workers=workers))
+        assert np.array_equal(flow.inverse(values), sfft.ifftn(values, workers=workers))
 
 
 class TestDispersiveRatioSeries:
