@@ -35,7 +35,9 @@ class DecayFit:
 
 
 def norm_series(evolve, u0: Field | SeparableField, times, r, sequential: bool = False):
-    """||u(t)||_r at each time, with wrap-around flags.
+    """||u(t)||_r at each time, with wrap-around flags. A flag is sticky:
+    mass that has reached the boundary and left its band again still
+    contaminates the state, so every sample after a flagged one is flagged.
 
     `evolve` is a closure (u, t) -> state taking and returning the kind of
     state u0 is: a dense Field, or a SeparableField that the product flow
@@ -47,18 +49,19 @@ def norm_series(evolve, u0: Field | SeparableField, times, r, sequential: bool =
     from .propagators import boundary_mass_fraction, peak_centers
 
     times = [float(t) for t in times]
-    if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be strictly positive and increasing")
+    if not all(0 < t < math.inf for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be finite, strictly positive and increasing")
     centers = peak_centers(u0)
     out = []
     current, t_current = u0, 0.0
+    flagged = False
     for t in times:
         if sequential:
             current = evolve(current, t - t_current)
             t_current = t
         else:
             current = evolve(u0, t)
-        flagged = boundary_mass_fraction(current, centers) > 0.01
+        flagged = flagged or boundary_mass_fraction(current, centers) > 0.01
         out.append(SeriesSample(t=t, value=lp_norm(current, r), flagged=flagged))
     return out
 

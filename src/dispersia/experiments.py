@@ -38,6 +38,7 @@ from .fields import (
     HYPERBOLIC,
     Field,
     SeparableField,
+    _frozen,
     gaussian_field,
     lp_norm,
     make_grid,
@@ -191,13 +192,13 @@ class RunReport:
 
 def _separable_datum(grid, profile: np.ndarray, k: int) -> Field:
     """The k-factor datum profile (x) ... (x) profile on grid^k."""
-    return Field((grid,) * k, functools.reduce(np.multiply.outer, [profile] * k))
+    return Field((grid,) * k, _frozen(functools.reduce(np.multiply.outer, [profile] * k)))
 
 
 def _radial_bump(grid, center: float, width: float) -> np.ndarray:
     """Radial Gaussian shell on an H^3 grid, normalized in weighted L^1."""
     values = np.exp(-((grid.nodes - center) ** 2) / (2 * width**2))
-    return values / lp_norm(Field((grid,), values), 1)
+    return _frozen(values / lp_norm(Field((grid,), values), 1))
 
 
 def _decay_window(cfg, t_min, t_max, n_times):
@@ -329,7 +330,7 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         # route equivalence at matched step counts
         rotated = two_particle_propagate(grid, v, u0, t_eq, steps_eq)
         reference = original_coordinates_reference(grid, v, u0, t_eq, steps_eq)
-        return lp_norm(rotated.with_values(rotated.values - reference.values), 2)
+        return lp_norm(rotated.with_values(_frozen(rotated.values - reference.values)), 2)
 
     # The route solves and the decay series only read u0, grid and v and
     # write arrays of their own, and the transforms and ufuncs release the
@@ -420,7 +421,7 @@ def _nls_setup(cfg: ExperimentConfig):
     grid = make_grid(n, length)
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
-    u0 = u0.with_values(amp * u0.values)
+    u0 = u0.with_values(_frozen(amp * u0.values))
     nl = Nonlinearity(gamma=gamma, mu=mu)
     sel = select_nls_exponents(1, 1, nl.exact_gamma)
     return u0, specs, nl, sel
@@ -453,7 +454,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         # the k = 2 ratio is the only thing read of the half-data run, and it
         # depends on sweeps 1 and 2 alone; the run's trajectory is freed
         # before the split-step run
-        half = u0.with_values(0.5 * u0.values)
+        half = u0.with_values(_frozen(0.5 * u0.values))
         r_half = _k2_ratio(picard_iterate(half, nl, specs, sel, T, dt, max_iter=2, tol=tol), "half-data")
         return r_half, splitstep_nls(u0, nl, specs, T, dt / 2, save_stride=2)
 

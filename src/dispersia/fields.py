@@ -4,10 +4,11 @@ A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
 A SpectralFactor is the exact spectral form of a factor operator on one
-grid axis. Fields are immutable (grids, values) pairs whose values are a
-read-only view of the caller's array, not a copy; a SeparableField keeps
-a rank-1 product state as its 1-D factors, and a Trajectory stacks the
-states of one run along a leading time axis. Norms are quadrature
+grid axis. Fields are immutable (grids, values) pairs: their values are
+read-only down to their memory, so they never change, and an array that
+anyone may still write is copied once; a SeparableField keeps a rank-1
+product state as its 1-D factors, and a Trajectory stacks the states of
+one run along a leading time axis. Norms are quadrature
 weighted so that a sampled function's norm approximates the continuum
 one.
 """
@@ -131,8 +132,33 @@ def _read_only(vals: np.ndarray) -> np.ndarray:
     return view
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array, and every array it views, read-only, and
+    return it: a Field then keeps it without a copy. Only for arrays that
+    no one else holds a writable reference to."""
+    b = a
+    while isinstance(b, np.ndarray):
+        b.flags.writeable = False
+        b = b.base
+    return a
+
+
+def _frozen_to_memory(a: np.ndarray) -> bool:
+    """Whether no one can write a's values: a and every array in its .base
+    chain are read-only, and the chain ends in no base or in bytes."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None or isinstance(a, bytes)
+
+
 @dataclass(frozen=True)
 class Field:
+    """A state on the product of `grids`. Its values never change: an array
+    that is read-only down to its memory (see _frozen) is kept as it is,
+    and any other array is copied once and the copy made read-only."""
+
     grids: tuple[Grid1D, ...]
     values: np.ndarray
 
@@ -147,7 +173,12 @@ class Field:
             raise ValueError(f"values shape {vals.shape} does not match grids {expected}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _read_only(vals))
+        if vals is not self.values and vals.base is None:
+            # asarray converted the input: the result is already a private copy
+            vals.flags.writeable = False
+        elif not _frozen_to_memory(vals):
+            vals = _frozen(vals.copy())
+        object.__setattr__(self, "values", vals)
 
     @property
     def rank(self) -> int:
@@ -308,4 +339,4 @@ def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None
         d = np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2
     else:
         d = x - center
-    return Field((grid,), np.exp(-(d**2) / (2.0 * width**2)))
+    return Field((grid,), _frozen(np.exp(-(d**2) / (2.0 * width**2))))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, _read_only, values_lp_norm, values_lp_norms
+from .fields import Field, Trajectory, _frozen, _read_only, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
 
 
@@ -104,8 +104,9 @@ def saved_steps(T: float, dt: float, save_stride: int) -> list[int]:
 def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1):
     """Strang-split NLS states at the saved_steps of T, dt and save_stride,
     under the product flow of `specs` (one spec per axis of u0), yielded as
-    (time, values) pairs in time order. The loop never writes to a yielded
-    array, nor to u0. The linear step is one forward transform, the phase
+    (time, values) pairs in time order. Every yielded array is read-only
+    down to its memory, so a Field wraps it without a copy, and the loop
+    never writes to u0. The linear step is one forward transform, the phase
     of dt (built once) and one inverse transform, each free to overwrite
     its input; the nonlinear substeps run in place, in two buffers kept
     for the whole run."""
@@ -123,7 +124,7 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
         values = flow.inverse(coeffs, overwrite=True)
         if step == saved[j]:
             values = _nonlinear_substep(values, nl, dt / 2, work)
-            yield step * dt, values.copy()
+            yield step * dt, _frozen(values.copy())
             j += 1
             if step < n_steps:
                 values = _nonlinear_substep(values, nl, dt / 2, work)

@@ -15,6 +15,7 @@ transform per axis, one phase and one inverse transform per axis.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .fields import (
     SeparableField,
     SpectralFactor,
     _abs_squared,
+    _frozen,
     transform_workers,
 )
 from .hyperbolic import h3_factor
@@ -170,7 +172,8 @@ class SpectralProduct:
     product grid: `forward` applies every factor's transform on its own
     axis, axis 0 first, `phase(t)` is exp(-itS) as the outer product of the
     1-D factor phases, and `inverse` undoes `forward`, again axis 0 first;
-    `propagate` is e^{itL} u = inverse(forward(u) * phase(t)). With
+    `propagate` is e^{itL} u = inverse(forward(u) * phase(t)), and
+    `propagate_coefficients` its last two steps. With
     overwrite=True the first transform may write its result into the array
     it is given, which the caller must then not read again; the result is
     the same. Every later transform may overwrite, since its input is the
@@ -192,11 +195,17 @@ class SpectralProduct:
         return functools.reduce(np.multiply.outer, [f.phase(t) for f in self.factors])
 
     def propagate(self, values: np.ndarray, t: float) -> np.ndarray:
-        """e^{itL} values: forward, the phase of t, and the inverse written
-        into the forward's buffer; `values` is not written."""
-        coeffs = self.forward(values)
-        coeffs *= self.phase(t)
-        return self.inverse(coeffs, overwrite=True)
+        """e^{itL} values; `values` is not written."""
+        return self.propagate_coefficients(self.forward(values), t)
+
+    def propagate_coefficients(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+        """e^{itL} of the state whose forward transform is `coeffs`: coeffs
+        times the phase of t, written into the phase's buffer, and the
+        inverse; `coeffs` is not written. coeffs stays the first operand:
+        numpy's complex multiply is not bitwise commutative."""
+        out = self.phase(t)
+        np.multiply(coeffs, out, out=out)
+        return self.inverse(out, overwrite=True)
 
 
 def spectral_product(specs, grids) -> SpectralProduct:
@@ -205,18 +214,40 @@ def spectral_product(specs, grids) -> SpectralProduct:
     return SpectralProduct(tuple(s.factor for s in _check_specs(specs, grids)))
 
 
+# The forward coefficients of the Field that product_propagate transformed
+# last: (weak reference to the Field, the flow's factors, the read-only
+# coefficients). A Field's values never change, so the same Field under the
+# same factors has the same coefficients. The slot is replaced by one
+# assignment and never written, so concurrent callers at worst compute the
+# same transform twice.
+_last_forward = None
+
+
+def _forward_coefficients(flow: SpectralProduct, u: Field) -> np.ndarray:
+    global _last_forward
+    slot = _last_forward
+    if slot is not None and slot[0]() is u and slot[1] == flow.factors:
+        return slot[2]
+    # free the old coefficients before the new ones exist
+    slot = _last_forward = None
+    coeffs = _frozen(flow.forward(u.values))
+    _last_forward = (weakref.ref(u), flow.factors, coeffs)
+    return coeffs
+
+
 def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | SeparableField:
     """The product flow e^{itL} for any mix of factor kinds (one spec per
-    axis; t may be negative), as SpectralProduct.propagate. A
-    SeparableField stays factored: e^{itL}(f (x) g) is e^{itH} f (x)
+    axis; t may be negative), bit for bit SpectralProduct.propagate. It
+    keeps the forward coefficients of the last Field it propagated, so a
+    run that takes one datum to many times transforms it once; each time is
+    then SpectralProduct.propagate_coefficients. A SeparableField stays
+    factored: e^{itL}(f (x) g) is e^{itH} f (x)
     e^{itK} g, each factor flow a 1-factor product."""
     specs = _check_specs(specs, u.grids)
     if isinstance(u, SeparableField):
-        return SeparableField(
-            tuple(f.with_values(spectral_product([s], f.grids).propagate(f.values, t))
-                  for s, f in zip(specs, u.factors))
-        )
-    return u.with_values(spectral_product(specs, u.grids).propagate(u.values, t))
+        return SeparableField(tuple(product_propagate([s], f, t) for s, f in zip(specs, u.factors)))
+    flow = spectral_product(specs, u.grids)
+    return u.with_values(_frozen(flow.propagate_coefficients(_forward_coefficients(flow, u), t)))
 
 
 def _require_two_particle_grid(u: Field) -> int:
@@ -249,7 +280,7 @@ def two_particle_rotate(u: Field, direction: str = "forward") -> Field:
     j = np.arange(n)[:, np.newaxis]
     k = np.arange(n)
     flat = (c * (j + k)) % n * n + (c * (j - k)) % n
-    return u.with_values(u.values.reshape(-1)[flat])
+    return u.with_values(_frozen(u.values.reshape(-1)[flat]))
 
 
 def two_particle_propagate(
@@ -302,7 +333,7 @@ def two_particle_propagate(
         w = sfft.fft(w, axis=0, workers=workers)
         w = _strang(w, kinetic, half, steps)
         w = sfft.ifft(w, axis=0, workers=workers, overwrite_x=True)
-    return two_particle_rotate(u0.with_values(w), "inverse")
+    return two_particle_rotate(u0.with_values(_frozen(w)), "inverse")
 
 
 def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
@@ -325,7 +356,7 @@ def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: fl
         w *= mult
         return sfft.ifft2(w, workers=workers, overwrite_x=True)
 
-    return u0.with_values(_strang(u0.values, kinetic, half, steps))
+    return u0.with_values(_frozen(_strang(u0.values, kinetic, half, steps)))
 
 
 def peak_centers(u: Field | SeparableField) -> tuple[float, ...]:

@@ -566,6 +566,24 @@ class TestRunArtifacts:
         for key in ("slope", "stderr", "predicted", "verdict", "window", "fingerprint"):
             assert key in report
 
+    def test_wrap_flag_stays_set(self, tmp_path, capsys, output_root):
+        # on this small H^3 grid the wave reaches r_max near t = 41 and its
+        # reflection has left the boundary band again by t = 60; that last
+        # sample is flagged too, so the fit reads the 11 samples before the
+        # wrap and passes (without the sticky flag it read t = 60: -1.05)
+        path = write_config(
+            tmp_path,
+            "[experiment]\nname = hyperbolic-decay\n"
+            "[grid]\nn_points = 680\nr_max = 170\n"
+            "[time]\nt_min = 5\nt_max = 60\n",
+        )
+        assert main(["run", path]) == EXIT_OK
+        rows = (output_root / "hyperbolic-decay" / "series.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2] for row in rows] == ["0"] * 11 + ["1"] * 3
+        fit = json.loads((output_root / "hyperbolic-decay" / "fit.json").read_text())
+        assert fit["n_samples"] == 11 and fit["verdict"] == "pass"
+        assert fit["slope"] == pytest.approx(-1.4544, abs=1e-4)
+
     def test_output_root_env_respected(self, tmp_path, capsys, monkeypatch):
         custom = tmp_path / "elsewhere"
         monkeypatch.setenv("DISPERSIA_OUTPUT_ROOT", str(custom))

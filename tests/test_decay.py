@@ -159,6 +159,22 @@ class TestNormSeries:
         with pytest.raises(ValueError):
             norm_series(evolve, u0, [0.0, 1.0], 2)
 
+    @pytest.mark.parametrize("times", [[1.0, math.nan], [math.nan], [1.0, math.inf]], ids=str)
+    def test_nonfinite_times_rejected_before_any_evolve(self, times):
+        _, u0, _ = self.make_flow()
+        calls = []
+        with pytest.raises(ValueError, match="finite"):
+            norm_series(lambda u, t: calls.append(t) or u, u0, times, 2)
+        assert calls == []
+
+    def test_wrap_flag_is_sticky(self):
+        # the mass sits at the antipode only at t = 2; the sample at t = 3
+        # follows a flagged one and is flagged too
+        grid, u0, _ = self.make_flow()
+        wrapped = gaussian_field(grid, 1.0, center=0.0)
+        series = norm_series(lambda u, t: wrapped if t == 2.0 else u, u0, [1.0, 2.0, 3.0], 2)
+        assert [s.flagged for s in series] == [False, True, True]
+
 
 class TestStrichartzNorm:
     def constant_trajectory(self, value=2.0, t_end=2.0, n=21):

@@ -14,6 +14,7 @@ from dispersia.fields import (
     Field,
     Trajectory,
     _abs_squared,
+    _frozen,
     gaussian_field,
     lp_norm,
     make_grid,
@@ -76,17 +77,51 @@ class TestField:
         with pytest.raises(ValueError):
             Field((grid,), vals)
 
-    def test_values_are_a_read_only_view(self):
-        # no copy of the caller's array, and no write through the field
+    def test_caller_writes_leave_values_unchanged(self):
         grid = make_grid(16, 4.0)
         caller = np.zeros((16, 16), dtype=complex)
         f = Field((grid, grid), caller)
-        assert np.shares_memory(f.values, caller)
+        caller[0, 0] = 1.0
+        caller *= 2
+        assert np.array_equal(f.values, np.zeros((16, 16)))
+        assert caller.flags.writeable
+
+    def test_array_frozen_to_its_memory_is_shared(self):
+        grid = make_grid(16, 4.0)
+        frozen = _frozen(np.ones((16, 16), dtype=complex))
+        assert Field((grid, grid), frozen).values is frozen
+        view = _frozen(np.ones((16, 32), dtype=complex)[:, ::2])
+        assert Field((grid, grid), view).values is view
+        from_bytes = np.frombuffer(np.ones(16, dtype=complex).tobytes(), dtype=complex)
+        assert Field((grid,), from_bytes).values is from_bytes
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        grid = make_grid(16, 4.0)
+        base = np.ones(16, dtype=complex)
+        view = base.view()
+        view.flags.writeable = False
+        f = Field((grid,), view)
+        assert not np.shares_memory(f.values, base)
+        base[:] = 2.0
+        assert np.all(f.values == 1.0)
+
+    def test_converted_input_is_kept_without_a_second_copy(self):
+        grid = make_grid(16, 4.0)
+        real = np.ones(16)
+        f = Field((grid,), real)
+        assert f.values.base is None and not f.values.flags.writeable
+        real[:] = 2.0
+        assert np.all(f.values == 1.0)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_no_write_through_values(self, frozen):
+        grid = make_grid(16, 4.0)
+        vals = np.zeros((16, 16), dtype=complex)
+        f = Field((grid, grid), _frozen(vals) if frozen else vals)
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
         with pytest.raises(ValueError):
             f.values *= 2
-        assert caller.flags.writeable
 
 
 class TestTensorProduct:

@@ -7,7 +7,9 @@ transforms."""
 import functools
 import math
 import os
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -589,6 +591,128 @@ class TestWrapMonitor:
             frac = boundary_mass_fraction(u, centers)
         assert math.isfinite(frac)
         assert frac == pytest.approx(self.direct_fraction(u, centers), rel=1e-14)
+
+
+def bits_equal(a, b) -> bool:
+    """Bit-for-bit equality of two complex arrays."""
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+def reference_propagate(specs, u, t):
+    """SpectralProduct.propagate on u's values (per factor for a
+    SeparableField), with no kept coefficients."""
+    if isinstance(u, SeparableField):
+        return [reference_propagate([s], f, t)[0] for s, f in zip(specs, u.factors)]
+    return [propagators.spectral_product(specs, u.grids).propagate(u.values, t)]
+
+
+def propagated_values(specs, u, t):
+    out = product_propagate(specs, u, t)
+    return [f.values for f in out.factors] if isinstance(out, SeparableField) else [out.values]
+
+
+def slot_products():
+    """(name, spec-list builder, data A, data B) on free x free, free x H^3,
+    potential x free, and a SeparableField whose two factors are one Field
+    object; each builder returns a fresh spec list, so a fresh flow."""
+    torus_a, torus_b, h3 = make_grid(32, 16.0), make_grid(24, 12.0), make_grid(20, 8.0, HYPERBOLIC)
+    pot = PotentialSpec("gaussian-bump", amplitude=0.5, width=1.0, center=8.0)
+
+    def dense_pair(grids, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(g.n_points for g in grids)
+        return [Field(grids, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(2)]
+
+    # free x free and potential x free share their data, so a sequence of
+    # calls can take one Field under two flows
+    torus_data = dense_pair((torus_a, torus_b), 1)
+    factor = random_field(torus_a, 3)
+    return [
+        ("free-free", lambda: [PropagatorSpec("free", torus_a), PropagatorSpec("free", torus_b)], *torus_data),
+        ("free-h3", lambda: [PropagatorSpec("free", torus_a), PropagatorSpec("hyperbolic-radial", h3)],
+         *dense_pair((torus_a, h3), 2)),
+        ("potential-free", lambda: [PropagatorSpec("free-plus-potential", torus_a, pot),
+                                    PropagatorSpec("free", torus_b)], *torus_data),
+        ("separable", lambda: [PropagatorSpec("free", torus_a)] * 2,
+         SeparableField((factor, factor)), SeparableField((random_field(torus_a, 5),) * 2)),
+    ]
+
+
+SLOT_PRODUCTS = slot_products()
+
+
+class TestForwardSlot:
+    """product_propagate keeps the forward transform of the last Field it
+    propagated; every result stays bit-identical to SpectralProduct.propagate."""
+
+    @pytest.mark.parametrize("name, make_specs, a, b", SLOT_PRODUCTS, ids=[p[0] for p in SLOT_PRODUCTS])
+    def test_interleaved_calls_match_spectral_product(self, name, make_specs, a, b):
+        specs = make_specs()
+        for specs_now, u, t in [(specs, a, 1.3), (specs, b, 0.7), (specs, a, -2.9), (make_specs(), a, 4.1)]:
+            got, expected = propagated_values(specs_now, u, t), reference_propagate(specs_now, u, t)
+            assert all(bits_equal(x, y) for x, y in zip(got, expected))
+
+    @pytest.mark.parametrize("name, make_specs, a, b", SLOT_PRODUCTS[:3], ids=[p[0] for p in SLOT_PRODUCTS[:3]])
+    def test_coefficients_are_the_first_operand(self, name, make_specs, a, b):
+        # numpy's complex multiply is not bitwise commutative: the phase is
+        # applied as coefficients *= phase, as the artifacts were computed
+        flow = propagators.spectral_product(make_specs(), a.grids)
+        coeffs = flow.forward(a.values)
+        coeffs *= flow.phase(1.9)
+        assert bits_equal(flow.propagate(a.values, 1.9), flow.inverse(coeffs, overwrite=True))
+
+    def test_one_field_under_two_flows(self):
+        (_, free_specs, a, _), (_, potential_specs, same_a, _) = SLOT_PRODUCTS[0], SLOT_PRODUCTS[2]
+        assert same_a is a
+        for specs in (free_specs(), potential_specs(), free_specs()):
+            assert bits_equal(product_propagate(specs, a, 1.1).values, reference_propagate(specs, a, 1.1)[0])
+
+    @given(calls=st.lists(st.tuples(st.integers(0, len(SLOT_PRODUCTS) - 1), st.booleans(), st.booleans(),
+                                    st.floats(-5, 5)), min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_random_call_sequences_match_spectral_product(self, calls):
+        specs = [make_specs() for _, make_specs, _, _ in SLOT_PRODUCTS]
+        for which, second, fresh, t in calls:
+            _, make_specs, a, b = SLOT_PRODUCTS[which]
+            s, u = make_specs() if fresh else specs[which], b if second else a
+            got, expected = propagated_values(s, u, t), reference_propagate(s, u, t)
+            assert all(bits_equal(x, y) for x, y in zip(got, expected))
+
+    def test_coefficients_kept_read_only_and_reused(self):
+        _, make_specs, a, _ = SLOT_PRODUCTS[1]
+        specs = make_specs()
+        product_propagate(specs, a, 1.0)
+        slot = propagators._last_forward
+        assert slot[0]() is a
+        assert not slot[2].flags.writeable
+        product_propagate(specs, a, 2.0)
+        assert propagators._last_forward is slot
+
+    def test_concurrent_fields_match_sequential(self):
+        # two threads propagate two Fields to many times, so each keeps
+        # replacing the other's coefficients; a short switch interval
+        # interleaves them between every few bytecodes
+        grid = make_grid(64, 30.0)
+        specs = [PropagatorSpec("free", grid), PropagatorSpec("free", grid)]
+        rng = np.random.default_rng(12)
+        data = [Field((grid, grid), rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+                for _ in range(2)]
+        times = list(np.linspace(-3.0, 3.0, 40))
+        expected = [[reference_propagate(specs, u, t)[0] for t in times] for u in data]
+
+        def run(u):
+            return [product_propagate(specs, u, t).values for t in times]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, u) for u in data]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert all(bits_equal(x, y) for x, y in zip(got, want))
 
 
 class TestTransformThreads:
