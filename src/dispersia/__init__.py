@@ -27,12 +27,10 @@ from .propagators import (
 from .exponents import (
     INF,
     ExponentPair,
-    DispersionIndex,
     NLSExponentSelection,
     HypothesisViolation,
     is_admissible,
     in_triangle_T,
-    interpolation_exponent,
     select_nls_exponents,
     dual_exponent,
 )

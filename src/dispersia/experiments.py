@@ -25,10 +25,8 @@ from . import __version__
 from .decay import fit_decay_exponent, compare_prediction, norm_series
 from .exponents import (
     INF,
-    DispersionIndex,
     ExponentPair,
     dual_exponent,
-    interpolation_exponent,
     in_triangle_T,
     is_admissible,
     select_nls_exponents,
@@ -232,9 +230,6 @@ def _decay_verdict(cfg, report, label, series, u0, window, q, predicted, tol, **
 
 # ---------------------------------------------------------------- experiments
 
-# L^1 -> L^inf decay rate of each factor kind.
-_FACTOR_RATES = {"free": Fraction(1, 2), "free-plus-potential": Fraction(1, 2), "hyperbolic-radial": Fraction(3, 2)}
-
 # preset -> (factor kind, default factor count, whether [grid] factors is read,
 # default [exponents] q (None: fixed q = inf, the L^1 -> L^inf estimate), label)
 _DECAY_PRESETS = {
@@ -266,7 +261,7 @@ _DECAY_DEFAULTS = {
 def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     """Every product decay preset: k copies of one factor flow, a separable
     datum evolved factor by factor, the L^q' -> L^q ratio series, and
-    predicted slope -(sum of the factor rates)(1 - 2/q)."""
+    predicted slope minus the sum of the factors' decay rates at q."""
     kind, k, k_settable, q, label = _DECAY_PRESETS[cfg.name]
     if k_settable:
         k = _get(cfg, "grid", "factors", k, int)
@@ -294,9 +289,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     profile = _radial_bump(grid, center, width) if hyperbolic else gaussian_field(grid, width).values
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
-    rates = [_FACTOR_RATES[s.kind] for s in specs]
-    # the first factor against the product of the others, as in e^{itH} e^{itK}
-    predicted = interpolation_exponent(q, DispersionIndex(rates[0], sum(rates[1:])))
+    predicted = sum(s.decay_rate(q) for s in specs)
     u0 = SeparableField((Field((grid,), profile),) * k)
     series = norm_series(lambda u, t: product_propagate(specs, u, t), u0, times, float(q))
     _decay_verdict(cfg, report, label.format(k=k, q=q), series, u0, window, q, predicted, tol)
@@ -385,8 +378,7 @@ def classify_lattice(m: int, n: int, denominator: int, indices=None):
             }
             for ab in indices:
                 ab = Fraction(ab)
-                idx = DispersionIndex(ab / 2, ab / 2)
-                row[f"admissible_ab_{ab}"] = is_admissible(pair, idx).value
+                row[f"admissible_ab_{ab}"] = is_admissible(pair, ab).value
             rows.append(row)
     return rows
 

@@ -59,42 +59,24 @@ class ExponentPair:
         object.__setattr__(self, "inv_q", inv_q)
 
 
-@dataclass(frozen=True)
-class DispersionIndex:
-    """Per-factor decay exponents a, b >= 0 and their sum."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        a = Fraction(self.a)
-        b = Fraction(self.b)
-        if a < 0 or b < 0:
-            raise ValueError("decay exponents must be nonnegative")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def ab(self) -> Fraction:
-        return self.a + self.b
-
-
 class Admissibility(Enum):
     ADMISSIBLE = "admissible"
     ENDPOINT = "endpoint"
     NOT_ADMISSIBLE = "not-admissible"
 
 
-def is_admissible(pair: ExponentPair, idx: DispersionIndex) -> Admissibility:
-    """Classify (p, q) against the scaling line of the index a+b.
+def is_admissible(pair: ExponentPair, ab) -> Admissibility:
+    """Classify (p, q) against the scaling line of the decay index ab = a+b
+    (a, b >= 0 the two factors' rates, so ab < 0 is a ValueError).
 
     For ab > 1: 1/p + ab/q = ab/2 with 2 <= p <= INF and
     2 <= q <= 2ab/(ab-1); the extreme pair (2, 2ab/(ab-1)) is the endpoint.
-    For 0 < ab <= 1 the line is the same but p > 2/ab and q < INF are strict.
+    For 0 < ab <= 1 the line is the same but p > 2/ab and q < INF are strict,
+    and ab = 0 admits no pair (p > INF).
     """
-    ab = idx.ab
-    if ab <= 0:
-        return Admissibility.NOT_ADMISSIBLE
+    ab = Fraction(ab)
+    if ab < 0:
+        raise ValueError(f"decay exponents must be nonnegative, got a+b = {ab}")
     u, v = pair.inv_p, pair.inv_q
     on_line = u + ab * v == ab / 2
     if not on_line:
@@ -106,7 +88,7 @@ def is_admissible(pair: ExponentPair, idx: DispersionIndex) -> Admissibility:
         if u == Fraction(1, 2) and v == v_end:
             return Admissibility.ENDPOINT
         return Admissibility.ADMISSIBLE
-    # 0 < ab <= 1: p > 2/ab and q < INF, both strict
+    # 0 <= ab <= 1: p > 2/ab and q < INF, both strict
     if u < ab / 2 and 0 < v <= Fraction(1, 2):
         return Admissibility.ADMISSIBLE
     return Admissibility.NOT_ADMISSIBLE
@@ -125,14 +107,6 @@ def in_triangle_T(pair: ExponentPair, m: int, n: int) -> bool:
         return False
     d = m + n
     return 2 * u + d * v >= Fraction(d, 2)
-
-
-def interpolation_exponent(q, idx: DispersionIndex) -> Fraction:
-    """Decay rate (a+b)(1 - 2/q) of the interpolated L^q' -> L^q estimate."""
-    inv_q = inverse_exponent(q)
-    if inv_q > Fraction(1, 2):
-        raise ValueError(f"interpolation requires q >= 2, got {q}")
-    return idx.ab * (1 - 2 * inv_q)
 
 
 @dataclass(frozen=True)

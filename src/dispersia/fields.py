@@ -4,13 +4,13 @@ A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
 A SpectralFactor is the exact spectral form of a factor operator on one
-grid axis. Fields are immutable (grids, values) pairs: their values are
-read-only down to their memory, so they never change, and an array that
-anyone may still write is copied once; a SeparableField keeps a rank-1
-product state as its 1-D factors, and a Trajectory stacks the states of
-one run along a leading time axis. Norms are quadrature
-weighted so that a sampled function's norm approximates the continuum
-one.
+grid axis. Fields are immutable (grids, values) pairs; a SeparableField
+keeps a rank-1 product state as its 1-D factors, and a Trajectory stacks
+the states of one run along a leading time axis. The values of a Field
+and of a Trajectory are read-only down to their memory, so they never
+change, and an array that anyone may still write is copied once. Norms
+are quadrature weighted so that a sampled function's norm approximates
+the continuum one.
 """
 
 from __future__ import annotations
@@ -125,17 +125,10 @@ class SpectralFactor:
         return np.exp(-1j * t * self.lam)
 
 
-def _read_only(vals: np.ndarray) -> np.ndarray:
-    """A read-only view of vals: no copy, and no write through the view."""
-    view = vals.view()
-    view.flags.writeable = False
-    return view
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark a freshly built array, and every array it views, read-only, and
-    return it: a Field then keeps it without a copy. Only for arrays that
-    no one else holds a writable reference to."""
+    return it: a Field or Trajectory then keeps it without a copy. Only for
+    arrays that no one else holds a writable reference to."""
     b = a
     while isinstance(b, np.ndarray):
         b.flags.writeable = False
@@ -153,11 +146,28 @@ def _frozen_to_memory(a: np.ndarray) -> bool:
     return a is None or isinstance(a, bytes)
 
 
+def _immutable(values, shape: tuple, of: str) -> np.ndarray:
+    """`values` as a complex array that never changes, once it is checked
+    finite and of `shape` (the shape of `of`, which a refusal names): an
+    array that is read-only down to its memory (see _frozen) is kept as it
+    is, and any other array is copied once and the copy made read-only."""
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape != shape:
+        raise ValueError(f"values shape {vals.shape} does not match {of} {shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must be finite")
+    if vals is not values and vals.base is None:
+        # asarray converted the input: the result is already a private copy
+        vals.flags.writeable = False
+    elif not _frozen_to_memory(vals):
+        vals = _frozen(vals.copy())
+    return vals
+
+
 @dataclass(frozen=True)
 class Field:
-    """A state on the product of `grids`. Its values never change: an array
-    that is read-only down to its memory (see _frozen) is kept as it is,
-    and any other array is copied once and the copy made read-only."""
+    """A state on the product of `grids`. Its values never change (see
+    _immutable)."""
 
     grids: tuple[Grid1D, ...]
     values: np.ndarray
@@ -167,17 +177,7 @@ class Field:
         object.__setattr__(self, "grids", grids)
         if not 1 <= len(grids) <= 3:
             raise ValueError("Field supports rank 1 to 3")
-        vals = np.asarray(self.values, dtype=complex)
-        expected = tuple(g.n_points for g in grids)
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} does not match grids {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        if vals is not self.values and vals.base is None:
-            # asarray converted the input: the result is already a private copy
-            vals.flags.writeable = False
-        elif not _frozen_to_memory(vals):
-            vals = _frozen(vals.copy())
+        vals = _immutable(self.values, tuple(g.n_points for g in grids), "grids")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -221,7 +221,7 @@ class SeparableField:
 class Trajectory:
     """The states of one run stacked along a leading time axis: values[i]
     is the state on the product of `grids` at times[i]. The whole stack is
-    validated once, as a Field validates its values."""
+    validated once, and never changes, as a Field's values."""
 
     times: np.ndarray
     grids: tuple[Grid1D, ...]
@@ -230,17 +230,12 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         grids = tuple(self.grids)
-        vals = np.asarray(self.values, dtype=complex)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("a trajectory needs a 1-D array of at least one time")
-        expected = (len(times),) + tuple(g.n_points for g in grids)
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} does not match times and grids {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+        vals = _immutable(self.values, (len(times),) + tuple(g.n_points for g in grids), "times and grids")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "values", _read_only(vals))
+        object.__setattr__(self, "values", vals)
 
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, _frozen, _read_only, values_lp_norm, values_lp_norms
+from .fields import Field, Trajectory, _frozen, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
 
 
@@ -141,7 +141,7 @@ def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_
     for j, (t, values) in enumerate(splitstep_states(u0, nl, specs, T, dt, save_stride)):
         out[j] = values
         times.append(t)
-    return Trajectory(times, u0.grids, out)
+    return Trajectory(times, u0.grids, _frozen(out))
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def picard_iterate(
         converged=converged,
         contractive=contractive,
         times=tuple(times),
-        values=_read_only(v),
+        values=_frozen(v),
     )
 
 

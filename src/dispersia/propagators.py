@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.fft as sfft
@@ -32,6 +33,7 @@ from .fields import (
     _frozen,
     transform_workers,
 )
+from .exponents import inverse_exponent
 from .hyperbolic import h3_factor
 
 
@@ -89,6 +91,20 @@ class PropagatorSpec:
     def factor(self) -> SpectralFactor:
         """spectral_factor(self), built on first use and freed with the spec."""
         return spectral_factor(self)
+
+    def decay_rate(self, q) -> Fraction:
+        """The large-time rate of the factor's L^q' -> L^q estimate, for
+        2 <= q <= INF: (1/2)(1 - 2/q) on a torus factor with or without
+        its potential, its L^1 -> L^inf rate 1/2 interpolated against L^2
+        conservation; on H^3, 3/2 for every q > 2 (Anker-Pierfelice, Ann.
+        IHP 2009) and 0 at q = 2. A product's rate is the sum of its
+        factors' rates."""
+        inv_q = inverse_exponent(q)
+        if inv_q > Fraction(1, 2):
+            raise ValueError(f"a decay rate needs q >= 2, got {q}")
+        if self.kind == "hyperbolic-radial":
+            return Fraction(3, 2) if inv_q < Fraction(1, 2) else Fraction(0)
+        return Fraction(1, 2) * (1 - 2 * inv_q)
 
 
 def torus_frequencies(grid: Grid1D) -> np.ndarray:

@@ -144,7 +144,6 @@ class TestAcceptance:
     def test_criterion_08_admissibility_oracle(self):
         from dispersia.exponents import (
             Admissibility,
-            DispersionIndex,
             ExponentPair,
             in_triangle_T,
             is_admissible,
@@ -154,12 +153,11 @@ class TestAcceptance:
         mismatches = 0
         checks = 0
         for ab in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
-            idx = DispersionIndex(ab / 2, ab / 2)
             for i in range(7):
                 for j in range(7):
                     pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
                     checks += 1
-                    if is_admissible(pair, idx).value != admissible_oracle(pair.inv_p, pair.inv_q, ab):
+                    if is_admissible(pair, ab).value != admissible_oracle(pair.inv_p, pair.inv_q, ab):
                         mismatches += 1
         for m, n in ((2, 2), (2, 3), (3, 3)):
             for i in range(7):
@@ -168,9 +166,7 @@ class TestAcceptance:
                     checks += 1
                     if in_triangle_T(pair, m, n) != triangle_oracle(pair.inv_p, pair.inv_q, m, n):
                         mismatches += 1
-        endpoint = is_admissible(
-            ExponentPair(Fraction(1, 2), Fraction(1, 4)), DispersionIndex(Fraction(1), Fraction(1))
-        )
+        endpoint = is_admissible(ExponentPair(Fraction(1, 2), Fraction(1, 4)), 2)
         endpoint_ok = endpoint == Admissibility.ENDPOINT
         report(
             "criterion 8 admissibility oracle",

@@ -279,6 +279,12 @@ class TestExitCodes:
         assert f"[exponents] {key}" in capsys.readouterr().err
         assert not output_root.exists()
 
+    def test_negative_lattice_index_refused(self, tmp_path, capsys, output_root):
+        path = write_config(tmp_path, "[experiment]\nname = admissible-region\n[exponents]\nindices = -1\n")
+        assert main(["run", path]) == EXIT_INVALID_ARGUMENT
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
         # sinh(r)^2 overflows float64 near r = 355
         path = write_config(tmp_path, "[experiment]\nname = hyperbolic-decay\n[grid]\nr_max = 800\n")
@@ -451,10 +457,24 @@ class TestTwoParticleRunner:
 
 
 class TestDecayDefaults:
+    # the predicted slope of each entry: minus the sum of its factors' rates
+    PREDICTED = {
+        ("free-product-decay", 1): "1/2",
+        ("free-product-decay", 2): "1",
+        ("free-product-decay", 3): "3/2",
+        ("potential-product-decay", 1): "1/2",
+        ("potential-product-decay", 2): "1",
+        ("potential-product-decay", 3): "3/2",
+        ("hyperbolic-decay", 1): "3/2",
+        ("hyperbolic-product-decay", 2): "3",
+        ("interpolated-decay", 2): "1/2",
+    }
+
     @pytest.mark.parametrize("preset,k", sorted(experiments._DECAY_DEFAULTS), ids=str)
     def test_defaults_entry_passes(self, tmp_path, capsys, output_root, preset, k):
         # a config naming only the preset (and the factor count where it is
-        # settable) runs on that entry's defaults and must pass, warning-free
+        # settable) runs on that entry's defaults and must pass, warning-free,
+        # against its exact predicted slope
         text = f"[experiment]\nname = {preset}\n"
         if experiments._DECAY_PRESETS[preset][2]:
             text += f"[grid]\nfactors = {k}\n"
@@ -463,6 +483,7 @@ class TestDecayDefaults:
             assert main(["run", write_config(tmp_path, text)]) == EXIT_OK
         verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("[PASS]", "[FAIL]"))]
         assert verdicts and all(ln.startswith("[PASS]") for ln in verdicts), verdicts
+        assert f" predicted=-{self.PREDICTED[preset, k]} " in verdicts[0]
 
 
 class TestAdmissibleSubcommand:
@@ -487,6 +508,11 @@ class TestAdmissibleSubcommand:
         # a zero denominator is an invalid argument, like any malformed index
         assert main(["admissible", "--m", "2", "--n", "2", "--indices", "1/2,1/0"]) == EXIT_INVALID_ARGUMENT
         assert "1/0" in capsys.readouterr().err
+
+    def test_negative_index_refused(self, capsys):
+        # an index a+b is a sum of decay rates, which are nonnegative
+        assert main(["admissible", "--m", "2", "--n", "2", "--indices=-1"]) == EXIT_INVALID_ARGUMENT
+        assert "must be nonnegative" in capsys.readouterr().err
 
     def test_endpoint_classified(self, capsys):
         main(["admissible", "--m", "2", "--n", "2", "--grid", "4", "--indices", "2"])

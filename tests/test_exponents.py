@@ -1,5 +1,5 @@
-"""Exact rational exponent algebra: admissibility, the triangle region,
-interpolation and NLS exponent selection."""
+"""Exact rational exponent algebra: admissibility, the triangle region
+and NLS exponent selection."""
 
 import math
 from fractions import Fraction
@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from dispersia.exponents import (
     INF,
     Admissibility,
-    DispersionIndex,
     ExponentPair,
     HypothesisViolation,
     dual_exponent,
     in_triangle_T,
-    interpolation_exponent,
     inverse_exponent,
     is_admissible,
     select_nls_exponents,
@@ -49,40 +47,35 @@ class TestIsAdmissible:
     def test_inf_2_always_admissible(self):
         pair = ExponentPair(Fraction(0), HALF)
         for ab in (HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
-            idx = DispersionIndex(ab / 2, ab / 2)
-            assert is_admissible(pair, idx) == Admissibility.ADMISSIBLE
+            assert is_admissible(pair, ab) == Admissibility.ADMISSIBLE
 
     def test_endpoint_ab2_is_2_4(self):
         pair = ExponentPair(Fraction(1, 2), Fraction(1, 4))
-        idx = DispersionIndex(Fraction(1), Fraction(1))  # ab = 2
-        assert is_admissible(pair, idx) == Admissibility.ENDPOINT
+        assert is_admissible(pair, 2) == Admissibility.ENDPOINT
 
     def test_low_index_p_equal_2_never_admissible(self):
-        idx = DispersionIndex(HALF, HALF)  # ab = 1
         for inv_q in (Fraction(0), Fraction(1, 4), HALF):
             pair = ExponentPair(HALF, inv_q)
-            assert is_admissible(pair, idx) == Admissibility.NOT_ADMISSIBLE
+            assert is_admissible(pair, 1) == Admissibility.NOT_ADMISSIBLE
 
-    @pytest.mark.parametrize("ab", [HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
+    @pytest.mark.parametrize("ab", [Fraction(0), HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
     def test_exhaustive_lattice_agreement_with_oracle(self, ab):
-        idx = DispersionIndex(ab / 2, ab / 2)
         for i in range(7):
             for j in range(7):
                 pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
                 expected = admissible_oracle(pair.inv_p, pair.inv_q, ab)
-                assert is_admissible(pair, idx).value == expected, (
+                assert is_admissible(pair, ab).value == expected, (
                     f"disagreement at 1/p={pair.inv_p} 1/q={pair.inv_q} ab={ab}"
                 )
 
     @pytest.mark.parametrize("ab", [Fraction(3, 2), Fraction(2), Fraction(3)])
     def test_endpoint_unique_on_refinable_lattice(self, ab):
-        idx = DispersionIndex(ab / 2, ab / 2)
         denominator = 2 * ab.denominator * (2 * ab.numerator)  # refines 1/q at the endpoint
         endpoints = []
         for i in range(denominator // 2 + 1):
             for j in range(denominator // 2 + 1):
                 pair = ExponentPair(Fraction(i, denominator), Fraction(j, denominator))
-                if is_admissible(pair, idx) == Admissibility.ENDPOINT:
+                if is_admissible(pair, ab) == Admissibility.ENDPOINT:
                     endpoints.append(pair)
         assert len(endpoints) == 1
         (pair,) = endpoints
@@ -96,8 +89,7 @@ class TestIsAdmissible:
     @settings(max_examples=200, deadline=None)
     def test_oracle_agreement_property(self, i, j, ab):
         pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
-        idx = DispersionIndex(ab / 2, ab / 2)
-        assert is_admissible(pair, idx).value == admissible_oracle(pair.inv_p, pair.inv_q, ab)
+        assert is_admissible(pair, ab).value == admissible_oracle(pair.inv_p, pair.inv_q, ab)
 
 
 class TestTriangleT:
@@ -134,21 +126,6 @@ class TestTriangleT:
         lo, hi = sorted((i, i2))
         if in_triangle_T(ExponentPair(Fraction(lo, 12), Fraction(j, 12)), m, n):
             assert in_triangle_T(ExponentPair(Fraction(hi, 12), Fraction(j, 12)), m, n)
-
-
-class TestInterpolationExponent:
-    def test_q2_gives_zero(self):
-        assert interpolation_exponent(2, DispersionIndex(HALF, HALF)) == 0
-
-    def test_q_inf_gives_full_index(self):
-        assert interpolation_exponent(INF, DispersionIndex(HALF, HALF)) == 1
-
-    def test_q4_halves_the_index(self):
-        assert interpolation_exponent(4, DispersionIndex(HALF, HALF)) == HALF
-
-    def test_q_below_2_rejected(self):
-        with pytest.raises(ValueError):
-            interpolation_exponent(Fraction(3, 2), DispersionIndex(HALF, HALF))
 
 
 class TestSelectNLSExponents:

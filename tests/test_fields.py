@@ -219,13 +219,22 @@ class TestSliceNorms:
             atol=0,
         )
 
-    def test_trajectory_values_are_a_read_only_view(self):
+    def test_caller_writes_leave_trajectory_unchanged(self):
         values = self.stack(7)
+        traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
+        values[1, 3] = np.nan
+        values *= 2
+        assert np.array_equal(traj.values, self.stack(7))
+        assert values.flags.writeable
+        with pytest.raises(ValueError):
+            traj.values[1] = 0.0
+
+    def test_frozen_stack_is_shared(self):
+        values = _frozen(self.stack(7))
         traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
         assert np.shares_memory(traj.values, values)
         with pytest.raises(ValueError):
             traj.values[1] = 0.0
-        assert values.flags.writeable
 
     def test_trajectory_nonfinite_rejected(self):
         values = self.stack(5)

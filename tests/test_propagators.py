@@ -10,6 +10,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from dispersia import hyperbolic, propagators
 from dispersia.decay import norm_series
+from dispersia.exponents import INF
 from dispersia.fields import (
     HYPERBOLIC,
     Field,
@@ -266,20 +268,48 @@ class TestProductPropagate:
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), rel=1e-12)
 
 
+FACTOR_SPECS = [
+    PropagatorSpec("free", make_grid(64, 30.0)),
+    potential_spec(make_grid(64, 30.0)),
+    PropagatorSpec("hyperbolic-radial", make_grid(64, 12.0, HYPERBOLIC)),
+]
+
+
 class TestFactorKindProperties:
     """Flow identities shared by every factor kind."""
 
-    @pytest.mark.parametrize("spec", [
-        PropagatorSpec("free", make_grid(64, 30.0)),
-        potential_spec(make_grid(64, 30.0)),
-        PropagatorSpec("hyperbolic-radial", make_grid(64, 12.0, HYPERBOLIC)),
-    ], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", FACTOR_SPECS, ids=lambda spec: spec.kind)
     @given(t=st.floats(0, 10), seed=st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
     def test_time_reversal(self, spec, t, seed):
         u = random_field(spec.grid, seed)
         back = flow(spec, flow(spec, u, t), -t)
         assert lp_norm(back.with_values(back.values - u.values), 2) <= 1e-10 * lp_norm(u, 2)
+
+
+class TestDecayRate:
+    """PropagatorSpec.decay_rate, the large-time rate of a factor's
+    L^q' -> L^q estimate, in exact arithmetic."""
+
+    @pytest.mark.parametrize("spec, rates", [
+        (FACTOR_SPECS[0], (0, Fraction(1, 4), Fraction(1, 2))),
+        (FACTOR_SPECS[1], (0, Fraction(1, 4), Fraction(1, 2))),
+        (FACTOR_SPECS[2], (0, Fraction(3, 2), Fraction(3, 2))),
+    ], ids=[spec.kind for spec in FACTOR_SPECS])
+    def test_rate_at_q_2_4_inf(self, spec, rates):
+        assert tuple(spec.decay_rate(q) for q in (2, 4, INF)) == rates
+        assert all(isinstance(spec.decay_rate(q), Fraction) for q in (2, 4, INF))
+
+    def test_h3_rate_is_not_interpolated(self):
+        # interpolating the L^1 -> L^inf rate 3/2 against L^2 conservation
+        # would give (3/2)(1 - 2/4) = 3/4 at q = 4; the H^3 rate is 3/2
+        rate = FACTOR_SPECS[2].decay_rate(Fraction(4))
+        assert rate == Fraction(3, 2) != Fraction(3, 2) * (1 - Fraction(2, 4))
+
+    @pytest.mark.parametrize("spec", FACTOR_SPECS, ids=lambda spec: spec.kind)
+    def test_q_below_2_refused(self, spec):
+        with pytest.raises(ValueError, match="q >= 2"):
+            spec.decay_rate(Fraction(3, 2))
 
 
 def dense(u):
