@@ -275,6 +275,8 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     window, times = _decay_window(cfg, t_min, t_max, n_times)
     tol = _positive(cfg, "fit", "tolerance", tol)
     q = INF if q is None else _get(cfg, "exponents", "q", q, _exponent_from_str)
+    if not q >= 2:
+        raise ConfigError(f"[exponents] q must be >= 2 (got {q}): a decay rate is an L^q' -> L^q estimate")
     center = _get(cfg, "data", "center", 1.5, float) if hyperbolic else None
     pot = None
     if kind == "free-plus-potential":

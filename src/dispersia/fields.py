@@ -113,8 +113,10 @@ class SpectralFactor:
     transform along the axis that diagonalises S, the spectrum lam of S on
     the transform's dual lattice, and the inverse transform. The factor
     flow exp(-itS) is forward, the phase exp(-i t lam), inverse. With
-    overwrite=True a transform may write into the array it is given (one
-    that returns a fresh array ignores the flag)."""
+    overwrite=True a transform may write into the array it is given: the
+    free and H^3 factors transform a writable C-contiguous complex array
+    in place, and only the potential factor, a matrix product, ignores the
+    flag and returns a fresh array."""
 
     forward: Callable[..., np.ndarray]  # (values, axis, overwrite=False) -> coefficients
     inverse: Callable[..., np.ndarray]  # (coefficients, axis, overwrite=False) -> values

@@ -35,31 +35,48 @@ def dual_lattice(grid: Grid1D) -> np.ndarray:
     return np.pi * np.arange(1, grid.n_points + 1) / grid.length
 
 
-def _complex_dst(transform, values: np.ndarray, axis: int) -> np.ndarray:
+def _own(values, overwrite: bool) -> np.ndarray:
+    """The array a transform writes into: `values` itself when the caller
+    lets it be overwritten and it is a writable C-contiguous complex array,
+    and otherwise one C-ordered complex copy of it."""
+    if overwrite and values.dtype == complex and values.flags.c_contiguous and values.flags.writeable:
+        return values
+    return np.array(values, dtype=complex, order="C")
+
+
+def _complex_dst(transform, values: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
     """The type-II `transform` (sfft.dst or sfft.idst) of complex values
     along one axis as one real transform: the (re, im) pairs become a
     trailing axis of a float view, where scipy would make two strided real
     calls. Each 1-D transform is computed as before, so the result is
-    bit-identical. Always a fresh array."""
-    axis = axis % values.ndim  # never the appended (re, im) axis
-    x = np.ascontiguousarray(values, dtype=complex)
-    out = transform(x.view(float).reshape(x.shape + (2,)), type=2, axis=axis, workers=transform_workers(x))
+    bit-identical. It is written, with overwrite_x, into _own(values,
+    overwrite), whose memory the returned array shares."""
+    x = _own(values, overwrite)
+    pairs = x.view(float).reshape(x.shape + (2,))
+    out = transform(pairs, type=2, axis=axis % x.ndim, workers=transform_workers(x), overwrite_x=True)
     return out.view(complex)[..., 0]
 
 
 def h3_factor(grid: Grid1D) -> SpectralFactor:
     """The H^3 radial factor in spectral form: the type-II sine transform of
     sinh(r) f(r) along the axis, spectrum lambda^2 + rho^2 on the dual
-    lattice. Both transforms return a fresh array and ignore `overwrite`."""
+    lattice. Both transforms scale and transform _own(values, overwrite)
+    in place, so with overwrite=True they allocate no state-sized array.
+    The inverse multiplies by a precomputed 1 / sinh(r): the bits of a
+    division by sinh(r), up to the sign of an exact zero, at about a third
+    of its cost."""
     _require_hyperbolic(grid)
     sinh_r = np.sinh(grid.nodes)
+    inv_sinh_r = 1.0 / sinh_r
 
     def forward(values, axis, overwrite=False):
-        return _complex_dst(sfft.dst, values * _axis_shape(values, axis, sinh_r), axis)
+        x = _own(values, overwrite)
+        x *= _axis_shape(x, axis, sinh_r)
+        return _complex_dst(sfft.dst, x, axis, overwrite=True)
 
     def inverse(coeffs, axis, overwrite=False):
-        out = _complex_dst(sfft.idst, coeffs, axis)
-        out /= _axis_shape(out, axis, sinh_r)
+        out = _complex_dst(sfft.idst, coeffs, axis, overwrite)
+        out *= _axis_shape(out, axis, inv_sinh_r)
         return out
 
     return SpectralFactor(forward, inverse, dual_lattice(grid) ** 2 + RHO_H3**2)

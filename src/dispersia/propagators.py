@@ -193,7 +193,9 @@ class SpectralProduct:
     overwrite=True the first transform may write its result into the array
     it is given, which the caller must then not read again; the result is
     the same. Every later transform may overwrite, since its input is the
-    product's own array."""
+    product's own array. The free and H^3 factors then run in place, so
+    propagate_coefficients on such factors allocates one state, the phase
+    buffer that becomes its result."""
 
     factors: tuple[SpectralFactor, ...]
 

@@ -166,6 +166,15 @@ class TestExitCodes:
         assert "[experiment] m" not in err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("q", ["3/2", "1"])
+    def test_q_below_2_refused(self, tmp_path, capsys, output_root, q):
+        # a decay rate is an L^q' -> L^q estimate with q >= 2: the key is
+        # refused where it is read, before the grid or the datum is built
+        path = write_config(tmp_path, f"[experiment]\nname = interpolated-decay\n[exponents]\nq = {q}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[exponents] q" in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("name", [n for n, preset in experiments._DECAY_PRESETS.items() if not preset[2]])
     def test_fixed_factor_count_refused(self, tmp_path, capsys, output_root, name):
         # these presets have a fixed factor count: [grid] factors = 2 ran

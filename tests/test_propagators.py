@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -778,22 +779,26 @@ class TestTransformThreads:
             assert np.array_equal(_complex_dst(transform, values, axis), expected)
 
     def test_inverse_transforms_leave_coefficients_unchanged(self):
+        # the H^3 factor's forward and inverse without overwrite write
+        # neither a 1-D nor a 2-D input
         grid = make_grid(64, 16.0, HYPERBOLIC)
+        factor = h3_factor(grid)
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        kept = coeffs.copy()
-        h3_factor(grid).inverse(coeffs, 0)
-        assert np.array_equal(coeffs, kept)
         stack = np.multiply.outer(coeffs, coeffs)
-        kept = stack.copy()
-        for axis in (0, 1):
-            h3_factor(grid).inverse(stack, axis)
-        assert np.array_equal(stack, kept)
+        for transform in (factor.forward, factor.inverse):
+            kept = coeffs.copy()
+            transform(coeffs, 0)
+            assert np.array_equal(coeffs, kept)
+            kept = stack.copy()
+            for axis in (0, 1):
+                transform(stack, axis)
+            assert np.array_equal(stack, kept)
         # a product's forward and inverse without overwrite write neither
         # input, whichever factor kind comes first
         torus = make_grid(64, 30.0)
         free, h3 = PropagatorSpec("free", torus), PropagatorSpec("hyperbolic-radial", grid)
-        for specs in ([free, h3], [h3, free], [potential_spec(torus, 0.5), free]):
+        for specs in ([free, h3], [h3, free], [h3, h3], [potential_spec(torus, 0.5), free]):
             flow = propagators.spectral_product(specs, [s.grid for s in specs])
             for transform in (flow.forward, flow.inverse):
                 kept = stack.copy()
@@ -811,6 +816,74 @@ class TestTransformThreads:
         values = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
         assert np.array_equal(flow.forward(values), sfft.fftn(values, workers=workers))
         assert np.array_equal(flow.inverse(values), sfft.ifftn(values, workers=workers))
+
+
+class TestH3InPlace:
+    """The H^3 factor honours overwrite as the free factor does: a writable
+    C-contiguous complex array is transformed in place, and any other input
+    is copied once and never written."""
+
+    grid = make_grid(40, 10.0, HYPERBOLIC)
+
+    def values(self, seed=6):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_overwrite_transforms_in_place(self, direction, axis, workers, monkeypatch):
+        monkeypatch.setattr(hyperbolic, "transform_workers", lambda values: workers)
+        transform = getattr(h3_factor(self.grid), direction)
+        values = self.values()
+        expected = transform(values, axis)
+        got = transform(values, axis, overwrite=True)
+        assert np.shares_memory(got, values)
+        assert bits_equal(got, expected)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_other_inputs_never_written(self, direction):
+        transform = getattr(h3_factor(self.grid), direction)
+        values = self.values()
+        read_only = values.copy()
+        read_only.flags.writeable = False
+        for x in (read_only, values.T, values.real):
+            kept = x.copy()
+            for axis in (0, 1):
+                out = transform(x, axis, overwrite=True)
+                assert np.array_equal(x, kept)
+                assert not np.shares_memory(out, x)
+                assert bits_equal(out, transform(kept, axis))
+
+
+ALLOC_KINDS = [("free", "free"), ("free", "h3"), ("h3", "free"), ("h3", "h3")]
+
+
+@pytest.mark.parametrize("kinds", ALLOC_KINDS, ids=["-".join(k) for k in ALLOC_KINDS])
+def test_dense_product_allocation_budget(kinds):
+    # traced allocations of one dense product_propagate call, in states
+    # above the start: a warm call (forward coefficients kept) allocates
+    # the phase buffer that becomes its result, and the first call also
+    # the coefficients; every transform of both runs in place
+    grids = tuple(
+        make_grid(n, 40.0, HYPERBOLIC) if kind == "h3" else make_grid(n, 64.0)
+        for kind, n in zip(kinds, (256, 280))
+    )
+    specs = [PropagatorSpec("hyperbolic-radial" if g.kind == HYPERBOLIC else "free", g) for g in grids]
+    rng = np.random.default_rng(13)
+    u = Field(grids, rng.standard_normal((256, 280)) + 1j * rng.standard_normal((256, 280)))
+
+    def states_allocated(t):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            product_propagate(specs, u, t)
+            return (tracemalloc.get_traced_memory()[1] - start) / u.values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert states_allocated(1.3) <= 2.5
+    assert states_allocated(2.1) <= 1.5
 
 
 class TestDispersiveRatioSeries:
