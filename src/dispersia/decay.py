@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import Field, SeparableField, lp_norm
+from .propagators import boundary_mass_fraction, peak_centers
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,6 @@ def norm_series(evolve, u0: Field | SeparableField, times, r, sequential: bool =
     time additivity (useful for split-step flows); otherwise each time is
     reached directly from u0.
     """
-    from .propagators import boundary_mass_fraction, peak_centers
-
     times = [float(t) for t in times]
     if not all(0 < t < math.inf for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, strictly positive and increasing")

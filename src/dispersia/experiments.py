@@ -228,6 +228,15 @@ def _decay_verdict(cfg, report, label, series, u0, window, q, predicted, tol, **
     report.add(label, rep["verdict"] == "pass", f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}")
 
 
+def _potential_spec(family: str, amplitude: float, width: float, center: float) -> PotentialSpec:
+    """The [potential] settings as a PotentialSpec, checked before any
+    eigenbasis is built; a refusal names its [potential] key."""
+    try:
+        return PotentialSpec(family, amplitude=amplitude, width=width, center=center)
+    except ValueError as exc:
+        raise ConfigError(f"[potential] {exc}") from exc
+
+
 # ---------------------------------------------------------------- experiments
 
 # preset -> (factor kind, default factor count, whether [grid] factors is read,
@@ -280,10 +289,10 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     center = _get(cfg, "data", "center", 1.5, float) if hyperbolic else None
     pot = None
     if kind == "free-plus-potential":
-        pot = PotentialSpec(
+        pot = _potential_spec(
             _get(cfg, "potential", "family", "sech-squared"),
-            amplitude=_get(cfg, "potential", "amplitude", 0.3, float),
-            width=_get(cfg, "potential", "width", 1.0, float),
+            _get(cfg, "potential", "amplitude", 0.3, float),
+            _get(cfg, "potential", "width", 1.0, float),
             center=length / 2,
         )
     _check_all_read(cfg)
@@ -315,9 +324,9 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         raise ConfigError(f"[time] equivalence_steps must be >= 1 (got {steps_eq})")
     if spp < 1:
         raise ConfigError(f"[time] split_steps_per_unit_time must be >= 1 (got {spp})")
+    pot = _potential_spec("sech-squared", amplitude, v_width, center=0.0)
     _check_all_read(cfg)
     grid = make_grid(n, length)
-    pot = PotentialSpec("sech-squared", amplitude=amplitude, width=v_width, center=0.0)
     v = pot.sample(grid)
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
 
@@ -347,7 +356,9 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         diff <= eq_tol,
         f"difference={diff:.3e} tol={eq_tol}",
     )
-    # product decay in the interacting system
+    # product decay in the interacting system: the rates of the sum
+    # variable's free factor and the difference variable's potential factor
+    factors = (PropagatorSpec("free", grid), PropagatorSpec("free-plus-potential", grid, pot))
     _decay_verdict(
         cfg,
         report,
@@ -356,7 +367,7 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         u0,
         window,
         INF,
-        Fraction(1),
+        sum(s.decay_rate(INF) for s in factors),
         tol,
         equivalence_l2_difference=diff,
     )

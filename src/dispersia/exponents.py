@@ -137,17 +137,9 @@ def select_nls_exponents(m: int, n: int, gamma) -> NLSExponentSelection:
         raise HypothesisViolation(
             f"gamma={gamma} outside (1, 1 + 4/(m+n)] = (1, {bound}] for m+n={m + n}"
         )
+    # the bound puts beta in (0, 2] and, with p = 1 + gamma and d = m + n,
+    # the pair (1/p, 1/p) in the triangle T: 2/p + d/p >= d/2 iff
+    # gamma <= 1 + 4/d; p = p~' * gamma holds by construction
     beta = (gamma - 1) * (m + n) / 2
-    assert 0 < beta <= 2
     p = 1 + gamma
-    # self-mapping identity p = p~' * gamma, exact by construction
-    p_tilde_dual = p / (p - 1)
-    assert p_tilde_dual * gamma == p
-    sel = NLSExponentSelection(
-        m=m, n=n, gamma=gamma, beta=beta, p=p, q=p, p_tilde=p, q_tilde=p
-    )
-    if m >= 2 and n >= 2:
-        pair = ExponentPair(1 / p, 1 / p)
-        if not in_triangle_T(pair, m, n):
-            raise HypothesisViolation(f"selected pair (1/{p}, 1/{p}) leaves the triangle T")
-    return sel
+    return NLSExponentSelection(m=m, n=n, gamma=gamma, beta=beta, p=p, q=p, p_tilde=p, q_tilde=p)

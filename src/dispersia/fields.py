@@ -3,10 +3,9 @@
 A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
-A SpectralFactor is the exact spectral form of a factor operator on one
-grid axis. Fields are immutable (grids, values) pairs; a SeparableField
-keeps a rank-1 product state as its 1-D factors, and a Trajectory stacks
-the states of one run along a leading time axis. The values of a Field
+Fields are immutable (grids, values) pairs; a SeparableField keeps a
+rank-1 product state as its 1-D factors, and a Trajectory stacks the
+states of one run along a leading time axis. The values of a Field
 and of a Trajectory are read-only down to their memory, so they never
 change, and an array that anyone may still write is copied once. Norms
 are quadrature weighted so that a sampled function's norm approximates
@@ -16,8 +15,6 @@ the continuum one.
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +23,6 @@ EUCLIDEAN = "euclidean-torus"
 HYPERBOLIC = "hyperbolic-radial"
 
 _MIN_POINTS = 8
-
-# arrays below this many points transform on one thread: there two workers
-# gained little or lost (0.95-1.24x at 243^2 and 256^2 on 2 cores), and the
-# NLS routes on such grids already run a second thread
-_THREAD_MIN_POINTS = 2**18
 
 # |u|^2 squares this many (re, im) pairs at a time: the 256 KB temporary
 # stays in cache, where one temporary the size of a 1024 x 1120 array made
@@ -87,44 +79,11 @@ def make_grid(n_points: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
     return Grid1D(n_points=int(n_points), length=float(length), kind=kind)
 
 
-def transform_workers(values: np.ndarray) -> int:
-    """The `workers` count of a scipy.fft call on `values`: every core the
-    process may run on from 2**18 points up, one below that. The threads
-    split the batch of 1-D transforms, each computed as on one thread, so
-    the result does not depend on the count."""
-    if values.size < _THREAD_MIN_POINTS:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
     """A 1-D array reshaped to broadcast along one axis of values."""
     shape = [1] * values.ndim
     shape[axis] = arr.shape[0]
     return arr.reshape(shape)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralFactor:
-    """A factor operator S on one grid axis in its exact spectral form: a
-    transform along the axis that diagonalises S, the spectrum lam of S on
-    the transform's dual lattice, and the inverse transform. The factor
-    flow exp(-itS) is forward, the phase exp(-i t lam), inverse. With
-    overwrite=True a transform may write into the array it is given: the
-    free and H^3 factors transform a writable C-contiguous complex array
-    in place, and only the potential factor, a matrix product, ignores the
-    flag and returns a fresh array."""
-
-    forward: Callable[..., np.ndarray]  # (values, axis, overwrite=False) -> coefficients
-    inverse: Callable[..., np.ndarray]  # (coefficients, axis, overwrite=False) -> values
-    lam: np.ndarray
-
-    def phase(self, t: float) -> np.ndarray:
-        # the linear artifacts stay byte-identical only in this evaluation order
-        return np.exp(-1j * t * self.lam)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -259,13 +218,10 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
 def _weighted_axis_norm(
     values: np.ndarray, weights: np.ndarray, r: float, axis: int, squared: np.ndarray | None = None
 ) -> np.ndarray:
-    """L^r norm along one axis. For finite r >= 2 the summand |u|^r is
-    (|u|^2)^(r/2), from `squared` (|values|^2) when the caller has it: no
-    square root, no pow at r = 2 and one square at r = 4. For r < 2 and
-    r = inf it is taken from |u|, whose square could overflow where |u|^r
-    does not."""
-    if math.isinf(r):
-        return np.abs(values).max(axis=axis)
+    """L^r norm along one axis, for finite r. For r >= 2 the summand |u|^r
+    is (|u|^2)^(r/2), from `squared` (|values|^2) when the caller has it:
+    no square root, no pow at r = 2 and one square at r = 4. For r < 2 it
+    is taken from |u|, whose square could overflow where |u|^r does not."""
     if r < 2:
         power = np.abs(values) ** r
     else:

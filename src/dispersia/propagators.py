@@ -1,4 +1,12 @@
-"""Schrodinger propagators on Euclidean tori and their tensor composition.
+"""Schrodinger factor flows in spectral form and their tensor composition.
+
+Every factor kind is an operator diagonalised by a transform along its
+grid axis (a SpectralFactor): the free torus factor by the FFT, the
+free-plus-potential torus factor by its exact eigenbasis, and the radial
+H^3 factor by a sine transform (see h3_factor). On a product of factors
+`spectral_product` gives the flow as one forward transform per axis, one
+phase and one inverse transform per axis; `transform_workers` is the
+thread count of every transform.
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -6,16 +14,15 @@ xi = 2 pi k / L, i.e. exp(i t Laplacian). A potential factor is the flow
 of -Laplacian + V, and a Strang potential substep carries phase
 exp(-i V dt), so every substep is a modulus-1 multiplier and the schemes
 are exactly unitary.
-
-Every factor kind has an exact spectral form (`spectral_factor`); on a
-product of factors `spectral_product` gives the flow as one forward
-transform per axis, one phase and one inverse transform per axis.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import os
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,19 +35,59 @@ from .fields import (
     Field,
     Grid1D,
     SeparableField,
-    SpectralFactor,
     _abs_squared,
+    _axis_shape,
     _frozen,
-    transform_workers,
 )
 from .exponents import inverse_exponent
-from .hyperbolic import h3_factor
+
+# arrays below this many points transform on one thread: there two workers
+# gained little or lost (0.95-1.24x at 243^2 and 256^2 on 2 cores), and the
+# NLS routes on such grids already run a second thread
+_THREAD_MIN_POINTS = 2**18
+
+# the bottom of the spectrum of minus the Laplace-Beltrami operator on H^3
+RHO_H3 = 1.0
+
+
+def transform_workers(values: np.ndarray) -> int:
+    """The `workers` count of a scipy.fft call on `values`: every core the
+    process may run on from 2**18 points up, one below that. The threads
+    split the batch of 1-D transforms, each computed as on one thread, so
+    the result does not depend on the count."""
+    if values.size < _THREAD_MIN_POINTS:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralFactor:
+    """A factor operator S on one grid axis in its exact spectral form: a
+    transform along the axis that diagonalises S, the spectrum lam of S on
+    the transform's dual lattice, and the inverse transform. The factor
+    flow exp(-itS) is forward, the phase exp(-i t lam), inverse. With
+    overwrite=True a transform may write into the array it is given: the
+    free and H^3 factors transform a writable C-contiguous complex array
+    in place, and only the potential factor, a matrix product, ignores the
+    flag and returns a fresh array."""
+
+    forward: Callable[..., np.ndarray]  # (values, axis, overwrite=False) -> coefficients
+    inverse: Callable[..., np.ndarray]  # (coefficients, axis, overwrite=False) -> values
+    lam: np.ndarray
+
+    def phase(self, t: float) -> np.ndarray:
+        # the linear artifacts stay byte-identical only in this evaluation order
+        return np.exp(-1j * t * self.lam)
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Built-in real potential families; amplitude >= 0 keeps the sign
-    condition of the 1-D weighted class."""
+    """Built-in real potential families; a finite amplitude >= 0 keeps the
+    sign condition of the 1-D weighted class, and a finite width keeps V
+    decaying. A refusal's message starts with the field it names."""
 
     family: str  # gaussian-bump | sech-squared
     amplitude: float = 1.0
@@ -49,11 +96,11 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.family not in ("gaussian-bump", "sech-squared"):
-            raise ValueError(f"unknown potential family {self.family!r}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0 (sign condition V >= 0)")
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+            raise ValueError(f"family {self.family!r} is not gaussian-bump or sech-squared")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0 (sign condition V >= 0), got {self.amplitude}")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be finite and > 0 (a decaying V), got {self.width}")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Analytic profile at signed distances x from the center."""
@@ -89,8 +136,15 @@ class PropagatorSpec:
 
     @functools.cached_property
     def factor(self) -> SpectralFactor:
-        """spectral_factor(self), built on first use and freed with the spec."""
-        return spectral_factor(self)
+        """The exact spectral form of the factor kind, built on first use and
+        freed with the spec: the Fourier basis (free), the potential
+        eigenbasis (free-plus-potential) or the sine transform
+        (hyperbolic-radial)."""
+        if self.kind == "free":
+            return _free_factor(self.grid)
+        if self.kind == "free-plus-potential":
+            return _potential_factor(self.grid, self.potential)
+        return h3_factor(self.grid)
 
     def decay_rate(self, q) -> Fraction:
         """The large-time rate of the factor's L^q' -> L^q estimate, for
@@ -150,15 +204,63 @@ def _potential_factor(grid: Grid1D, potential: PotentialSpec) -> SpectralFactor:
     )
 
 
-def spectral_factor(spec: PropagatorSpec) -> SpectralFactor:
-    """The exact spectral form of a factor kind: the Fourier basis (free),
-    the potential eigenbasis (free-plus-potential) or the sine transform
-    (hyperbolic-radial)."""
-    if spec.kind == "free":
-        return _free_factor(spec.grid)
-    if spec.kind == "free-plus-potential":
-        return _potential_factor(spec.grid, spec.potential)
-    return h3_factor(spec.grid)
+def _own(values, overwrite: bool) -> np.ndarray:
+    """The array a transform writes into: `values` itself when the caller
+    lets it be overwritten and it is a writable C-contiguous complex array,
+    and otherwise one C-ordered complex copy of it."""
+    if overwrite and values.dtype == complex and values.flags.c_contiguous and values.flags.writeable:
+        return values
+    return np.array(values, dtype=complex, order="C")
+
+
+def _complex_dst(transform, values: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """The type-II `transform` (sfft.dst or sfft.idst) of complex values
+    along one axis as one real transform: the (re, im) pairs become a
+    trailing axis of a float view, where scipy would make two strided real
+    calls. Each 1-D transform is computed as before, so the result is
+    bit-identical. It is written, with overwrite_x, into _own(values,
+    overwrite), whose memory the returned array shares."""
+    x = _own(values, overwrite)
+    pairs = x.view(float).reshape(x.shape + (2,))
+    out = transform(pairs, type=2, axis=axis % x.ndim, workers=transform_workers(x), overwrite_x=True)
+    return out.view(complex)[..., 0]
+
+
+def h3_factor(grid: Grid1D) -> SpectralFactor:
+    """The radial factor of 3-dimensional hyperbolic space in spectral form.
+
+    For radial data on H^3 the spherical analysis collapses to a sine
+    transform of the auxiliary function F(r) = sinh(r) f(r): on the
+    cell-centered truncated grid this is exactly the type-II discrete sine
+    transform, with the dual lattice lambda_k = k pi / r_max, k = 1..n. The
+    spectrum is lambda^2 + rho^2 with rho = 1 (RHO_H3).
+
+    Normalization of the transform pair is operational: the inverse is the
+    exact inverse of the forward map. With the unnormalized type-II sine
+    transform the weighted L^2 norm of f equals a weighted l^2 norm of its
+    coefficients, with weight 4 pi dr / (2n) on every mode but the top one,
+    which carries half of it.
+
+    Both transforms scale and transform _own(values, overwrite) in place,
+    so with overwrite=True they allocate no state-sized array. The inverse
+    multiplies by a precomputed 1 / sinh(r): the bits of a division by
+    sinh(r), up to the sign of an exact zero, at about a third of its
+    cost."""
+    sinh_r = np.sinh(grid.nodes)
+    inv_sinh_r = 1.0 / sinh_r
+
+    def forward(values, axis, overwrite=False):
+        x = _own(values, overwrite)
+        x *= _axis_shape(x, axis, sinh_r)
+        return _complex_dst(sfft.dst, x, axis, overwrite=True)
+
+    def inverse(coeffs, axis, overwrite=False):
+        out = _complex_dst(sfft.idst, coeffs, axis, overwrite)
+        out *= _axis_shape(out, axis, inv_sinh_r)
+        return out
+
+    dual_lattice = np.pi * np.arange(1, grid.n_points + 1) / grid.length
+    return SpectralFactor(forward, inverse, dual_lattice**2 + RHO_H3**2)
 
 
 def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int) -> np.ndarray:

@@ -111,7 +111,7 @@ class TestAcceptance:
 
     def test_criterion_07_h3_sine_transform(self):
         from dispersia.fields import HYPERBOLIC, make_grid
-        from dispersia.hyperbolic import h3_factor
+        from dispersia.propagators import h3_factor
         from oracles import h3_plancherel_weights
 
         grid = make_grid(512, 40.0, HYPERBOLIC)

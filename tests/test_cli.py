@@ -202,6 +202,29 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [(name, key, value)
+         for name in ("potential-product-decay", "two-particle")
+         for key, value in [("amplitude", "nan"), ("amplitude", "inf"), ("amplitude", "-0.5"),
+                            ("width", "0"), ("width", "inf")]]
+        + [("potential-product-decay", "family", "square")],
+    )
+    def test_bad_potential_refused(self, tmp_path, capsys, output_root, monkeypatch, name, key, value):
+        # a non-finite or negative amplitude, a zero or infinite width (an
+        # infinite one is a constant V, outside the decaying class) and an
+        # unknown family are refused as the key they were given in, before
+        # any eigenbasis, worker thread or artifact
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the potential check")
+
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", never)
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[potential]\n{key} = {value}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert f"[potential] {key}" in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("width", ["0", "-1", "nan"])
     @pytest.mark.parametrize("name", [n for n in EXPECTED_NAMES if n != "admissible-region"])
     def test_nonpositive_data_width_refused(self, tmp_path, capsys, output_root, name, width):

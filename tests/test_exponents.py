@@ -167,6 +167,9 @@ class TestSelectNLSExponents:
         assert 0 < sel.beta <= 2
         # self-mapping identity p = p~' * gamma
         assert dual_exponent(sel.p_tilde) * sel.gamma == sel.p
+        # the selected pair lies in the triangle T
+        if m >= 2 and n >= 2:
+            assert triangle_oracle(1 / sel.p, 1 / sel.q, m, n)
 
 
 class TestInfSentinel:

@@ -19,7 +19,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersia import hyperbolic, propagators
+from dispersia import propagators
 from dispersia.decay import norm_series
 from dispersia.exponents import INF
 from dispersia.fields import (
@@ -29,16 +29,17 @@ from dispersia.fields import (
     gaussian_field,
     lp_norm,
     make_grid,
-    transform_workers,
 )
-from dispersia.hyperbolic import _complex_dst, h3_factor
 from dispersia.propagators import (
     PotentialSpec,
     PropagatorSpec,
+    _complex_dst,
     boundary_mass_fraction,
+    h3_factor,
     peak_centers,
     product_propagate,
     torus_frequencies,
+    transform_workers,
     two_particle_propagate,
     two_particle_rotate,
 )
@@ -134,7 +135,7 @@ def strang_flow(grid, potential, values, t, steps):
     the free factor flow and the potential phase over `steps` steps."""
     dt = t / steps
     half = np.exp(-0.5j * dt * potential.sample(grid))
-    free = propagators.spectral_factor(PropagatorSpec("free", grid))
+    free = PropagatorSpec("free", grid).factor
     return propagators._strang(values, lambda w: per_axis_flow([free], w, dt), half, steps)
 
 
@@ -765,8 +766,7 @@ class TestTransformThreads:
         assert u.values.size >= 2**18
         threaded = product_propagate(specs, u, 1.7).values
         for workers in (1, 2):
-            for module in (propagators, hyperbolic):
-                monkeypatch.setattr(module, "transform_workers", lambda values, n=workers: n)
+            monkeypatch.setattr(propagators, "transform_workers", lambda values, n=workers: n)
             assert np.array_equal(product_propagate(specs, u, 1.7).values, threaded)
 
     @pytest.mark.parametrize("transform", [sfft.dst, sfft.idst], ids=["dst", "idst"])
@@ -833,7 +833,7 @@ class TestH3InPlace:
     @pytest.mark.parametrize("axis", [0, 1, -1])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_overwrite_transforms_in_place(self, direction, axis, workers, monkeypatch):
-        monkeypatch.setattr(hyperbolic, "transform_workers", lambda values: workers)
+        monkeypatch.setattr(propagators, "transform_workers", lambda values: workers)
         transform = getattr(h3_factor(self.grid), direction)
         values = self.values()
         expected = transform(values, axis)
