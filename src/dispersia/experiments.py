@@ -35,6 +35,7 @@ from .fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
+    Grid1D,
     SeparableField,
     _frozen,
     gaussian_field,
@@ -237,6 +238,15 @@ def _potential_spec(family: str, amplitude: float, width: float, center: float) 
         raise ConfigError(f"[potential] {exc}") from exc
 
 
+def _grid(n: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
+    """The [grid] settings as a Grid1D, checked before any eigenbasis or
+    worker thread."""
+    try:
+        return make_grid(n, length, kind)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
+
+
 # ---------------------------------------------------------------- experiments
 
 # preset -> (factor kind, default factor count, whether [grid] factors is read,
@@ -296,7 +306,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
             center=length / 2,
         )
     _check_all_read(cfg)
-    grid = make_grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
+    grid = _grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
     profile = _radial_bump(grid, center, width) if hyperbolic else gaussian_field(grid, width).values
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
@@ -324,9 +334,14 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         raise ConfigError(f"[time] equivalence_steps must be >= 1 (got {steps_eq})")
     if spp < 1:
         raise ConfigError(f"[time] split_steps_per_unit_time must be >= 1 (got {spp})")
+    if n % 2 == 0:
+        raise ConfigError(
+            f"[grid] n_points must be odd (got {n}): the lattice rotation (j, k) -> (j + k, j - k) "
+            "is a bijection only for an odd point count"
+        )
     pot = _potential_spec("sech-squared", amplitude, v_width, center=0.0)
     _check_all_read(cfg)
-    grid = make_grid(n, length)
+    grid = _grid(n, length)
     v = pot.sample(grid)
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
 
@@ -423,7 +438,7 @@ def _nls_setup(cfg: ExperimentConfig):
     amp = _get(cfg, "data", "amplitude", 0.05, float)
     gamma = _get(cfg, "nls", "gamma", 3.0, float)
     mu = _get(cfg, "nls", "mu", 1.0, float)
-    grid = make_grid(n, length)
+    grid = _grid(n, length)
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
     u0 = u0.with_values(_frozen(amp * u0.values))

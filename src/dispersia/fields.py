@@ -10,11 +10,19 @@ and of a Trajectory are read-only down to their memory, so they never
 change, and an array that anyone may still write is copied once. Norms
 are quadrature weighted so that a sampled function's norm approximates
 the continuum one.
+
+The thread rule of the package lives here, in its lowest module:
+`transform_workers` is the thread count of every transform and of the
+state-sized pointwise steps that `_by_rows` runs on chunks of rows (the
+finiteness check of a Field, |u|^2 and the sup norm here; the spectral
+phase and the wrap monitor in propagators).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +34,77 @@ _MIN_POINTS = 8
 
 # |u|^2 squares this many (re, im) pairs at a time: the 256 KB temporary
 # stays in cache, where one temporary the size of a 1024 x 1120 array made
-# the dense wrap monitor slower than two strided passes
+# the dense wrap monitor slower than two strided passes. Every step that
+# _by_rows runs keeps its temporaries to chunks of about this many points.
 _SQUARE_CHUNK = 2**14
+
+# arrays below this many points are transformed on one thread, and each of
+# their pointwise steps is one whole-array call (see _by_rows): there two
+# transform workers gained little or lost (0.95-1.24x at 243^2 and 256^2
+# on 2 cores), and the NLS routes on such grids already run a second thread
+_THREAD_MIN_POINTS = 2**18
+
+
+def _cores() -> int:
+    """The number of cores the process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def transform_workers(values: np.ndarray) -> int:
+    """The thread count of a state-sized step on `values`: the `workers` of
+    a scipy.fft call, and the block count of _by_rows. Every core the
+    process may run on from 2**18 points up, one below that. The threads
+    split the batch of 1-D transforms, or the rows of a pointwise step,
+    each computed as on one thread, so the result does not depend on the
+    count."""
+    if values.size < _THREAD_MIN_POINTS:
+        return 1
+    return _cores()
+
+
+# the threads that run every row block but the first, which runs on the
+# calling thread; the pool starts them on first use
+_ROW_POOL = ThreadPoolExecutor(max_workers=max(_cores() - 1, 1), thread_name_prefix="dispersia-rows")
+
+
+def _by_rows(fn, values: np.ndarray) -> list:
+    """[fn(rows) for each chunk of rows]. Below _THREAD_MIN_POINTS it is
+    [fn(...)], one call on the whole array on this thread. From there up
+    `rows` slices a chunk of values' rows (axis 0) of about _SQUARE_CHUNK
+    points, or one row where a row is larger, so fn's temporaries stay in
+    cache; the chunks form one contiguous block per transform_workers(values)
+    thread. Block 0 runs on the calling thread and blocks 1... on a pool;
+    the results come in row order, and an exception raised in a chunk
+    re-raises here once every block has ended. A step that is elementwise,
+    a reduction per row, a max or an all gives the same bits for any chunk
+    and block count. fn never calls _by_rows: with no nesting the bounded
+    pool cannot deadlock."""
+    if values.size < _THREAD_MIN_POINTS:
+        return [fn(...)]
+    n = len(values)
+    step = max(1, _SQUARE_CHUNK * n // values.size)
+    blocks = min(transform_workers(values), n)
+    edges = [n * k // blocks for k in range(blocks + 1)]
+
+    def run(start, stop):
+        return [fn(slice(a, min(a + step, stop))) for a in range(start, stop, step)]
+
+    rest = [_ROW_POOL.submit(run, a, b) for a, b in zip(edges[1:], edges[2:])]
+    try:
+        first = run(edges[0], edges[1])
+    finally:
+        wait(rest)
+    return first + [r for f in rest for r in f.result()]
 
 
 @dataclass(frozen=True)
 class Grid1D:
+    """One factor of the product domain: n_points nodes on a finite
+    length > 0, which H^3 calls r_max."""
+
     n_points: int
     length: float
     kind: str = EUCLIDEAN
@@ -41,8 +114,9 @@ class Grid1D:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n_points < _MIN_POINTS:
             raise ValueError(f"n_points must be >= {_MIN_POINTS}, got {self.n_points}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            name = "r_max" if self.kind == HYPERBOLIC else "length"
+            raise ValueError(f"{name} must be finite and > 0, got {self.length}")
         if self.kind == HYPERBOLIC:
             # the weights grow like e^{2r}/4 and the last one is the largest
             with np.errstate(over="ignore"):
@@ -107,15 +181,35 @@ def _frozen_to_memory(a: np.ndarray) -> bool:
     return a is None or isinstance(a, bytes)
 
 
-def _immutable(values, shape: tuple, of: str) -> np.ndarray:
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every value of a complex array is finite, in row chunks
+    (see _by_rows); where the last axis is contiguous, on the (re, im)
+    float view, whose isfinite is vectorised (twice as fast at 256^2)."""
+
+    def chunk(rows):
+        part = values[rows]
+        if part.strides[-1] == part.itemsize:
+            part = part.view(part.real.dtype)
+        return np.isfinite(part).all()
+
+    return all(_by_rows(chunk, values))
+
+
+def _whole_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, in one pass on this thread."""
+    return np.isfinite(values).all()
+
+
+def _immutable(values, shape: tuple, of: str, all_finite=_all_finite) -> np.ndarray:
     """`values` as a complex array that never changes, once it is checked
-    finite and of `shape` (the shape of `of`, which a refusal names): an
+    finite (by `all_finite`) and of `shape` (the shape of `of`, which a
+    refusal names): an
     array that is read-only down to its memory (see _frozen) is kept as it
     is, and any other array is copied once and the copy made read-only."""
     vals = np.asarray(values, dtype=complex)
     if vals.shape != shape:
         raise ValueError(f"values shape {vals.shape} does not match {of} {shape}")
-    if not np.all(np.isfinite(vals)):
+    if not all_finite(vals):
         raise ValueError("field values must be finite")
     if vals is not values and vals.base is None:
         # asarray converted the input: the result is already a private copy
@@ -193,7 +287,12 @@ class Trajectory:
         grids = tuple(self.grids)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("a trajectory needs a 1-D array of at least one time")
-        vals = _immutable(self.values, (len(times),) + tuple(g.n_points for g in grids), "times and grids")
+        # a stack of states is checked in one pass on this thread, as a
+        # whole: it is built beside a run's own threads, and checked in
+        # chunks the peak RSS of an NLS run came to depend on the
+        # allocator's state
+        shape = (len(times),) + tuple(g.n_points for g in grids)
+        vals = _immutable(self.values, shape, "times and grids", _whole_finite)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "values", vals)
@@ -201,18 +300,26 @@ class Trajectory:
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
     """|u|^2 as re^2 + im^2: the square root of np.abs is never taken. A
-    complex array is squared in one pass over its (re, im) float view, and
-    then each pair is added, _SQUARE_CHUNK pairs at a time; input that is
-    not C-contiguous is copied first, since the view needs it."""
+    complex array is squared over its (re, im) float view, in row chunks
+    (see _by_rows), and each pair is added, _SQUARE_CHUNK pairs at a time;
+    input that is not C-contiguous is copied first, since the view needs
+    it."""
     if not np.iscomplexobj(values):
         return np.square(values)
-    pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
+    src = np.ascontiguousarray(values)
     out = np.empty(values.shape, dtype=values.real.dtype)
+    _by_rows(lambda rows: _squares_into(src[rows], out[rows]), src)
+    return out
+
+
+def _squares_into(values: np.ndarray, out: np.ndarray):
+    """out = re^2 + im^2 of C-contiguous complex values, _SQUARE_CHUNK
+    pairs at a time; for a caller that already holds a row chunk."""
+    pairs = values.reshape(-1).view(out.dtype).reshape(-1, 2)
     flat = out.reshape(-1)
     for start in range(0, len(flat), _SQUARE_CHUNK):
         sq = np.square(pairs[start : start + _SQUARE_CHUNK])
         np.add(sq[:, 0], sq[:, 1], out=flat[start : start + _SQUARE_CHUNK])
-    return out
 
 
 def _weighted_axis_norm(
@@ -239,6 +346,11 @@ def _lp_exponent(r) -> float:
     return rv
 
 
+def _sup(values: np.ndarray) -> float:
+    """max |u|, in row chunks (see _by_rows); a NaN propagates."""
+    return float(np.max(_by_rows(lambda rows: np.abs(values[rows]).max(), values)))
+
+
 def values_lp_norms(values: np.ndarray, grids, exponents) -> list[float]:
     """lp_norm of a bare values array on the product of `grids`, one per
     exponent; |u|^2 is formed once for all the finite exponents >= 2."""
@@ -248,7 +360,7 @@ def values_lp_norms(values: np.ndarray, grids, exponents) -> list[float]:
     out = []
     for rv in rs:
         if math.isinf(rv):
-            out.append(float(np.abs(values).max()))
+            out.append(_sup(values))
             continue
         acc = _weighted_axis_norm(values, grids[last].weights, rv, last, squared)
         for axis in reversed(range(last)):

@@ -5,8 +5,9 @@ grid axis (a SpectralFactor): the free torus factor by the FFT, the
 free-plus-potential torus factor by its exact eigenbasis, and the radial
 H^3 factor by a sine transform (see h3_factor). On a product of factors
 `spectral_product` gives the flow as one forward transform per axis, one
-phase and one inverse transform per axis; `transform_workers` is the
-thread count of every transform.
+phase and one inverse transform per axis. `fields.transform_workers` is
+the thread count of every transform, and of the phase and the wrap
+monitor's |u|^2, which run on row chunks (fields._by_rows).
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -29,38 +29,22 @@ from fractions import Fraction
 import numpy as np
 import scipy.fft as sfft
 
+from . import fields
 from .fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
     Grid1D,
     SeparableField,
-    _abs_squared,
     _axis_shape,
+    _by_rows,
     _frozen,
+    _squares_into,
 )
 from .exponents import inverse_exponent
 
-# arrays below this many points transform on one thread: there two workers
-# gained little or lost (0.95-1.24x at 243^2 and 256^2 on 2 cores), and the
-# NLS routes on such grids already run a second thread
-_THREAD_MIN_POINTS = 2**18
-
 # the bottom of the spectrum of minus the Laplace-Beltrami operator on H^3
 RHO_H3 = 1.0
-
-
-def transform_workers(values: np.ndarray) -> int:
-    """The `workers` count of a scipy.fft call on `values`: every core the
-    process may run on from 2**18 points up, one below that. The threads
-    split the batch of 1-D transforms, each computed as on one thread, so
-    the result does not depend on the count."""
-    if values.size < _THREAD_MIN_POINTS:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +152,8 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
 def _free_factor(grid: Grid1D) -> SpectralFactor:
     """The free torus factor: FFT along the axis, spectrum xi^2."""
     return SpectralFactor(
-        lambda x, axis, overwrite=False: sfft.fft(x, axis=axis, workers=transform_workers(x), overwrite_x=overwrite),
-        lambda x, axis, overwrite=False: sfft.ifft(x, axis=axis, workers=transform_workers(x), overwrite_x=overwrite),
+        lambda x, axis, overwrite=False: sfft.fft(x, axis=axis, workers=fields.transform_workers(x), overwrite_x=overwrite),
+        lambda x, axis, overwrite=False: sfft.ifft(x, axis=axis, workers=fields.transform_workers(x), overwrite_x=overwrite),
         torus_frequencies(grid) ** 2,
     )
 
@@ -222,7 +206,7 @@ def _complex_dst(transform, values: np.ndarray, axis: int, overwrite: bool = Fal
     overwrite), whose memory the returned array shares."""
     x = _own(values, overwrite)
     pairs = x.view(float).reshape(x.shape + (2,))
-    out = transform(pairs, type=2, axis=axis % x.ndim, workers=transform_workers(x), overwrite_x=True)
+    out = transform(pairs, type=2, axis=axis % x.ndim, workers=fields.transform_workers(x), overwrite_x=True)
     return out.view(complex)[..., 0]
 
 
@@ -296,8 +280,8 @@ class SpectralProduct:
     it is given, which the caller must then not read again; the result is
     the same. Every later transform may overwrite, since its input is the
     product's own array. The free and H^3 factors then run in place, so
-    propagate_coefficients on such factors allocates one state, the phase
-    buffer that becomes its result."""
+    propagate_coefficients on such factors allocates one state, the buffer
+    of coeffs times the phase that becomes its result."""
 
     factors: tuple[SpectralFactor, ...]
 
@@ -320,11 +304,24 @@ class SpectralProduct:
 
     def propagate_coefficients(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """e^{itL} of the state whose forward transform is `coeffs`: coeffs
-        times the phase of t, written into the phase's buffer, and the
-        inverse; `coeffs` is not written. coeffs stays the first operand:
-        numpy's complex multiply is not bitwise commutative."""
-        out = self.phase(t)
-        np.multiply(coeffs, out, out=out)
+        times the phase of t, and the inverse; `coeffs` is not written. Each
+        row chunk (see fields._by_rows) builds its rows of the outer-product
+        phase into the one output buffer, with the bits of phase(t), and
+        multiplies coeffs into them. coeffs stays the first operand: numpy's
+        complex multiply is not bitwise commutative."""
+        first, *rest = [f.phase(t) for f in self.factors]
+        out = np.empty(coeffs.shape, dtype=complex)
+
+        def chunk(rows):
+            o = out[rows]
+            *lead, last = [first[rows], *rest]
+            if lead:
+                np.multiply.outer(functools.reduce(np.multiply.outer, lead), last, out=o)
+            else:
+                o[...] = last
+            np.multiply(coeffs[rows], o, out=o)
+
+        _by_rows(chunk, out)
         return self.inverse(out, overwrite=True)
 
 
@@ -442,7 +439,7 @@ def two_particle_propagate(
         mult2d = np.exp(
             -1j * dt * (xi2[(idx[:, None] + idx[None, :]) % n] + xi2[(idx[:, None] - idx[None, :]) % n])
         )
-        workers = transform_workers(w)
+        workers = fields.transform_workers(w)
 
         def kinetic(x):
             x = sfft.fft(x, axis=1, workers=workers, overwrite_x=True)
@@ -469,7 +466,7 @@ def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: fl
     # the half-phase of the samples V(x_j - y_k); the 2-D samples are freed
     # once it is built
     half = np.exp(-0.5j * dt * np.asarray(potential, dtype=float)[(idx[:, None] - idx[None, :]) % n])
-    workers = transform_workers(u0.values)
+    workers = fields.transform_workers(u0.values)
 
     def kinetic(w):
         w = sfft.fft2(w, workers=workers, overwrite_x=True)
@@ -529,9 +526,22 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     # as boundary. Every sum has non-negative terms, so a tiny fraction
     # keeps its relative accuracy, and folding the weights in one axis at a
     # time keeps a product of sinh^2 weights from overflowing on large
-    # radial grids.
-    squared, w = _abs_squared(u.values), u.grids[-1].weights
-    total, boundary = _sum_last_axis(squared, w), _sum_last_axis(squared, w * masks[-1])
+    # radial grids. The first contraction runs in row chunks of the values
+    # as rows of their last axis (see fields._by_rows): |u|^2 of a chunk
+    # feeds both row sums, and no |u|^2 of a large state is kept.
+    values = u.values.reshape(-1, u.values.shape[-1])
+    w = u.grids[-1].weights
+    w_boundary = w * masks[-1]
+    total, boundary = np.empty(len(values)), np.empty(len(values))
+
+    def chunk(rows):
+        squared = np.empty(values[rows].shape)
+        _squares_into(values[rows], squared)
+        total[rows] = _sum_last_axis(squared, w)
+        boundary[rows] = _sum_last_axis(squared, w_boundary)
+
+    _by_rows(chunk, values)
+    total, boundary = total.reshape(u.values.shape[:-1]), boundary.reshape(u.values.shape[:-1])
     for grid, m in zip(reversed(u.grids[:-1]), reversed(masks[:-1])):
         boundary = _sum_last_axis(np.where(m, total, boundary), grid.weights)
         total = _sum_last_axis(total, grid.weights)

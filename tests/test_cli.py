@@ -322,9 +322,35 @@ class TestExitCodes:
         path = write_config(tmp_path, "[experiment]\nname = hyperbolic-decay\n[grid]\nr_max = 800\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["run", path]) == EXIT_INVALID_ARGUMENT
+            assert main(["run", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "r_max" in err and "355" in err
+        assert "[grid] r_max" in err and "355" in err
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [(name, key, value)
+         for name in ("potential-product-decay", "two-particle", "nls-scattering")
+         for key, value in [("length", "inf"), ("length", "nan"), ("length", "-3"), ("n_points", "4")]]
+        + [("two-particle", "n_points", "244"), ("hyperbolic-decay", "r_max", "inf"),
+           ("hyperbolic-decay", "r_max", "nan")],
+    )
+    def test_bad_grid_refused(self, tmp_path, capsys, output_root, monkeypatch, name, key, value):
+        # an infinite length gave non-finite nodes and a non-finite datum,
+        # and a short grid or an even two-particle lattice was refused by
+        # the library naming no key; each is now refused as the [grid] key
+        # it was given in, before any eigenbasis, worker thread or artifact
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the grid check")
+
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", never)
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[grid]\n{key} = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", path]) == EXIT_CONFIG
+        assert f"[grid] {key}" in capsys.readouterr().err
+        assert not output_root.exists()
 
     def test_malformed_config_leaves_no_outputs(self, tmp_path, capsys, output_root):
         path = write_config(tmp_path, "[experiment]\nname = \n[[[\n")

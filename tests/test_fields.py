@@ -1,6 +1,8 @@
 """Grids, fields, and quadrature norms."""
 
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersia import fields
 from dispersia.fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
     Trajectory,
     _abs_squared,
+    _by_rows,
     _frozen,
     gaussian_field,
     lp_norm,
@@ -49,6 +53,14 @@ class TestMakeGrid:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):
             make_grid(64, 0.0)
+
+    @pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, -3.0])
+    @pytest.mark.parametrize("kind", [EUCLIDEAN, HYPERBOLIC])
+    def test_nonfinite_length_rejected(self, length, kind):
+        # an infinite length passed `length > 0` and gave non-finite nodes
+        name = "r_max" if kind == HYPERBOLIC else "length"
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            make_grid(64, length, kind)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +332,70 @@ class TestNormReduction:
             l32 = values_lp_norm(values, grids, Fraction(3, 2))
         assert l1 == pytest.approx(1e160 * 6.0 * 5.0, rel=1e-14)
         assert math.isfinite(l32)
+
+
+class TestRowBlocks:
+    """_by_rows calls its step on chunks of about _SQUARE_CHUNK points of a
+    state's rows, in one contiguous block of chunks per transform_workers
+    thread: block 0 on the calling thread, the others on the pool; below
+    2^18 points it makes one call on the whole array."""
+
+    def test_chunks_cover_the_rows_in_order(self, monkeypatch):
+        values = np.empty((512, 512))
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
+            got = _by_rows(lambda rows: (rows.start, rows.stop, threading.get_ident()), values)
+            edges = [512 * k // workers for k in range(workers + 1)]
+            assert [g[0] for g in got] == [
+                start for a, b in zip(edges, edges[1:]) for start in range(a, b, fields._SQUARE_CHUNK // 512)
+            ]
+            assert [g[1] for g in got[:-1]] == [g[0] for g in got[1:]] and got[-1][1] == 512
+            for start, _, thread in got:
+                assert (thread == threading.get_ident()) == (start < edges[1])
+
+    def test_a_row_larger_than_a_chunk_is_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        got = _by_rows(lambda rows: (rows.start, rows.stop), np.empty((8, 2**15)))
+        assert got == [(k, k + 1) for k in range(8)]
+
+    def test_below_the_threshold_one_call_on_this_thread(self, monkeypatch):
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
+        values = np.empty((256, 1023))
+        calls = []
+        got = _by_rows(lambda rows: calls.append((rows, threading.get_ident())) or len(calls), values)
+        assert got == [1]
+        assert calls == [(Ellipsis, threading.get_ident())]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_block_exception_reraises(self, monkeypatch, failing):
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 3)
+        values = np.empty((300, 1024))
+
+        def fn(rows):
+            if rows.start == 100 * failing:
+                raise ArithmeticError(f"block {failing}")
+            return rows.start
+
+        with pytest.raises(ArithmeticError, match=f"block {failing}"):
+            _by_rows(fn, values)
+
+    def test_blocks_end_before_an_exception_surfaces(self, monkeypatch):
+        # a caller that sees block 0 fail may free what the other blocks
+        # write into, so they have ended by then
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 3)
+        ended = []
+
+        def fn(rows):
+            if rows.start == 0:
+                raise ArithmeticError("block 0")
+            if rows.start in (100, 200):
+                time.sleep(0.05)
+            ended.append(rows.start)
+
+        with pytest.raises(ArithmeticError, match="block 0"):
+            _by_rows(fn, np.empty((300, 1024)))
+        # chunks of 16 rows from each block's first row
+        assert sorted(ended) == [*range(100, 200, 16), *range(200, 300, 16)]
 
 
 class TestGaussianField:

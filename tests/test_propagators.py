@@ -19,7 +19,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersia import propagators
+from dispersia import fields, propagators
 from dispersia.decay import norm_series
 from dispersia.exponents import INF
 from dispersia.fields import (
@@ -29,6 +29,7 @@ from dispersia.fields import (
     gaussian_field,
     lp_norm,
     make_grid,
+    transform_workers,
 )
 from dispersia.propagators import (
     PotentialSpec,
@@ -39,7 +40,6 @@ from dispersia.propagators import (
     peak_centers,
     product_propagate,
     torus_frequencies,
-    transform_workers,
     two_particle_propagate,
     two_particle_rotate,
 )
@@ -537,7 +537,7 @@ class TestTwoParticlePropagate:
         assert u.values.size >= 2**18
         threaded = two_particle_propagate(grid, v, u, 0.5, 3).values
         for workers in (1, 2):
-            monkeypatch.setattr(propagators, "transform_workers", lambda values, n=workers: n)
+            monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
             assert np.array_equal(two_particle_propagate(grid, v, u, 0.5, 3).values, threaded)
 
     def test_t0_identity(self):
@@ -766,7 +766,7 @@ class TestTransformThreads:
         assert u.values.size >= 2**18
         threaded = product_propagate(specs, u, 1.7).values
         for workers in (1, 2):
-            monkeypatch.setattr(propagators, "transform_workers", lambda values, n=workers: n)
+            monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
             assert np.array_equal(product_propagate(specs, u, 1.7).values, threaded)
 
     @pytest.mark.parametrize("transform", [sfft.dst, sfft.idst], ids=["dst", "idst"])
@@ -809,7 +809,7 @@ class TestTransformThreads:
     def test_torus_product_matches_fftn(self, workers, monkeypatch):
         # one transform per axis, axis 0 first both ways, is bit-identical
         # to scipy's transform over both axes
-        monkeypatch.setattr(propagators, "transform_workers", lambda values: workers)
+        monkeypatch.setattr(fields, "transform_workers", lambda values: workers)
         grid = make_grid(256, 64.0)
         flow = propagators.spectral_product([PropagatorSpec("free", grid)] * 2, [grid] * 2)
         rng = np.random.default_rng(5)
@@ -833,7 +833,7 @@ class TestH3InPlace:
     @pytest.mark.parametrize("axis", [0, 1, -1])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_overwrite_transforms_in_place(self, direction, axis, workers, monkeypatch):
-        monkeypatch.setattr(propagators, "transform_workers", lambda values: workers)
+        monkeypatch.setattr(fields, "transform_workers", lambda values: workers)
         transform = getattr(h3_factor(self.grid), direction)
         values = self.values()
         expected = transform(values, axis)
@@ -863,7 +863,7 @@ ALLOC_KINDS = [("free", "free"), ("free", "h3"), ("h3", "free"), ("h3", "h3")]
 def test_dense_product_allocation_budget(kinds):
     # traced allocations of one dense product_propagate call, in states
     # above the start: a warm call (forward coefficients kept) allocates
-    # the phase buffer that becomes its result, and the first call also
+    # the product buffer that becomes its result, and the first call also
     # the coefficients; every transform of both runs in place
     grids = tuple(
         make_grid(n, 40.0, HYPERBOLIC) if kind == "h3" else make_grid(n, 64.0)
@@ -884,6 +884,114 @@ def test_dense_product_allocation_budget(kinds):
 
     assert states_allocated(1.3) <= 2.5
     assert states_allocated(2.1) <= 1.5
+
+
+def test_threaded_product_allocation_budget(monkeypatch):
+    # the budget of test_dense_product_allocation_budget above 2^18 points,
+    # where the phase runs in chunks of rows on two threads: tracemalloc
+    # counts the pool thread's allocations too, and each chunk builds its
+    # phase rows straight into the product's buffer
+    monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
+    grids = (make_grid(512, 64.0), make_grid(560, 40.0, HYPERBOLIC))
+    specs = [PropagatorSpec("free", grids[0]), PropagatorSpec("hyperbolic-radial", grids[1])]
+    rng = np.random.default_rng(14)
+    u = Field(grids, rng.standard_normal((512, 560)) + 1j * rng.standard_normal((512, 560)))
+    assert u.values.size >= 2**18
+
+    def states_allocated(t):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            product_propagate(specs, u, t)
+            return (tracemalloc.get_traced_memory()[1] - start) / u.values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert states_allocated(1.3) <= 2.5
+    assert states_allocated(2.1) <= 1.5
+
+
+class TestRowBlocks:
+    """The state-sized pointwise steps run on chunks of rows, in one block
+    of chunks per transform_workers thread, and give the same bits for any
+    block count; 3 blocks split the 512 rows unevenly."""
+
+    torus, wide, h3 = make_grid(512, 200.0), make_grid(560, 150.0), make_grid(560, 40.0, HYPERBOLIC)
+    h3_rows = make_grid(512, 40.0, HYPERBOLIC)
+
+    @staticmethod
+    def values(seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((512, 560)) + 1j * rng.standard_normal((512, 560))
+
+    def results(self):
+        u = Field((self.torus, self.h3), self.values(22) * np.exp(-self.h3.nodes / 4))
+        coeffs = self.values(23)
+        out = {}
+        for label, grids in (("free-free", (self.torus, self.wide)), ("free-h3", (self.torus, self.h3)),
+                             ("h3-free", (self.h3_rows, self.wide))):
+            specs = [PropagatorSpec("hyperbolic-radial" if g.kind == HYPERBOLIC else "free", g) for g in grids]
+            flow = propagators.spectral_product(specs, grids)
+            out[label] = flow.propagate_coefficients(coeffs, 1.7)
+        out["boundary"] = np.float64(boundary_mass_fraction(u, (100.0, 0.0)))
+        out["sup"] = np.float64(lp_norm(u, INF))
+        out["abs_squared"] = fields._abs_squared(u.values)
+        return out
+
+    def test_independent_of_block_count(self, monkeypatch):
+        results = {}
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
+            results[blocks] = self.results()
+        assert results[1]["boundary"] > 0
+        for blocks in (2, 3):
+            for key, expected in results[1].items():
+                assert bits_equal(results[blocks][key], expected), (blocks, key)
+
+    def test_matches_unblocked_steps(self):
+        # the blocked steps against their whole-array forms
+        u = Field((self.torus, self.h3), self.values(24))
+        assert bits_equal(fields._abs_squared(u.values), np.square(u.values.real) + np.square(u.values.imag))
+        assert lp_norm(u, INF) == float(np.abs(u.values).max())
+        specs = [PropagatorSpec("free", self.torus), PropagatorSpec("hyperbolic-radial", self.h3)]
+        flow = propagators.spectral_product(specs, u.grids)
+        coeffs = self.values(25)
+        assert bits_equal(flow.propagate_coefficients(coeffs, 0.9), flow.inverse(coeffs * flow.phase(0.9)))
+
+    def test_concurrent_callers_match_sequential(self, monkeypatch):
+        # two callers split their states into more blocks than the pool has
+        # threads, so their blocks queue behind each other's; a short switch
+        # interval interleaves them between every few bytecodes
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 5)
+        specs = [PropagatorSpec("free", self.torus), PropagatorSpec("hyperbolic-radial", self.h3)]
+        data = [Field((self.torus, self.h3), self.values(seed)) for seed in (27, 28)]
+
+        def run(u):
+            out = propagators.product_propagate(specs, u, 0.6)
+            return out.values, boundary_mass_fraction(out, (100.0, 0.0)), lp_norm(out, INF)
+
+        expected = [run(u) for u in data]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, u) for u in data]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert bits_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_nonfinite_in_the_last_block_refused(self, monkeypatch, blocks):
+        # the last row is in the last worker's block: a dropped block result
+        # would pass the NaN
+        monkeypatch.setattr(fields, "transform_workers", lambda values: blocks)
+        values = self.values(26)
+        values[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="field values must be finite"):
+            Field((self.torus, self.h3), values)
 
 
 class TestDispersiveRatioSeries:
