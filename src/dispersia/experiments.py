@@ -105,13 +105,18 @@ def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
             raise ConfigError(f"missing [{section}] {key}")
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    # every float setting (a length, a time, an amplitude, a tolerance) is
+    # finite; the exponent q, which may be inf, has its own cast
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite (got {value})")
+    return value
 
 
 def _positive(cfg: ExperimentConfig, section: str, key: str, default: float) -> float:
-    """A float setting that must exceed 0 (NaN is refused too)."""
+    """A finite float setting that must exceed 0."""
     value = _get(cfg, section, key, default, float)
     if not value > 0:
         raise ConfigError(f"[{section}] {key} must be > 0 (got {value})")
@@ -353,9 +358,11 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
 
     # The route solves and the decay series only read u0, grid and v and
     # write arrays of their own, and the transforms and ufuncs release the
-    # GIL, so the worker takes the second core with results bit-identical to
-    # running in sequence. The series stays on the calling thread; a worker
-    # exception re-raises from result() before any artifact is written.
+    # GIL, so the worker takes a core with results bit-identical to running
+    # in sequence. The series stays on the calling thread (the Strang loops
+    # of both split further over the row pool, see two_particle_propagate);
+    # a worker exception re-raises from result() before any artifact is
+    # written.
     with ThreadPoolExecutor(max_workers=1) as pool:
         worker = pool.submit(route_difference)
         series = norm_series(

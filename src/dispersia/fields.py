@@ -15,7 +15,10 @@ The thread rule of the package lives here, in its lowest module:
 `transform_workers` is the thread count of every transform and of the
 state-sized pointwise steps that `_by_rows` runs on chunks of rows (the
 finiteness check of a Field, |u|^2 and the sup norm here; the spectral
-phase and the wrap monitor in propagators).
+phase and the wrap monitor in propagators). `_in_blocks` runs contiguous
+row blocks, one on the calling thread and the others on one pool: the
+blocks of `_by_rows`, and those of the two-particle Strang loop, one per
+core at any size, since each of its blocks carries a whole loop.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ _SQUARE_CHUNK = 2**14
 # arrays below this many points are transformed on one thread, and each of
 # their pointwise steps is one whole-array call (see _by_rows): there two
 # transform workers gained little or lost (0.95-1.24x at 243^2 and 256^2
-# on 2 cores), and the NLS routes on such grids already run a second thread
+# on 2 cores), and the NLS routes on such grids already run a second thread.
+# The gate prices one pass over an array; the two-particle Strang loop,
+# whose blocks each carry a whole loop, is split at every size
 _THREAD_MIN_POINTS = 2**18
 
 
@@ -70,34 +75,39 @@ def transform_workers(values: np.ndarray) -> int:
 _ROW_POOL = ThreadPoolExecutor(max_workers=max(_cores() - 1, 1), thread_name_prefix="dispersia-rows")
 
 
+def _in_blocks(fn, n: int, blocks: int) -> list:
+    """[fn(rows) for each of `blocks` contiguous slices of range(n)], in row
+    order: block 0 runs on the calling thread and blocks 1... on _ROW_POOL.
+    An exception raised in a block re-raises here once every block has
+    ended. fn never calls _in_blocks (nor _by_rows): with no nesting the
+    bounded pool cannot deadlock."""
+    edges = [n * k // blocks for k in range(blocks + 1)]
+    rest = [_ROW_POOL.submit(fn, slice(a, b)) for a, b in zip(edges[1:], edges[2:])]
+    try:
+        first = fn(slice(edges[0], edges[1]))
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
+
+
 def _by_rows(fn, values: np.ndarray) -> list:
     """[fn(rows) for each chunk of rows]. Below _THREAD_MIN_POINTS it is
     [fn(...)], one call on the whole array on this thread. From there up
     `rows` slices a chunk of values' rows (axis 0) of about _SQUARE_CHUNK
     points, or one row where a row is larger, so fn's temporaries stay in
     cache; the chunks form one contiguous block per transform_workers(values)
-    thread. Block 0 runs on the calling thread and blocks 1... on a pool;
-    the results come in row order, and an exception raised in a chunk
-    re-raises here once every block has ended. A step that is elementwise,
-    a reduction per row, a max or an all gives the same bits for any chunk
-    and block count. fn never calls _by_rows: with no nesting the bounded
-    pool cannot deadlock."""
+    thread, run by _in_blocks. A step that is elementwise, a reduction per
+    row, a max or an all gives the same bits for any chunk and block
+    count."""
     if values.size < _THREAD_MIN_POINTS:
         return [fn(...)]
     n = len(values)
     step = max(1, _SQUARE_CHUNK * n // values.size)
-    blocks = min(transform_workers(values), n)
-    edges = [n * k // blocks for k in range(blocks + 1)]
 
-    def run(start, stop):
-        return [fn(slice(a, min(a + step, stop))) for a in range(start, stop, step)]
+    def run(block):
+        return [fn(slice(a, min(a + step, block.stop))) for a in range(block.start, block.stop, step)]
 
-    rest = [_ROW_POOL.submit(run, a, b) for a, b in zip(edges[1:], edges[2:])]
-    try:
-        first = run(edges[0], edges[1])
-    finally:
-        wait(rest)
-    return first + [r for f in rest for r in f.result()]
+    return [r for chunks in _in_blocks(run, n, min(transform_workers(values), n)) for r in chunks]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ H^3 factor by a sine transform (see h3_factor). On a product of factors
 `spectral_product` gives the flow as one forward transform per axis, one
 phase and one inverse transform per axis. `fields.transform_workers` is
 the thread count of every transform, and of the phase and the wrap
-monitor's |u|^2, which run on row chunks (fields._by_rows).
+monitor's |u|^2, which run on row chunks (fields._by_rows). The
+two-particle Strang loop runs on one block of rows per core instead, each
+block with one-thread transforms (see two_particle_propagate).
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -413,7 +415,12 @@ def two_particle_propagate(
     commutes with the FFT along that axis: the sum axis is transformed once
     per call, and each Strang step transforms the difference axis only,
     row by row in sum momentum. This is the 2-D Strang scheme with half of
-    its transform work."""
+    its transform work.
+
+    Every Strang step then acts on each row by itself, so the whole loop
+    runs on one contiguous block of rows per core (fields._in_blocks), each
+    block with one-thread transforms; a row is computed as on one thread,
+    so the result does not depend on the block count."""
     n = _require_two_particle_grid(u0)
     if u0.grids[0] != grid:
         raise ValueError("field grid does not match the given grid")
@@ -440,15 +447,22 @@ def two_particle_propagate(
             -1j * dt * (xi2[(idx[:, None] + idx[None, :]) % n] + xi2[(idx[:, None] - idx[None, :]) % n])
         )
         workers = fields.transform_workers(w)
-
-        def kinetic(x):
-            x = sfft.fft(x, axis=1, workers=workers, overwrite_x=True)
-            x *= mult2d
-            return sfft.ifft(x, axis=1, workers=workers, overwrite_x=True)
-
-        # w is the read-only view of a Field: the first transform copies
+        # w is the read-only view of a Field: the first transform copies,
+        # and each block writes its rows back into the copy
         w = sfft.fft(w, axis=0, workers=workers)
-        w = _strang(w, kinetic, half, steps)
+
+        def strang_rows(rows):
+            # the whole loop on one block of sum momenta, on one thread
+            block_mult = mult2d[rows]
+
+            def kinetic(x):
+                x = sfft.fft(x, axis=1, workers=1, overwrite_x=True)
+                x *= block_mult
+                return sfft.ifft(x, axis=1, workers=1, overwrite_x=True)
+
+            w[rows] = _strang(w[rows], kinetic, half, steps)
+
+        fields._in_blocks(strang_rows, n, min(fields._cores(), n))
         w = sfft.ifft(w, axis=0, workers=workers, overwrite_x=True)
     return two_particle_rotate(u0.with_values(_frozen(w)), "inverse")
 

@@ -225,6 +225,31 @@ class TestExitCodes:
         assert f"[potential] {key}" in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize(
+        "name, section, key, value",
+        [(name, "time", "t_final", "inf") for name in ("nls-smalldata", "nls-scattering")]
+        + [(name, "nls", "gamma", "inf") for name in ("nls-smalldata", "nls-scattering")]
+        + [
+            ("two-particle", "time", "t_equivalence", "inf"),
+            ("nls-smalldata", "data", "amplitude", "inf"),
+            ("nls-smalldata", "data", "amplitude", "-inf"),
+            ("nls-smalldata", "nls", "mu", "inf"),
+            ("hyperbolic-decay", "data", "center", "inf"),
+        ],
+    )
+    def test_nonfinite_float_refused(self, tmp_path, capsys, output_root, monkeypatch, name, section, key, value):
+        # every float key is finite: an infinite one is refused as the key
+        # it was given in, before any solve, worker thread or artifact
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the config check")
+
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", never)
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[{section}]\n{key} = {value}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("width", ["0", "-1", "nan"])
     @pytest.mark.parametrize("name", [n for n in EXPECTED_NAMES if n != "admissible-region"])
     def test_nonpositive_data_width_refused(self, tmp_path, capsys, output_root, name, width):

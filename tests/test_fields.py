@@ -353,6 +353,14 @@ class TestRowBlocks:
             for start, _, thread in got:
                 assert (thread == threading.get_ident()) == (start < edges[1])
 
+    def test_blocks_tile_the_range(self):
+        # _in_blocks, the runner under _by_rows and the two-particle Strang
+        # loop: contiguous blocks in row order, the first on this thread
+        for n, blocks in ((7, 3), (81, 2), (5, 5), (4, 1)):
+            got = fields._in_blocks(lambda rows: (rows.start, rows.stop, threading.get_ident()), n, blocks)
+            assert [(a, b) for a, b, _ in got] == [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
+            assert [thread == threading.get_ident() for _, _, thread in got] == [True] + [False] * (blocks - 1)
+
     def test_a_row_larger_than_a_chunk_is_one_chunk(self, monkeypatch):
         monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
         got = _by_rows(lambda rows: (rows.start, rows.stop), np.empty((8, 2**15)))

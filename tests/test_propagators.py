@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -538,7 +539,72 @@ class TestTwoParticlePropagate:
         threaded = two_particle_propagate(grid, v, u, 0.5, 3).values
         for workers in (1, 2):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
-            assert np.array_equal(two_particle_propagate(grid, v, u, 0.5, 3).values, threaded)
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(fields, "_cores", lambda c=cores: c)
+                assert np.array_equal(two_particle_propagate(grid, v, u, 0.5, 3).values, threaded)
+
+    @pytest.mark.parametrize("n, length", [(81, 40.0), (243, 160.0)])
+    def test_independent_of_block_count(self, monkeypatch, n, length):
+        # the Strang loop runs on one block of rows per core: 81 rows split
+        # 40/41 into 2 blocks and 243 rows 121/122
+        grid, v, u = self.sech_case(n, length)
+        results = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(fields, "_cores", lambda c=cores: c)
+            results[cores] = two_particle_propagate(grid, v, u, 0.37, 13).values
+        for cores in (2, 3):
+            assert bits_equal(results[cores], results[1]), cores
+
+    @staticmethod
+    def strang_threads(monkeypatch, fail_off_caller=False):
+        """Patch propagators._strang to record the thread of each call and,
+        with fail_off_caller, to raise on any thread but this one."""
+        caller, threads = threading.get_ident(), []
+        strang = propagators._strang
+
+        def recording(values, *args):
+            threads.append(threading.get_ident())
+            if fail_off_caller and threads[-1] != caller:
+                raise ArithmeticError("a later block")
+            return strang(values, *args)
+
+        monkeypatch.setattr(propagators, "_strang", recording)
+        return caller, threads
+
+    def test_strang_blocks_share_the_cores(self, monkeypatch):
+        monkeypatch.setattr(fields, "_cores", lambda: 2)
+        caller, threads = self.strang_threads(monkeypatch)
+        grid, v, u = self.sech_case()
+        two_particle_propagate(grid, v, u, 1.0, 8)
+        assert len(threads) == 2
+        assert caller in threads and any(t != caller for t in threads)
+
+    def test_concurrent_callers_match_sequential(self, monkeypatch):
+        # as the route worker and the series do: two callers split their
+        # loops into more blocks than the pool has threads, so their blocks
+        # queue behind each other's; a short switch interval interleaves
+        # them between every few bytecodes
+        monkeypatch.setattr(fields, "_cores", lambda: 5)
+        grid, v, u = self.sech_case()
+        cases = [(1.0, 16), (0.37, 13)]
+        expected = [two_particle_propagate(grid, v, u, t, steps).values for t, steps in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(two_particle_propagate, grid, v, u, t, steps) for t, steps in cases]
+                results = [f.result(timeout=120).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert bits_equal(got, want)
+
+    def test_later_block_exception_reraises(self, monkeypatch):
+        monkeypatch.setattr(fields, "_cores", lambda: 3)
+        self.strang_threads(monkeypatch, fail_off_caller=True)
+        grid, v, u = self.sech_case()
+        with pytest.raises(ArithmeticError, match="a later block"):
+            two_particle_propagate(grid, v, u, 1.0, 8)
 
     def test_t0_identity(self):
         grid = make_grid(9, 5.0)
