@@ -243,6 +243,17 @@ def _potential_spec(family: str, amplitude: float, width: float, center: float) 
         raise ConfigError(f"[potential] {exc}") from exc
 
 
+def _saved_steps(T: float, dt: float, stride: int = 1) -> list[int]:
+    """saved_steps of the [time] settings t_final, dt (checked > 0) and
+    save_stride, checked before any solve or worker thread."""
+    if stride < 1:
+        raise ConfigError(f"[time] save_stride must be >= 1 (got {stride})")
+    try:
+        return saved_steps(T, dt, stride)
+    except ValueError as exc:
+        raise ConfigError(f"[time] t_final = {T} must be an integer multiple of [time] dt = {dt}") from exc
+
+
 def _grid(n: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
     """The [grid] settings as a Grid1D, checked before any eigenbasis or
     worker thread."""
@@ -474,6 +485,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     scaling_tol = _positive(cfg, "fit", "scaling_tolerance", 0.2)
     if max_iter < 2:
         raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
+    _saved_steps(T, dt)
     u0, specs, nl, sel = _nls_setup(cfg)
     _check_all_read(cfg)
 
@@ -537,10 +549,10 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     dt = _positive(cfg, "time", "dt", 0.1)
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _positive(cfg, "fit", "tail_decrease_factor", 10.0)
+    saved = [s * dt for s in _saved_steps(T, dt, stride)]
     u0, specs, nl, _ = _nls_setup(cfg)
     _check_all_read(cfg)
     t1, t2 = 1.0, 20.0
-    saved = [s * dt for s in saved_steps(T, dt, stride)]
 
     def saved_index(t_query):
         for i, t in enumerate(saved):

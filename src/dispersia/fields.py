@@ -13,12 +13,13 @@ the continuum one.
 
 The thread rule of the package lives here, in its lowest module:
 `transform_workers` is the thread count of every transform and of the
-state-sized pointwise steps that `_by_rows` runs on chunks of rows (the
-finiteness check of a Field, |u|^2 and the sup norm here; the spectral
-phase and the wrap monitor in propagators). `_in_blocks` runs contiguous
-row blocks, one on the calling thread and the others on one pool: the
-blocks of `_by_rows`, and those of the two-particle Strang loop, one per
-core at any size, since each of its blocks carries a whole loop.
+state-sized pointwise steps that `_by_rows` runs once per block of rows
+(the finiteness check of a Field, |u|^2 and the sup norm here; the
+spectral phase, the H^3 sinh scalings and the wrap monitor in
+propagators). `_in_blocks` runs contiguous row blocks, one on the calling
+thread and the others on one pool: the blocks of `_by_rows`, and those of
+the two-particle Strang loop, one per core at any size, since each of its
+blocks carries a whole loop.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ _MIN_POINTS = 8
 
 # |u|^2 squares this many (re, im) pairs at a time: the 256 KB temporary
 # stays in cache, where one temporary the size of a 1024 x 1120 array made
-# the dense wrap monitor slower than two strided passes. Every step that
-# _by_rows runs keeps its temporaries to chunks of about this many points.
+# the dense wrap monitor slower than two strided passes
 _SQUARE_CHUNK = 2**14
 
 # arrays below this many points are transformed on one thread, and each of
 # their pointwise steps is one whole-array call (see _by_rows): there two
 # transform workers gained little or lost (0.95-1.24x at 243^2 and 256^2
 # on 2 cores), and the NLS routes on such grids already run a second thread.
+# From here up a pointwise step is one call per core, on its block of rows.
 # The gate prices one pass over an array; the two-particle Strang loop,
 # whose blocks each carry a whole loop, is split at every size
 _THREAD_MIN_POINTS = 2**18
@@ -91,23 +92,16 @@ def _in_blocks(fn, n: int, blocks: int) -> list:
 
 
 def _by_rows(fn, values: np.ndarray) -> list:
-    """[fn(rows) for each chunk of rows]. Below _THREAD_MIN_POINTS it is
+    """[fn(rows) for each block of rows]. Below _THREAD_MIN_POINTS it is
     [fn(...)], one call on the whole array on this thread. From there up
-    `rows` slices a chunk of values' rows (axis 0) of about _SQUARE_CHUNK
-    points, or one row where a row is larger, so fn's temporaries stay in
-    cache; the chunks form one contiguous block per transform_workers(values)
-    thread, run by _in_blocks. A step that is elementwise, a reduction per
-    row, a max or an all gives the same bits for any chunk and block
-    count."""
+    `rows` slices one contiguous block of values' rows (axis 0) per
+    transform_workers(values) thread, and _in_blocks calls fn once on each.
+    A step that is elementwise, a reduction per row, a max or an all gives
+    the same bits for any block count."""
     if values.size < _THREAD_MIN_POINTS:
         return [fn(...)]
     n = len(values)
-    step = max(1, _SQUARE_CHUNK * n // values.size)
-
-    def run(block):
-        return [fn(slice(a, min(a + step, block.stop))) for a in range(block.start, block.stop, step)]
-
-    return [r for chunks in _in_blocks(run, n, min(transform_workers(values), n)) for r in chunks]
+    return _in_blocks(fn, n, min(transform_workers(values), n))
 
 
 @dataclass(frozen=True)
@@ -192,17 +186,17 @@ def _frozen_to_memory(a: np.ndarray) -> bool:
 
 
 def _all_finite(values: np.ndarray) -> bool:
-    """Whether every value of a complex array is finite, in row chunks
+    """Whether every value of a complex array is finite, in row blocks
     (see _by_rows); where the last axis is contiguous, on the (re, im)
     float view, whose isfinite is vectorised (twice as fast at 256^2)."""
 
-    def chunk(rows):
+    def block(rows):
         part = values[rows]
         if part.strides[-1] == part.itemsize:
             part = part.view(part.real.dtype)
         return np.isfinite(part).all()
 
-    return all(_by_rows(chunk, values))
+    return all(_by_rows(block, values))
 
 
 def _whole_finite(values: np.ndarray) -> bool:
@@ -299,8 +293,8 @@ class Trajectory:
             raise ValueError("a trajectory needs a 1-D array of at least one time")
         # a stack of states is checked in one pass on this thread, as a
         # whole: it is built beside a run's own threads, and checked in
-        # chunks the peak RSS of an NLS run came to depend on the
-        # allocator's state
+        # row blocks on the pool the peak RSS of an NLS run came to depend
+        # on the allocator's state
         shape = (len(times),) + tuple(g.n_points for g in grids)
         vals = _immutable(self.values, shape, "times and grids", _whole_finite)
         object.__setattr__(self, "times", times)
@@ -310,7 +304,7 @@ class Trajectory:
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
     """|u|^2 as re^2 + im^2: the square root of np.abs is never taken. A
-    complex array is squared over its (re, im) float view, in row chunks
+    complex array is squared over its (re, im) float view, in row blocks
     (see _by_rows), and each pair is added, _SQUARE_CHUNK pairs at a time;
     input that is not C-contiguous is copied first, since the view needs
     it."""
@@ -324,7 +318,7 @@ def _abs_squared(values: np.ndarray) -> np.ndarray:
 
 def _squares_into(values: np.ndarray, out: np.ndarray):
     """out = re^2 + im^2 of C-contiguous complex values, _SQUARE_CHUNK
-    pairs at a time; for a caller that already holds a row chunk."""
+    pairs at a time; for a caller that already holds a block of rows."""
     pairs = values.reshape(-1).view(out.dtype).reshape(-1, 2)
     flat = out.reshape(-1)
     for start in range(0, len(flat), _SQUARE_CHUNK):
@@ -357,7 +351,7 @@ def _lp_exponent(r) -> float:
 
 
 def _sup(values: np.ndarray) -> float:
-    """max |u|, in row chunks (see _by_rows); a NaN propagates."""
+    """max |u|, in row blocks (see _by_rows); a NaN propagates."""
     return float(np.max(_by_rows(lambda rows: np.abs(values[rows]).max(), values)))
 
 

@@ -6,10 +6,11 @@ free-plus-potential torus factor by its exact eigenbasis, and the radial
 H^3 factor by a sine transform (see h3_factor). On a product of factors
 `spectral_product` gives the flow as one forward transform per axis, one
 phase and one inverse transform per axis. `fields.transform_workers` is
-the thread count of every transform, and of the phase and the wrap
-monitor's |u|^2, which run on row chunks (fields._by_rows). The
-two-particle Strang loop runs on one block of rows per core instead, each
-block with one-thread transforms (see two_particle_propagate).
+the thread count of every transform, and of the phase, the H^3 sinh
+scalings and the wrap monitor's |u|^2, each one call per block of rows
+(fields._by_rows). The two-particle Strang loop runs on one block of rows
+per core at every size, each block with one-thread transforms and its own
+rows of the kinetic phase (see two_particle_propagate).
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -228,22 +229,26 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
     which carries half of it.
 
     Both transforms scale and transform _own(values, overwrite) in place,
-    so with overwrite=True they allocate no state-sized array. The inverse
-    multiplies by a precomputed 1 / sinh(r): the bits of a division by
-    sinh(r), up to the sign of an exact zero, at about a third of its
+    so with overwrite=True they allocate no state-sized array. A scaling is
+    one in-place multiply per block of rows (see fields._by_rows). The
+    inverse multiplies by a precomputed 1 / sinh(r): the bits of a division
+    by sinh(r), up to the sign of an exact zero, at about a third of its
     cost."""
     sinh_r = np.sinh(grid.nodes)
     inv_sinh_r = 1.0 / sinh_r
 
+    def scale(x, axis, by):
+        # x *= by along `axis`, in place; on axis 0 a block takes its rows of `by`
+        by = np.broadcast_to(_axis_shape(x, axis, by), x.shape)
+        _by_rows(lambda rows: np.multiply(x[rows], by[rows], out=x[rows]), x)
+        return x
+
     def forward(values, axis, overwrite=False):
-        x = _own(values, overwrite)
-        x *= _axis_shape(x, axis, sinh_r)
+        x = scale(_own(values, overwrite), axis, sinh_r)
         return _complex_dst(sfft.dst, x, axis, overwrite=True)
 
     def inverse(coeffs, axis, overwrite=False):
-        out = _complex_dst(sfft.idst, coeffs, axis, overwrite)
-        out *= _axis_shape(out, axis, inv_sinh_r)
-        return out
+        return scale(_complex_dst(sfft.idst, coeffs, axis, overwrite), axis, inv_sinh_r)
 
     dual_lattice = np.pi * np.arange(1, grid.n_points + 1) / grid.length
     return SpectralFactor(forward, inverse, dual_lattice**2 + RHO_H3**2)
@@ -307,14 +312,14 @@ class SpectralProduct:
     def propagate_coefficients(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """e^{itL} of the state whose forward transform is `coeffs`: coeffs
         times the phase of t, and the inverse; `coeffs` is not written. Each
-        row chunk (see fields._by_rows) builds its rows of the outer-product
-        phase into the one output buffer, with the bits of phase(t), and
-        multiplies coeffs into them. coeffs stays the first operand: numpy's
-        complex multiply is not bitwise commutative."""
+        block of rows (see fields._by_rows) builds its rows of the
+        outer-product phase into the one output buffer, with the bits of
+        phase(t), and multiplies coeffs into them. coeffs stays the first
+        operand: numpy's complex multiply is not bitwise commutative."""
         first, *rest = [f.phase(t) for f in self.factors]
         out = np.empty(coeffs.shape, dtype=complex)
 
-        def chunk(rows):
+        def block(rows):
             o = out[rows]
             *lead, last = [first[rows], *rest]
             if lead:
@@ -323,7 +328,7 @@ class SpectralProduct:
                 o[...] = last
             np.multiply(coeffs[rows], o, out=o)
 
-        _by_rows(chunk, out)
+        _by_rows(block, out)
         return self.inverse(out, overwrite=True)
 
 
@@ -419,8 +424,9 @@ def two_particle_propagate(
 
     Every Strang step then acts on each row by itself, so the whole loop
     runs on one contiguous block of rows per core (fields._in_blocks), each
-    block with one-thread transforms; a row is computed as on one thread,
-    so the result does not depend on the block count."""
+    block with one-thread transforms and its own rows of the kinetic phase;
+    a row is computed as on one thread, so the result does not depend on
+    the block count."""
     n = _require_two_particle_grid(u0)
     if u0.grids[0] != grid:
         raise ValueError("field grid does not match the given grid")
@@ -436,24 +442,22 @@ def two_particle_propagate(
         dt = t / steps
         half = np.exp(-0.5j * dt * v)[np.newaxis, :]
         xi2 = torus_frequencies(grid) ** 2
-        # Kinetic symbol transported through the lattice map: the sum and
-        # difference indices of a rotated mode carry the original
-        # frequencies, and xi_s^2 + xi_d^2 = 2(xi_m^2 + xi_n^2) on
-        # unwrapped modes -- the doubled Laplacian of the rotation,
-        # realized without the index-halving aliasing of the raw symbol.
-        # The n x n index arrays are temporaries, freed as they are read.
         idx = np.arange(n)
-        mult2d = np.exp(
-            -1j * dt * (xi2[(idx[:, None] + idx[None, :]) % n] + xi2[(idx[:, None] - idx[None, :]) % n])
-        )
         workers = fields.transform_workers(w)
         # w is the read-only view of a Field: the first transform copies,
         # and each block writes its rows back into the copy
         w = sfft.fft(w, axis=0, workers=workers)
 
         def strang_rows(rows):
-            # the whole loop on one block of sum momenta, on one thread
-            block_mult = mult2d[rows]
+            # the whole loop on one block of sum momenta, on one thread, with
+            # the block's rows of the kinetic symbol transported through the
+            # lattice map: the sum and difference indices of a rotated mode
+            # carry the original frequencies, and xi_s^2 + xi_d^2 =
+            # 2(xi_m^2 + xi_n^2) on unwrapped modes -- the doubled Laplacian
+            # of the rotation, without the index-halving aliasing of the raw
+            # symbol. The index arrays are freed as they are read.
+            j = idx[rows, np.newaxis]
+            block_mult = np.exp(-1j * dt * (xi2[(j + idx) % n] + xi2[(j - idx) % n]))
 
             def kinetic(x):
                 x = sfft.fft(x, axis=1, workers=1, overwrite_x=True)
@@ -540,21 +544,21 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     # as boundary. Every sum has non-negative terms, so a tiny fraction
     # keeps its relative accuracy, and folding the weights in one axis at a
     # time keeps a product of sinh^2 weights from overflowing on large
-    # radial grids. The first contraction runs in row chunks of the values
-    # as rows of their last axis (see fields._by_rows): |u|^2 of a chunk
-    # feeds both row sums, and no |u|^2 of a large state is kept.
+    # radial grids. The first contraction runs in row blocks of the values
+    # as rows of their last axis (see fields._by_rows): |u|^2 of a block
+    # feeds both row sums.
     values = u.values.reshape(-1, u.values.shape[-1])
     w = u.grids[-1].weights
     w_boundary = w * masks[-1]
     total, boundary = np.empty(len(values)), np.empty(len(values))
 
-    def chunk(rows):
+    def block(rows):
         squared = np.empty(values[rows].shape)
         _squares_into(values[rows], squared)
         total[rows] = _sum_last_axis(squared, w)
         boundary[rows] = _sum_last_axis(squared, w_boundary)
 
-    _by_rows(chunk, values)
+    _by_rows(block, values)
     total, boundary = total.reshape(u.values.shape[:-1]), boundary.reshape(u.values.shape[:-1])
     for grid, m in zip(reversed(u.grids[:-1]), reversed(masks[:-1])):
         boundary = _sum_last_axis(np.where(m, total, boundary), grid.weights)

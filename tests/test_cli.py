@@ -250,6 +250,28 @@ class TestExitCodes:
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize(
+        "name, time_section, keys",
+        [("nls-scattering", f"save_stride = {stride}\n", ["[time] save_stride"]) for stride in (0, -3)]
+        + [(name, "t_final = 40\ndt = 0.3\n", ["[time] t_final", "[time] dt"])
+           for name in ("nls-smalldata", "nls-scattering")],
+        ids=["save_stride-0", "save_stride-minus-3", "nls-smalldata-dt", "nls-scattering-dt"],
+    )
+    def test_bad_nls_time_grid_refused(self, tmp_path, capsys, output_root, monkeypatch, name, time_section, keys):
+        # a save stride below 1 and a t_final that is not a whole number of
+        # steps were invalid arguments from the library, one of them raised
+        # inside the Picard solves; each is refused as its [time] keys
+        # before any solve, worker thread or artifact
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the time check")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", never)
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[time]\n{time_section}")
+        assert main(["run", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("width", ["0", "-1", "nan"])
     @pytest.mark.parametrize("name", [n for n in EXPECTED_NAMES if n != "admissible-region"])
     def test_nonpositive_data_width_refused(self, tmp_path, capsys, output_root, name, width):

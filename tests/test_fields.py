@@ -335,23 +335,19 @@ class TestNormReduction:
 
 
 class TestRowBlocks:
-    """_by_rows calls its step on chunks of about _SQUARE_CHUNK points of a
-    state's rows, in one contiguous block of chunks per transform_workers
-    thread: block 0 on the calling thread, the others on the pool; below
-    2^18 points it makes one call on the whole array."""
+    """_by_rows calls its step once on each contiguous block of a state's
+    rows, one block per transform_workers thread: block 0 on the calling
+    thread, the others on the pool; below 2^18 points it makes one call on
+    the whole array."""
 
-    def test_chunks_cover_the_rows_in_order(self, monkeypatch):
+    def test_one_call_per_block_in_order(self, monkeypatch):
         values = np.empty((512, 512))
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
             got = _by_rows(lambda rows: (rows.start, rows.stop, threading.get_ident()), values)
             edges = [512 * k // workers for k in range(workers + 1)]
-            assert [g[0] for g in got] == [
-                start for a, b in zip(edges, edges[1:]) for start in range(a, b, fields._SQUARE_CHUNK // 512)
-            ]
-            assert [g[1] for g in got[:-1]] == [g[0] for g in got[1:]] and got[-1][1] == 512
-            for start, _, thread in got:
-                assert (thread == threading.get_ident()) == (start < edges[1])
+            assert [(a, b) for a, b, _ in got] == list(zip(edges, edges[1:]))
+            assert [thread == threading.get_ident() for _, _, thread in got] == [True] + [False] * (workers - 1)
 
     def test_blocks_tile_the_range(self):
         # _in_blocks, the runner under _by_rows and the two-particle Strang
@@ -360,11 +356,6 @@ class TestRowBlocks:
             got = fields._in_blocks(lambda rows: (rows.start, rows.stop, threading.get_ident()), n, blocks)
             assert [(a, b) for a, b, _ in got] == [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
             assert [thread == threading.get_ident() for _, _, thread in got] == [True] + [False] * (blocks - 1)
-
-    def test_a_row_larger_than_a_chunk_is_one_chunk(self, monkeypatch):
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
-        got = _by_rows(lambda rows: (rows.start, rows.stop), np.empty((8, 2**15)))
-        assert got == [(k, k + 1) for k in range(8)]
 
     def test_below_the_threshold_one_call_on_this_thread(self, monkeypatch):
         monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
@@ -402,8 +393,7 @@ class TestRowBlocks:
 
         with pytest.raises(ArithmeticError, match="block 0"):
             _by_rows(fn, np.empty((300, 1024)))
-        # chunks of 16 rows from each block's first row
-        assert sorted(ended) == [*range(100, 200, 16), *range(200, 300, 16)]
+        assert sorted(ended) == [100, 200]
 
 
 class TestGaussianField:

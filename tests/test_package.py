@@ -1,6 +1,7 @@
 """The package surface and layout: every name that dispersia exports is
 used by the library itself, so no API exists only for its tests; the
-transforms live in one module, and every import is at module level."""
+transforms live in one module, every import is at module level, and the
+dense path makes no BLAS call outside the potential eigenbasis."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,52 @@ def test_no_import_inside_a_function():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, f"imports inside a function: {nested}"
+
+
+# the only functions on the dense path that may call BLAS: the potential
+# eigenbasis is a real symmetric eigensolve and a matrix product per axis
+BLAS_ALLOWED = {"_potential_factor", "_matrix_along"}
+BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def blas_uses(tree) -> list[str]:
+    """`@`, and calls of a BLAS-backed numpy product or of linalg.*, each
+    as 'function:line', outside the functions of BLAS_ALLOWED."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            if function in BLAS_ALLOWED:
+                return
+        blas = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.Call):
+            *owners, name = ast.unparse(node.func).split(".")
+            blas = name in BLAS_CALLS or "linalg" in owners
+        if blas:
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_blas_on_the_dense_path():
+    # perfbench runs with OPENBLAS_NUM_THREADS at the core count, and a BLAS
+    # call wakes OpenBLAS threads that then spin on the cores the next
+    # threaded transform needs: a matrix-product wrap monitor once cost
+    # dense-mixed about 0.6 s of a 1.0 s run
+    trees = module_trees()
+    found = {name: blas_uses(trees[name]) for name in ("fields.py", "decay.py", "propagators.py")}
+    assert not any(found.values()), f"BLAS calls on the dense path: {found}"
+
+
+def test_blas_finder_sees_each_form():
+    source = (
+        "def f(a, b):\n"
+        "    a @ b\n    a @= b\n    np.dot(a, b)\n    a.dot(b)\n    np.linalg.norm(a)\n"
+        "    linalg.solve(a, b)\n    tensordot(a, b)\n"
+        "def _matrix_along(m, v):\n    return m @ v\n"
+    )
+    assert blas_uses(ast.parse(source)) == [f"f:{line}" for line in range(2, 9)]

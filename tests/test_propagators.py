@@ -954,9 +954,9 @@ def test_dense_product_allocation_budget(kinds):
 
 def test_threaded_product_allocation_budget(monkeypatch):
     # the budget of test_dense_product_allocation_budget above 2^18 points,
-    # where the phase runs in chunks of rows on two threads: tracemalloc
-    # counts the pool thread's allocations too, and each chunk builds its
-    # phase rows straight into the product's buffer
+    # where the phase runs on two blocks of rows, one per thread:
+    # tracemalloc counts the pool thread's allocations too, and each block
+    # builds its phase rows straight into the product's buffer
     monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
     grids = (make_grid(512, 64.0), make_grid(560, 40.0, HYPERBOLIC))
     specs = [PropagatorSpec("free", grids[0]), PropagatorSpec("hyperbolic-radial", grids[1])]
@@ -978,8 +978,8 @@ def test_threaded_product_allocation_budget(monkeypatch):
 
 
 class TestRowBlocks:
-    """The state-sized pointwise steps run on chunks of rows, in one block
-    of chunks per transform_workers thread, and give the same bits for any
+    """The state-sized pointwise steps run once on each block of rows, one
+    block per transform_workers thread, and give the same bits for any
     block count; 3 blocks split the 512 rows unevenly."""
 
     torus, wide, h3 = make_grid(512, 200.0), make_grid(560, 150.0), make_grid(560, 40.0, HYPERBOLIC)
@@ -1023,6 +1023,26 @@ class TestRowBlocks:
         flow = propagators.spectral_product(specs, u.grids)
         coeffs = self.values(25)
         assert bits_equal(flow.propagate_coefficients(coeffs, 0.9), flow.inverse(coeffs * flow.phase(0.9)))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_h3_scalings_independent_of_block_count(self, monkeypatch, axis):
+        # the sinh r and 1/sinh r scalings run once per block of rows, on
+        # axis 0 each block with its rows of the scale, in place under
+        # overwrite=True, with the bits of one whole-array multiply
+        grid = self.h3_rows if axis == 0 else self.h3
+        factor = h3_factor(grid)
+        shape = [1, 1]
+        shape[axis] = -1
+        sinh_r = np.sinh(grid.nodes).reshape(shape)
+        expected = (_complex_dst(sfft.dst, self.values(29) * sinh_r, axis),
+                    _complex_dst(sfft.idst, self.values(30), axis) * (1.0 / sinh_r))
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
+            x, y = self.values(29), self.values(30)
+            got = factor.forward(x, axis, overwrite=True), factor.inverse(y, axis, overwrite=True)
+            assert np.shares_memory(got[0], x) and np.shares_memory(got[1], y)
+            for g, want in zip(got, expected):
+                assert bits_equal(g, want), (blocks, axis)
 
     def test_concurrent_callers_match_sequential(self, monkeypatch):
         # two callers split their states into more blocks than the pool has
