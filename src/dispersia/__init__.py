@@ -13,7 +13,6 @@ from .fields import (
     Grid1D,
     Field,
     SeparableField,
-    Trajectory,
     make_grid,
     lp_norm,
 )

@@ -3,13 +3,11 @@
 A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
-Fields are immutable (grids, values) pairs; a SeparableField keeps a
-rank-1 product state as its 1-D factors, and a Trajectory stacks the
-states of one run along a leading time axis. The values of a Field
-and of a Trajectory are read-only down to their memory, so they never
-change, and an array that anyone may still write is copied once. Norms
-are quadrature weighted so that a sampled function's norm approximates
-the continuum one.
+Fields are immutable (grids, values) pairs, and a SeparableField keeps a
+rank-1 product state as its 1-D factors. The values of a Field are
+read-only down to their memory, so they never change, and an array that
+anyone may still write is copied once. Norms are quadrature weighted so
+that a sampled function's norm approximates the continuum one.
 
 The thread rule of the package lives here, in its lowest module:
 `transform_workers` is the thread count of every transform and of the
@@ -166,7 +164,7 @@ def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark a freshly built array, and every array it views, read-only, and
-    return it: a Field or Trajectory then keeps it without a copy. Only for
+    return it: a Field then keeps it without a copy. Only for
     arrays that no one else holds a writable reference to."""
     b = a
     while isinstance(b, np.ndarray):
@@ -199,21 +197,15 @@ def _all_finite(values: np.ndarray) -> bool:
     return all(_by_rows(block, values))
 
 
-def _whole_finite(values: np.ndarray) -> bool:
-    """Whether every value is finite, in one pass on this thread."""
-    return np.isfinite(values).all()
-
-
-def _immutable(values, shape: tuple, of: str, all_finite=_all_finite) -> np.ndarray:
+def _immutable(values, shape: tuple) -> np.ndarray:
     """`values` as a complex array that never changes, once it is checked
-    finite (by `all_finite`) and of `shape` (the shape of `of`, which a
-    refusal names): an
-    array that is read-only down to its memory (see _frozen) is kept as it
-    is, and any other array is copied once and the copy made read-only."""
+    finite and of `shape` (that of the grids): an array that is read-only
+    down to its memory (see _frozen) is kept as it is, and any other array
+    is copied once and the copy made read-only."""
     vals = np.asarray(values, dtype=complex)
     if vals.shape != shape:
-        raise ValueError(f"values shape {vals.shape} does not match {of} {shape}")
-    if not all_finite(vals):
+        raise ValueError(f"values shape {vals.shape} does not match grids {shape}")
+    if not _all_finite(vals):
         raise ValueError("field values must be finite")
     if vals is not values and vals.base is None:
         # asarray converted the input: the result is already a private copy
@@ -236,7 +228,7 @@ class Field:
         object.__setattr__(self, "grids", grids)
         if not 1 <= len(grids) <= 3:
             raise ValueError("Field supports rank 1 to 3")
-        vals = _immutable(self.values, tuple(g.n_points for g in grids), "grids")
+        vals = _immutable(self.values, tuple(g.n_points for g in grids))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -274,32 +266,6 @@ class SeparableField:
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """The states of one run stacked along a leading time axis: values[i]
-    is the state on the product of `grids` at times[i]. The whole stack is
-    validated once, and never changes, as a Field's values."""
-
-    times: np.ndarray
-    grids: tuple[Grid1D, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        grids = tuple(self.grids)
-        if times.ndim != 1 or len(times) == 0:
-            raise ValueError("a trajectory needs a 1-D array of at least one time")
-        # a stack of states is checked in one pass on this thread, as a
-        # whole: it is built beside a run's own threads, and checked in
-        # row blocks on the pool the peak RSS of an NLS run came to depend
-        # on the allocator's state
-        shape = (len(times),) + tuple(g.n_points for g in grids)
-        vals = _immutable(self.values, shape, "times and grids", _whole_finite)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "values", vals)
 
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
@@ -384,19 +350,6 @@ def lp_norm(u: Field | SeparableField, r) -> float:
     if isinstance(u, SeparableField):
         return math.prod(lp_norm(f, r) for f in u.factors)
     return values_lp_norm(u.values, u.grids, r)
-
-
-def slice_lp_norms(values: np.ndarray, grids, r, minus: np.ndarray | None = None) -> np.ndarray:
-    """lp_norm of each slice values[i], a state on the product of `grids`;
-    with `minus`, of each slice of values - minus (a single state, or a
-    stack like values). Slice by slice, so that the temporaries stay the
-    size of one state and in cache."""
-    out = np.empty(len(values))
-    for i, state in enumerate(values):
-        if minus is not None:
-            state = state - (minus if minus.ndim < values.ndim else minus[i])
-        out[i] = values_lp_norm(state, grids, r)
-    return out
 
 
 def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None) -> Field:

@@ -9,9 +9,8 @@ diagnostics of the small-data well-posedness scheme.
 Every route applies the linear product flow in the spectral domain
 (propagators.spectral_product), for any mix of factor kinds. The Picard
 iteration overwrites one stack of its time slices in place; the
-split-step yields its saved states one at a time, which splitstep_nls
-stacks into a Trajectory and CauchyTails, the scattering diagnostic,
-consumes as they come.
+split-step yields its saved states one at a time as Fields, which
+CauchyTails, the scattering diagnostic, consumes as they come.
 
 The equation solved is i u_t + Lap u = F(u) with the gauge-invariant
 power F(u) = mu |u|^(gamma-1) u, matching the package's linear multiplier
@@ -29,7 +28,7 @@ import numpy as np
 
 from .decay import time_norm
 from .exponents import HypothesisViolation, NLSExponentSelection
-from .fields import Field, Trajectory, _frozen, values_lp_norm, values_lp_norms
+from .fields import Field, _frozen, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
 
 
@@ -42,7 +41,7 @@ class Nonlinearity:
 
     def __post_init__(self):
         if not self.gamma > 1:
-            raise ValueError("gamma must exceed 1")
+            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if complex(self.mu).imag != 0:
             # the exact phase-rotation substep keeps |u| only for real mu
             raise ValueError(f"mu must be real, got {self.mu!r}")
@@ -104,18 +103,18 @@ def saved_steps(T: float, dt: float, save_stride: int) -> list[int]:
 def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1):
     """Strang-split NLS states at the saved_steps of T, dt and save_stride,
     under the product flow of `specs` (one spec per axis of u0), yielded as
-    (time, values) pairs in time order. Every yielded array is read-only
-    down to its memory, so a Field wraps it without a copy, and the loop
-    never writes to u0. The linear step is one forward transform, the phase
-    of dt (built once) and one inverse transform, each free to overwrite
-    its input; the nonlinear substeps run in place, in two buffers kept
-    for the whole run."""
+    (time, Field) pairs in time order: u0 itself at time 0, then a Field of
+    a fresh copy of each saved state, which the Field checks finite once.
+    The loop never writes to u0. The linear step is one forward transform,
+    the phase of dt (built once) and one inverse transform, each free to
+    overwrite its input; the nonlinear substeps run in place, in two
+    buffers kept for the whole run."""
     saved = saved_steps(T, dt, save_stride)
     n_steps = saved[-1]
     flow = spectral_product(specs, u0.grids)
     kinetic = flow.phase(dt)
     work = (np.empty(u0.values.shape), np.empty(u0.values.shape, dtype=complex))
-    yield 0.0, u0.values
+    yield 0.0, u0
     j = 1
     values = _nonlinear_substep(u0.values.copy(), nl, dt / 2, work)
     for step in range(1, n_steps + 1):
@@ -124,7 +123,7 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
         values = flow.inverse(coeffs, overwrite=True)
         if step == saved[j]:
             values = _nonlinear_substep(values, nl, dt / 2, work)
-            yield step * dt, _frozen(values.copy())
+            yield step * dt, Field(u0.grids, _frozen(values.copy()))
             j += 1
             if step < n_steps:
                 values = _nonlinear_substep(values, nl, dt / 2, work)
@@ -134,14 +133,9 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
             values = _nonlinear_substep(values, nl, dt, work)
 
 
-def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> Trajectory:
-    """The states of splitstep_states stacked into one Trajectory."""
-    out = np.empty((len(saved_steps(T, dt, save_stride)),) + u0.values.shape, dtype=complex)
-    times = []
-    for j, (t, values) in enumerate(splitstep_states(u0, nl, specs, T, dt, save_stride)):
-        out[j] = values
-        times.append(t)
-    return Trajectory(times, u0.grids, _frozen(out))
+def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> list:
+    """The (time, Field) pairs of splitstep_states, as one list."""
+    return list(splitstep_states(u0, nl, specs, T, dt, save_stride))
 
 
 @dataclass(frozen=True)
@@ -284,10 +278,11 @@ def picard_iterate(
 class CauchyTails:
     """The Cauchy tail table tail(t_i) = max_{j >= i} ||z(t_j) - z(t_i)||_{L^2}
     of the profiles z(t) = e^{-itL} u(t) under the product flow of `specs`,
-    built as the states arrive in time order: `add` takes the next state,
-    forms its profile and raises each earlier tail to its distance from
-    the new profile. After the last state, `tails` is the table, and the
-    last profile is the numerical scattering state candidate."""
+    built as the states arrive in time order: `add` takes the next state, a
+    Field on `grids`, forms its profile and raises each earlier tail to its
+    distance from the new profile. After the last state, `tails` is the
+    table, and the last profile is the numerical scattering state
+    candidate."""
 
     def __init__(self, specs, grids):
         self.grids = tuple(grids)
@@ -296,10 +291,7 @@ class CauchyTails:
         self.profiles: list[np.ndarray] = []
         self._tails: list[float] = []
 
-    def add(self, t: float, values: np.ndarray) -> None:
-        # validated as a Field: states streamed from splitstep_states pass
-        # through no Trajectory, which would refuse a non-finite value
-        state = Field(self.grids, values)
+    def add(self, t: float, state: Field) -> None:
         z = self._flow.propagate(state.values, -t)
         for i, earlier in enumerate(self.profiles):
             self._tails[i] = max(self._tails[i], values_lp_norm(z - earlier, self.grids, 2))

@@ -121,6 +121,16 @@ class TestExitCodes:
         )
         assert main(["run", path]) == EXIT_HYPOTHESIS
 
+    @pytest.mark.parametrize("gamma", ["1", "0.5"])
+    @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])
+    def test_gamma_at_most_one_refused(self, tmp_path, capsys, output_root, name, gamma):
+        # the power nonlinearity needs gamma > 1: a refusal that names its
+        # key, before any solve, worker thread or output directory
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n[nls]\ngamma = {gamma}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[nls] gamma must exceed 1" in capsys.readouterr().err
+        assert not output_root.exists()
+
     @pytest.mark.parametrize("key", ["m_eff", "n_eff"])
     def test_nls_dimension_keys_refused(self, tmp_path, capsys, output_root, key):
         # the exponent dimensions come from the factors the run builds; a
@@ -464,7 +474,7 @@ class TestNLSRunners:
         assert not (output_root / "nls-smalldata" / "picard.json").exists()
 
     def test_scattering_worker_exception_surfaces(self, tmp_path, capsys, output_root, monkeypatch):
-        def broken(self, t, values):
+        def broken(self, t, state):
             raise ValueError("tail accumulator broke")
 
         monkeypatch.setattr(CauchyTails, "add", broken)
@@ -480,6 +490,18 @@ class TestNLSRunners:
         assert run_in_thread(path) == [EXIT_INVALID_ARGUMENT]
         assert "field values must be finite" in capsys.readouterr().err
         assert not (output_root / "nls-smalldata" / "picard.json").exists()
+
+    @pytest.mark.parametrize("name,config", [("nls-smalldata", SMALL_NLS), ("nls-scattering", SMALL_SCATTERING)])
+    def test_nonfinite_splitstep_state_exits_5(self, tmp_path, capsys, output_root, monkeypatch, name, config):
+        # Picard never calls the nonlinear substep, so only the split-step's
+        # saved states turn non-finite: the Field check of each saved state
+        # refuses them, on the worker (nls-smalldata) or on the calling
+        # thread (nls-scattering)
+        monkeypatch.setattr(nls, "_nonlinear_substep", lambda values, nl, dt, work: np.full_like(values, np.nan))
+        path = write_config(tmp_path, config)
+        assert run_in_thread(path) == [EXIT_INVALID_ARGUMENT]
+        assert "field values must be finite" in capsys.readouterr().err
+        assert not output_root.exists()
 
     def test_threaded_picard_json_matches_inline(self, tmp_path, capsys, monkeypatch):
         # every threaded runner: the nls-smalldata chains, the nls-scattering

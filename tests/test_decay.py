@@ -16,7 +16,7 @@ from dispersia.decay import (
     norm_series,
     time_norm,
 )
-from dispersia.fields import Field, Trajectory, gaussian_field, lp_norm, make_grid, slice_lp_norms
+from dispersia.fields import Field, gaussian_field, lp_norm, make_grid, values_lp_norm
 from dispersia.propagators import PropagatorSpec, product_propagate
 
 
@@ -24,13 +24,14 @@ def free_flow(spec, u, t):
     return product_propagate([spec], u, t)
 
 
-def slice_norms(traj, r):
-    """The L^r norm of each state of a Trajectory."""
-    return slice_lp_norms(traj.values, traj.grids, r)
+def slice_norms(states, grids, r):
+    """The L^r norm of each state of a stack, a state per leading index."""
+    return np.array([values_lp_norm(v, grids, r) for v in states])
 
 
-def free_trajectory(spec, u0, times):
-    return Trajectory(times, u0.grids, [free_flow(spec, u0, t).values for t in times])
+def free_norms(spec, u0, times, r):
+    """The L^r norm of the free flow of u0 at each of times."""
+    return slice_norms([free_flow(spec, u0, t).values for t in times], u0.grids, r)
 
 
 def power_series(prefactor, exponent, times):
@@ -177,23 +178,25 @@ class TestNormSeries:
 
 
 class TestStrichartzNorm:
-    def constant_trajectory(self, value=2.0, t_end=2.0, n=21):
+    def constant_states(self, value=2.0, t_end=2.0, n=21):
+        """A state held constant at n times from 0 to t_end: the times, the
+        stack of its values and the state."""
         grid = make_grid(64, 10.0)
         u = Field((grid,), np.full(64, value, dtype=complex))
         times = np.linspace(0, t_end, n)
-        return Trajectory(times, (grid,), np.broadcast_to(u.values, (n, 64))), u
+        return times, np.broadcast_to(u.values, (n, 64)), u
 
     def test_constant_in_time_p2(self):
-        traj, u = self.constant_trajectory(t_end=2.0)
+        times, states, u = self.constant_states(t_end=2.0)
         expected = math.sqrt(2.0) * lp_norm(u, 4)
-        assert time_norm(traj.times, slice_norms(traj, 4), 2) == pytest.approx(expected, rel=1e-12)
+        assert time_norm(times, slice_norms(states, u.grids, 4), 2) == pytest.approx(expected, rel=1e-12)
 
     def test_p_inf_q2_on_unitary_flow(self):
         grid = make_grid(256, 100.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
-        traj = free_trajectory(spec, u0, np.linspace(0, 5, 11))
-        assert time_norm(traj.times, slice_norms(traj, 2), math.inf) == pytest.approx(lp_norm(u0, 2), rel=1e-10)
+        times = np.linspace(0, 5, 11)
+        assert time_norm(times, free_norms(spec, u0, times, 2), math.inf) == pytest.approx(lp_norm(u0, 2), rel=1e-10)
 
     def test_quadrature_self_convergence(self):
         grid = make_grid(512, 200.0)
@@ -201,8 +204,8 @@ class TestStrichartzNorm:
         u0 = gaussian_field(grid, 1.0)
 
         def value(n_samples):
-            traj = free_trajectory(spec, u0, np.linspace(0, 10, n_samples))
-            return time_norm(traj.times, slice_norms(traj, 4), 8)
+            times = np.linspace(0, 10, n_samples)
+            return time_norm(times, free_norms(spec, u0, times, 4), 8)
 
         coarse, fine = value(41), value(81)
         assert fine == pytest.approx(coarse, rel=0.01)
@@ -211,22 +214,16 @@ class TestStrichartzNorm:
         grid = make_grid(128, 50.0)
         spec = PropagatorSpec("free", grid)
         u0 = gaussian_field(grid, 1.0)
-        traj = free_trajectory(spec, u0, np.linspace(0, 8, 33))
-        shorter = time_norm(traj.times[:17], slice_norms(traj, 4)[:17], 4)
-        longer = time_norm(traj.times, slice_norms(traj, 4), 4)
+        times = np.linspace(0, 8, 33)
+        norms = free_norms(spec, u0, times, 4)
+        shorter = time_norm(times[:17], norms[:17], 4)
+        longer = time_norm(times, norms, 4)
         assert longer >= shorter
 
     @given(c=st.floats(0, 50))
     @settings(max_examples=30, deadline=None)
     def test_homogeneity(self, c):
-        traj, _ = self.constant_trajectory()
-        scaled = Trajectory(traj.times, traj.grids, c * traj.values)
-        assert time_norm(scaled.times, slice_norms(scaled, 4), 2) == pytest.approx(
-            c * time_norm(traj.times, slice_norms(traj, 4), 2), rel=1e-10, abs=1e-12
+        times, states, u = self.constant_states()
+        assert time_norm(times, slice_norms(c * states, u.grids, 4), 2) == pytest.approx(
+            c * time_norm(times, slice_norms(states, u.grids, 4), 2), rel=1e-10, abs=1e-12
         )
-
-    def test_empty_trajectory_rejected(self):
-        grid = make_grid(64, 10.0)
-        with pytest.raises(ValueError):
-            empty = Trajectory(np.array([]), (grid,), np.zeros((0, 64)))
-            time_norm(empty.times, slice_norms(empty, 2), 2)

@@ -15,14 +15,12 @@ from dispersia.fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
-    Trajectory,
     _abs_squared,
     _by_rows,
     _frozen,
     gaussian_field,
     lp_norm,
     make_grid,
-    slice_lp_norms,
     values_lp_norm,
     values_lp_norms,
 )
@@ -197,68 +195,6 @@ class TestLpNorm:
         f = random_field(grid, 7)
         scaled = f.with_values(c * f.values)
         assert lp_norm(scaled, r) == pytest.approx(abs(c) * lp_norm(f, r), rel=1e-10, abs=1e-12)
-
-
-class TestSliceNorms:
-    """Per-slice norms of a stacked trajectory against lp_norm of each slice."""
-
-    grids = (make_grid(24, 6.0), make_grid(20, 5.0, HYPERBOLIC))
-
-    def stack(self, seed, n_times=5):
-        rng = np.random.default_rng(seed)
-        shape = (n_times, 24, 20)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    @pytest.mark.parametrize("r", [1, 2, 4, Fraction(7, 3), math.inf])
-    def test_match_lp_norm_of_each_slice(self, r):
-        values = self.stack(1)
-        norms = slice_lp_norms(values, self.grids, r)
-        expected = [lp_norm(Field(self.grids, v), r) for v in values]
-        np.testing.assert_allclose(norms, expected, rtol=1e-14, atol=0)
-
-    def test_difference_from_a_stack_or_a_state(self):
-        a, b = self.stack(2), self.stack(3)
-        np.testing.assert_allclose(
-            slice_lp_norms(a, self.grids, 4, minus=b),
-            [lp_norm(Field(self.grids, x - y), 4) for x, y in zip(a, b)],
-            rtol=1e-14,
-            atol=0,
-        )
-        np.testing.assert_allclose(
-            slice_lp_norms(a, self.grids, 2, minus=b[1]),
-            [lp_norm(Field(self.grids, x - b[1]), 2) for x in a],
-            rtol=1e-14,
-            atol=0,
-        )
-
-    def test_caller_writes_leave_trajectory_unchanged(self):
-        values = self.stack(7)
-        traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
-        values[1, 3] = np.nan
-        values *= 2
-        assert np.array_equal(traj.values, self.stack(7))
-        assert values.flags.writeable
-        with pytest.raises(ValueError):
-            traj.values[1] = 0.0
-
-    def test_frozen_stack_is_shared(self):
-        values = _frozen(self.stack(7))
-        traj = Trajectory(np.linspace(0, 1, 5), self.grids, values)
-        assert np.shares_memory(traj.values, values)
-        with pytest.raises(ValueError):
-            traj.values[1] = 0.0
-
-    def test_trajectory_nonfinite_rejected(self):
-        values = self.stack(5)
-        values[2, 3, 4] = np.inf
-        with pytest.raises(ValueError, match="field values must be finite"):
-            Trajectory(np.linspace(0, 1, 5), self.grids, values)
-
-    def test_trajectory_shape_checked(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.linspace(0, 1, 4), self.grids, self.stack(6))
-        with pytest.raises(ValueError):
-            Trajectory(np.array([]), self.grids, np.zeros((0, 24, 20)))
 
 
 class TestNormReduction:

@@ -18,7 +18,7 @@ from dispersia.fields import (
     gaussian_field,
     lp_norm,
     make_grid,
-    slice_lp_norms,
+    values_lp_norm,
     values_lp_norms,
 )
 from dispersia.nls import (
@@ -61,11 +61,11 @@ def free_potential_setup(amplitude=0.05):
     return u0.with_values(amplitude * u0.values), specs
 
 
-def cauchy_tails(traj, specs) -> CauchyTails:
-    """The CauchyTails of a stored trajectory, fed in time order."""
-    acc = CauchyTails(specs, traj.grids)
-    for t, values in zip(traj.times, traj.values):
-        acc.add(t, values)
+def cauchy_tails(states, specs) -> CauchyTails:
+    """The CauchyTails of a list of (time, Field) states, fed in time order."""
+    acc = CauchyTails(specs, states[0][1].grids)
+    for t, state in states:
+        acc.add(t, state)
     return acc
 
 
@@ -134,9 +134,9 @@ class TestApplyNonlinearity:
 class TestSplitstepNLS:
     def assert_mu_zero_matches_linear(self, u0, specs):
         nl = Nonlinearity(gamma=3.0, mu=0.0)
-        traj = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1)
-        expected = product_propagate(specs, u0, traj.times[-1])
-        assert np.max(np.abs(traj.values[-1] - expected.values)) < 1e-12
+        t, last = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1)[-1]
+        expected = product_propagate(specs, u0, t)
+        assert np.max(np.abs(last.values - expected.values)) < 1e-12
 
     def test_mu_zero_matches_linear(self):
         self.assert_mu_zero_matches_linear(*small_data_setup())
@@ -151,19 +151,22 @@ class TestSplitstepNLS:
     def test_gauge_invariant_mass_conservation(self):
         u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0, mu=1.0)
-        traj = splitstep_nls(u0, nl, specs, T=10.0, dt=0.25)
         base = lp_norm(u0, 2)
-        for values in traj.values:
-            assert lp_norm(u0.with_values(values), 2) == pytest.approx(base, rel=1e-10)
+        for _, state in splitstep_nls(u0, nl, specs, T=10.0, dt=0.25):
+            assert lp_norm(state, 2) == pytest.approx(base, rel=1e-10)
 
     def error_ratio(self):
         """Self-convergence error ratio at dt = 1/8 and 1/16 against dt = 1/256."""
         u0, specs = small_data_setup(amplitude=0.3)
         nl = Nonlinearity(gamma=3.0, mu=1.0)
-        ref = splitstep_nls(u0, nl, specs, T=1.0, dt=1.0 / 256).values[-1]
+
+        def last(dt):
+            return splitstep_nls(u0, nl, specs, T=1.0, dt=dt)[-1][1].values
+
+        ref = last(1.0 / 256)
 
         def error(dt):
-            return l2_difference(u0, splitstep_nls(u0, nl, specs, T=1.0, dt=dt).values[-1], ref)
+            return l2_difference(u0, last(dt), ref)
 
         return error(1.0 / 8) / error(1.0 / 16)
 
@@ -182,9 +185,9 @@ class TestSplitstepNLS:
 
     def test_save_stride_keeps_endpoints(self):
         u0, specs = small_data_setup()
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1, save_stride=3)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0)
+        states = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1, save_stride=3)
+        assert states[0][0] == 0.0
+        assert states[-1][0] == pytest.approx(1.0)
 
 
 class TestSplitstepBuffers:
@@ -220,23 +223,31 @@ class TestSplitstepBuffers:
         every = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1)
         strided = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
         rows = [0, 3, 6, 9, 12, 15, 18, 20]
-        assert np.array_equal(strided.times, every.times[rows])
-        expected = every.values[rows]
+        assert [t for t, _ in strided] == [every[i][0] for i in rows]
+        got = np.array([state.values for _, state in strided])
+        expected = np.array([every[i][1].values for i in rows])
         # between saved steps the strided run fuses the two half-step
         # rotations into one full step, which agrees to round-off only; a
         # saved state overwritten by a later step would differ by O(dt)
-        assert np.max(np.abs(strided.values - expected)) <= 1e-14 * np.max(np.abs(expected)) * len(every.times)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)) * len(every)
 
     def test_yielded_states_are_their_own_arrays(self):
         u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
         nl = Nonlinearity(gamma=3.0)
         states = list(splitstep_states(u0, nl, specs, T=2.0, dt=0.1, save_stride=3))
-        traj = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
-        assert [t for t, _ in states] == list(traj.times)
-        assert np.array_equal(np.array([v for _, v in states]), traj.values)
-        for j, (_, a) in enumerate(states):
-            for _, b in states[j + 1:]:
-                assert not np.shares_memory(a, b)
+        listed = splitstep_nls(u0, nl, specs, T=2.0, dt=0.1, save_stride=3)
+        assert [t for t, _ in states] == [t for t, _ in listed]
+        for (_, a), (_, b) in zip(states, listed):
+            assert np.array_equal(a.values, b.values)
+        # the datum itself at t = 0, then read-only states that alias
+        # neither u0 nor each other
+        assert states[0][1] is u0
+        for j, (_, a) in enumerate(states[1:], 1):
+            assert isinstance(a, Field) and a.grids == u0.grids
+            with pytest.raises(ValueError):
+                a.values[0, 0] = 0.0
+            for _, b in states[:j]:
+                assert not np.shares_memory(a.values, b.values)
 
     @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
     def test_caller_datum_unchanged(self, setup):
@@ -289,8 +300,8 @@ class TestPicardIterate:
         u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
         result = picard_iterate(u0, nl, specs, self.exponents(), 5.0, 0.1, max_iter=8, tol=1e-10)
-        traj = splitstep_nls(u0, nl, specs, T=5.0, dt=0.05, save_stride=2)
-        diff = max(l2_difference(u0, up, us) for up, us in zip(result.values, traj.values))
+        states = splitstep_nls(u0, nl, specs, T=5.0, dt=0.05, save_stride=2)
+        diff = max(l2_difference(u0, up, us.values) for up, (_, us) in zip(result.values, states, strict=True))
         assert diff <= 1e-4
 
     def test_linear_response_in_mu(self):
@@ -376,8 +387,8 @@ class TestPicardIterate:
 class TestScatteringDiagnostic:
     def test_linear_flow_has_zero_tails(self):
         u0, specs = small_data_setup()
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0, mu=0.0), specs, T=4.0, dt=0.2)
-        tails = cauchy_tails(traj, specs).tails
+        states = splitstep_nls(u0, Nonlinearity(gamma=3.0, mu=0.0), specs, T=4.0, dt=0.2)
+        tails = cauchy_tails(states, specs).tails
         for _, tail in tails:
             assert tail <= 1e-10
 
@@ -385,11 +396,11 @@ class TestScatteringDiagnostic:
         # the running maxima give the table of all pairwise distances
         # tail(t_i) = max_{j >= i} ||z(t_j) - z(t_i)||, bit for bit
         u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=4.0, dt=0.1, save_stride=5)
-        acc = cauchy_tails(traj, specs)
-        tails, z = acc.tails, np.array(acc.profiles)
+        states = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=4.0, dt=0.1, save_stride=5)
+        acc = cauchy_tails(states, specs)
+        tails, z = acc.tails, acc.profiles
         expected = [
-            (float(t), float(slice_lp_norms(z[i:], acc.grids, 2, minus=z[i]).max()))
+            (float(t), max(values_lp_norm(later - z[i], acc.grids, 2) for later in z[i:]))
             for i, t in enumerate(acc.times)
         ]
         assert tails == expected
@@ -397,16 +408,16 @@ class TestScatteringDiagnostic:
 
     def test_tails_monotone_nonincreasing(self):
         u0, specs = small_data_setup()
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=20.0, dt=0.1, save_stride=10)
-        tails = cauchy_tails(traj, specs).tails
+        states = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=20.0, dt=0.1, save_stride=10)
+        tails = cauchy_tails(states, specs).tails
         values = [tail for _, tail in tails]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
     def test_small_data_tail_decrease(self):
         u0, specs = small_data_setup(n=256, length=128.0)
-        traj = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=40.0, dt=0.1, save_stride=10)
-        tails = cauchy_tails(traj, specs).tails
+        states = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=40.0, dt=0.1, save_stride=10)
+        tails = cauchy_tails(states, specs).tails
 
         def tail_at(t_query):
             return min(tails, key=lambda s: abs(s[0] - t_query))[1]
@@ -418,17 +429,18 @@ class TestScatteringDiagnostic:
 
         u0, specs = small_data_setup(n=256, length=128.0)
         gamma = 3.0
-        traj = splitstep_nls(u0, Nonlinearity(gamma=gamma), specs, T=20.0, dt=0.1, save_stride=10)
-        tails = cauchy_tails(traj, specs).tails
+        states = splitstep_nls(u0, Nonlinearity(gamma=gamma), specs, T=20.0, dt=0.1, save_stride=10)
+        tails = cauchy_tails(states, specs).tails
         p = q = 1 + gamma
         # calibrate the aggregated constant on the first window, then check
         # the power law on later windows
         t1s = [t for t, _ in tails[:-2]]
-        q_norms = slice_lp_norms(traj.values, traj.grids, q)
+        times = np.array([t for t, _ in states])
+        q_norms = np.array([lp_norm(state, q) for _, state in states])
         bounds = []
         for t1 in t1s:
-            keep = traj.times >= t1
-            bounds.append(time_norm(traj.times[keep], q_norms[keep], p) ** gamma)
+            keep = times >= t1
+            bounds.append(time_norm(times[keep], q_norms[keep], p) ** gamma)
         c = tails[0][1] / bounds[0]
         for (_, tail), bound in zip(tails[:-2], bounds):
             assert tail <= 2.0 * c * bound
@@ -480,7 +492,7 @@ def per_slice_phase_picard(f, nl, specs, exponents, T, dt, sweeps):
 
     f_hat = flow.forward(f.values)
     v = np.array([flow.inverse(phase(t) * f_hat) for t in times])
-    y_norms = [nls._y_norm(times, slice_lp_norms(v, grids, 2), slice_lp_norms(v, grids, q), p)]
+    y_norms = [nls._y_norm(times, *np.array([values_lp_norms(s, grids, (2, q)) for s in v]).T, p)]
     distances = [None]
     for _ in range(sweeps):
         norms = np.empty((4, len(times)))
