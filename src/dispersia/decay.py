@@ -113,8 +113,11 @@ def compare_prediction(fit: DecayFit, predicted, tol: float) -> dict:
 
 def time_norm(times, norms, p) -> float:
     """L^p in time of norms sampled at times: trapezoid of norms^p, then
-    the p-th root; p = infinity takes the max over samples."""
+    the p-th root; p = infinity takes the max over samples. The series must
+    hold one norm per time and at least one time."""
     norms = np.asarray(norms, dtype=float)
+    if len(times) == 0 or norms.shape != (len(times),):
+        raise ValueError("time_norm needs one norm per time and at least one time")
     if math.isinf(p):
         return float(norms.max())
     if len(times) == 1:

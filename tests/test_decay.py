@@ -227,3 +227,17 @@ class TestStrichartzNorm:
         assert time_norm(times, slice_norms(c * states, u.grids, 4), 2) == pytest.approx(
             c * time_norm(times, slice_norms(states, u.grids, 4), 2), rel=1e-10, abs=1e-12
         )
+
+    def test_empty_trajectory_rejected(self):
+        grid = make_grid(64, 10.0)
+        empty = slice_norms(np.zeros((0, 64)), (grid,), 2)
+        for p in (2, math.inf):
+            with pytest.raises(ValueError, match="at least one time"):
+                time_norm(np.array([]), empty, p)
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_one_norm_per_time(self, p):
+        times, states, u = self.constant_states(n=5)
+        norms = slice_norms(states, u.grids, 4)
+        with pytest.raises(ValueError, match="one norm per time"):
+            time_norm(times[:4], norms, p)

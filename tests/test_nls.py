@@ -257,6 +257,17 @@ class TestSplitstepBuffers:
         splitstep_nls(Field(u0.grids, caller), Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1)
         assert np.array_equal(caller, before)
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_nonfinite_state_refused(self, monkeypatch, stride):
+        # the Field of each saved state is the one finiteness check: the
+        # datum comes out first, and the next saved state is refused
+        u0, specs = small_data_setup(n=64, length=32.0)
+        monkeypatch.setattr(nls, "_nonlinear_substep", lambda values, nl, tau, work: np.full_like(values, np.nan))
+        states = splitstep_states(u0, Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1, save_stride=stride)
+        assert next(states) == (0.0, u0)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            next(states)
+
 
 class TestPicardIterate:
     def exponents(self):
@@ -391,6 +402,18 @@ class TestScatteringDiagnostic:
         tails = cauchy_tails(states, specs).tails
         for _, tail in tails:
             assert tail <= 1e-10
+
+    @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
+    def test_profiles_are_their_own_arrays(self, setup):
+        # add reads each state without writing it or keeping its array
+        u0, specs = setup()
+        states = splitstep_nls(u0, Nonlinearity(gamma=3.0), specs, T=1.0, dt=0.1, save_stride=5)
+        before = [state.values.copy() for _, state in states]
+        acc = cauchy_tails(states, specs)
+        assert acc.times == [t for t, _ in states]
+        for (_, state), values, z in zip(states, before, acc.profiles, strict=True):
+            assert np.array_equal(state.values, values)
+            assert not np.shares_memory(z, state.values)
 
     def test_tails_match_the_pairwise_table(self):
         # the running maxima give the table of all pairwise distances
