@@ -39,11 +39,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
-    rows = classify_lattice(args.m, args.n, args.grid, _fractions_from_str(args.indices))
-    header = list(rows[0].keys())
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(row[h]) for h in header))
+    header, rows = classify_lattice(args.m, args.n, args.grid, _fractions_from_str(args.indices))
+    for row in [header] + rows:
+        print(",".join(row))
     return EXIT_OK
 
 

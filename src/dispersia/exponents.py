@@ -1,10 +1,14 @@
 """Exact rational arithmetic for Strichartz exponent relations.
 
-Everything here is computed with Fractions; floats never enter the
-admissibility logic, so boundary cases (the endpoint pair, the strict
-inequalities of the low-index regime) classify exactly. Infinity is
-math.inf (exported as INF), which enters the exact arithmetic only as the
-inverse exponent 0.
+The per-factor rates of the dispersive estimate live here, in
+factor_rates: PropagatorSpec.decay_rate reads them, and one rule,
+strichartz_class, classifies a pair (p, q) from their sums over a
+product's factors. The admissibility of a decay index a+b (is_admissible),
+the widened triangle of H^m x H^n (in_triangle_T) and the NLS exponent
+selection are cases of that rule. Everything is computed with Fractions,
+so the boundary cases (the endpoint pair, the edges of a region) classify
+exactly. Infinity is math.inf (exported as INF), which enters the exact
+arithmetic only as the inverse exponent 0.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .fields import EUCLIDEAN, HYPERBOLIC
+
 INF = math.inf
+HALF = Fraction(1, 2)
 
 
 class HypothesisViolation(ValueError):
@@ -32,15 +39,10 @@ def inverse_exponent(q) -> Fraction:
 
 
 def dual_exponent(q):
-    """The conjugate exponent: 1/q + 1/q' = 1, with dual(INF) = 1."""
-    if q == INF:
-        return Fraction(1)
-    q = Fraction(q)
-    if not 1 <= q:
-        raise ValueError(f"exponent must lie in [1, INF], got {q}")
-    if q == 1:
-        return INF
-    return q / (q - 1)
+    """The conjugate exponent: 1/q + 1/q' = 1, with dual(INF) = 1 and
+    dual(1) = INF."""
+    inv = 1 - inverse_exponent(q)
+    return INF if inv == 0 else 1 / inv
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,10 @@ class ExponentPair:
     inv_q: Fraction
 
     def __post_init__(self):
-        inv_p = Fraction(self.inv_p)
-        inv_q = Fraction(self.inv_q)
-        if not (0 <= inv_p <= Fraction(1, 2) and 0 <= inv_q <= Fraction(1, 2)):
+        object.__setattr__(self, "inv_p", Fraction(self.inv_p))
+        object.__setattr__(self, "inv_q", Fraction(self.inv_q))
+        if not (0 <= self.inv_p <= HALF and 0 <= self.inv_q <= HALF):
             raise ValueError("inverse exponents must lie in [0, 1/2]")
-        object.__setattr__(self, "inv_p", inv_p)
-        object.__setattr__(self, "inv_q", inv_q)
 
 
 class Admissibility(Enum):
@@ -65,48 +65,62 @@ class Admissibility(Enum):
     NOT_ADMISSIBLE = "not-admissible"
 
 
-def is_admissible(pair: ExponentPair, ab) -> Admissibility:
-    """Classify (p, q) against the scaling line of the decay index ab = a+b
-    (a, b >= 0 the two factors' rates, so ab < 0 is a ValueError).
+def factor_rates(kind: str, dim, inv_q: Fraction) -> tuple[Fraction, Fraction]:
+    """The local and large-time rates (a0, a_inf) of one factor's
+    L^q' -> L^q estimate, |t|^-a0 for |t| < 1 and |t|^-a_inf for |t| > 1.
+    A Euclidean or torus factor of dimension d has a0 = a_inf =
+    d(1/2 - 1/q), its L^1 -> L^inf rate d/2 interpolated against L^2
+    conservation; H^m has a0 = m(1/2 - 1/q), and a_inf = 3/2 for every
+    q > 2 and 0 at q = 2 (Anker-Pierfelice, Ann. IHP 2009)."""
+    if not 0 <= inv_q <= HALF:
+        raise ValueError(f"a decay rate needs q >= 2, got q = {1 / inv_q}")
+    local = dim * (HALF - inv_q)
+    if kind == EUCLIDEAN:
+        return local, local
+    if kind == HYPERBOLIC:
+        return local, Fraction(3, 2) if inv_q < HALF else Fraction(0)
+    raise ValueError(f"unknown factor kind {kind!r}")
 
-    For ab > 1: 1/p + ab/q = ab/2 with 2 <= p <= INF and
-    2 <= q <= 2ab/(ab-1); the extreme pair (2, 2ab/(ab-1)) is the endpoint.
-    For 0 < ab <= 1 the line is the same but p > 2/ab and q < INF are strict,
-    and ab = 0 admits no pair (p > INF).
-    """
+
+def strichartz_class(pair: ExponentPair, factors) -> Admissibility:
+    """Classify (p, q) for the product of `factors`, (kind, dimension)
+    pairs of factor_rates, by Keel-Tao's TT* argument (Amer. J. Math.
+    1998): with a0, a_inf the sums of the factors' rates, the pair is
+    admissible iff a0(q) <= 2/p <= a_inf(q), an ENDPOINT if also p = 2.
+    - The edge 1/q = 1/2 is excluded for every p < INF, since L^2
+      conservation makes ||e^{itL} f||_{L^p_t L^2_x} infinite over all
+      time: a_inf(2) = 0. (INF, 2) is an ordinary point of the rule.
+    - (2/s, INF) is admitted for an L^1 -> L^inf rate s = a_inf(INF) < 1,
+      as by Keel-Tao's Theorem 1.2: (4, INF) at a+b = 1/2. The source
+      paper's abstract states no stricter rule.
+    Keel-Tao's hypotheses bound it: with s = 0 no pair is admitted, and
+    (2, INF), their excluded endpoint at s = 1, never is."""
+    # each factor's (a0(q), a_inf(q), a0(INF), a_inf(INF)), summed
+    rates = [factor_rates(kind, dim, pair.inv_q) + factor_rates(kind, dim, Fraction(0)) for kind, dim in factors]
+    a0, a_inf, _, s = (sum(column) for column in zip(*rates))
+    u = pair.inv_p
+    if s == 0 or (u, pair.inv_q) == (HALF, 0) or not a0 <= 2 * u <= a_inf:
+        return Admissibility.NOT_ADMISSIBLE
+    return Admissibility.ENDPOINT if u == HALF else Admissibility.ADMISSIBLE
+
+
+def is_admissible(pair: ExponentPair, ab) -> Admissibility:
+    """The rule for a decay index ab = a+b >= 0 (a sum of rates): a0 =
+    a_inf = ab(1 - 2/q), a Euclidean factor of dimension 2ab, so the pairs
+    lie on the scaling line 1/p + ab/q = ab/2."""
     ab = Fraction(ab)
     if ab < 0:
         raise ValueError(f"decay exponents must be nonnegative, got a+b = {ab}")
-    u, v = pair.inv_p, pair.inv_q
-    on_line = u + ab * v == ab / 2
-    if not on_line:
-        return Admissibility.NOT_ADMISSIBLE
-    if ab > 1:
-        v_end = (ab - 1) / (2 * ab)  # 1/q at the endpoint
-        if not v_end <= v <= Fraction(1, 2):
-            return Admissibility.NOT_ADMISSIBLE
-        if u == Fraction(1, 2) and v == v_end:
-            return Admissibility.ENDPOINT
-        return Admissibility.ADMISSIBLE
-    # 0 <= ab <= 1: p > 2/ab and q < INF, both strict
-    if u < ab / 2 and 0 < v <= Fraction(1, 2):
-        return Admissibility.ADMISSIBLE
-    return Admissibility.NOT_ADMISSIBLE
+    return strichartz_class(pair, [(EUCLIDEAN, 2 * ab)])
 
 
 def in_triangle_T(pair: ExponentPair, m: int, n: int) -> bool:
-    """Membership in the widened Strichartz region for a product of two
-    hyperbolic factors of dimensions m and n (plus the isolated point
-    (1/p, 1/q) = (0, 1/2))."""
+    """The rule for H^m x H^n: a_inf = 3 > 2/p off the edge 1/q = 1/2, so
+    the region is the widened triangle 2/p + (m+n)/q >= (m+n)/2 with
+    1/q < 1/2, and the point (0, 1/2). m, n >= 2."""
     if m < 2 or n < 2:
         raise ValueError("factor dimensions must be >= 2")
-    u, v = pair.inv_p, pair.inv_q
-    if (u, v) == (Fraction(0), Fraction(1, 2)):
-        return True
-    if not (0 < u <= Fraction(1, 2) and 0 < v <= Fraction(1, 2)):
-        return False
-    d = m + n
-    return 2 * u + d * v >= Fraction(d, 2)
+    return strichartz_class(pair, [(HYPERBOLIC, m), (HYPERBOLIC, n)]) != Admissibility.NOT_ADMISSIBLE
 
 
 @dataclass(frozen=True)
@@ -124,22 +138,15 @@ class NLSExponentSelection:
 
 
 def select_nls_exponents(m: int, n: int, gamma) -> NLSExponentSelection:
-    """Choose p = q = p~ = q~ = 1 + gamma with beta = (gamma-1)(m+n)/2.
-
-    Valid for 1 < gamma <= 1 + 4/(m+n); otherwise raises
-    HypothesisViolation naming the bound.
-    """
+    """Choose p = q = p~ = q~ = 1 + gamma with beta = (gamma-1)(m+n)/2 for
+    a gamma whose pair (1/p, 1/p) is in the triangle of in_triangle_T, which
+    reads only d = m + n (m = n = 1 is taken too): gamma in (1, 1 + 4/d].
+    Otherwise raises HypothesisViolation naming the bound."""
     if m < 1 or n < 1:
         raise ValueError("factor dimensions must be >= 1")
     gamma = Fraction(gamma)
-    bound = 1 + Fraction(4, m + n)
-    if not 1 < gamma <= bound:
-        raise HypothesisViolation(
-            f"gamma={gamma} outside (1, 1 + 4/(m+n)] = (1, {bound}] for m+n={m + n}"
-        )
-    # the bound puts beta in (0, 2] and, with p = 1 + gamma and d = m + n,
-    # the pair (1/p, 1/p) in the triangle T: 2/p + d/p >= d/2 iff
-    # gamma <= 1 + 4/d; p = p~' * gamma holds by construction
-    beta = (gamma - 1) * (m + n) / 2
     p = 1 + gamma
-    return NLSExponentSelection(m=m, n=n, gamma=gamma, beta=beta, p=p, q=p, p_tilde=p, q_tilde=p)
+    if p < 2 or (strichartz_class(ExponentPair(1 / p, 1 / p), [(HYPERBOLIC, m), (HYPERBOLIC, n)])
+                 == Admissibility.NOT_ADMISSIBLE):
+        raise HypothesisViolation(f"gamma={gamma} outside (1, 1 + 4/(m+n)] = (1, {1 + Fraction(4, m + n)}] for m+n={m + n}")
+    return NLSExponentSelection(m=m, n=n, gamma=gamma, beta=(gamma - 1) * (m + n) / 2, p=p, q=p, p_tilde=p, q_tilde=p)

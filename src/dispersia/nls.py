@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decay import time_norm
-from .exponents import HypothesisViolation, NLSExponentSelection
+from .exponents import NLSExponentSelection, select_nls_exponents
 from .fields import Field, _frozen, values_lp_norm, values_lp_norms
 from .propagators import spectral_product
 
@@ -180,12 +180,7 @@ def picard_iterate(
     time slices. Divergence (3 consecutive growing distances) is
     reported via contractive=False, not raised.
     """
-    gamma = nl.exact_gamma
-    bound = 1 + Fraction(4, exponents.m + exponents.n)
-    if gamma > bound:
-        raise HypothesisViolation(
-            f"gamma={nl.gamma} exceeds 1 + 4/(m+n) = {bound} for the configured product dimension"
-        )
+    select_nls_exponents(exponents.m, exponents.n, nl.exact_gamma)  # refuses a gamma outside its bound
     p = float(exponents.p)
     q = float(exponents.q)
     times = [i * dt for i in range(_time_steps(T, dt) + 1)]

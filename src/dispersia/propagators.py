@@ -42,9 +42,10 @@ from .fields import (
     _axis_shape,
     _by_rows,
     _frozen,
+    _row_groups,
     _squares_into,
 )
-from .exponents import inverse_exponent
+from .exponents import factor_rates, inverse_exponent
 
 # the bottom of the spectrum of minus the Laplace-Beltrami operator on H^3
 RHO_H3 = 1.0
@@ -135,17 +136,11 @@ class PropagatorSpec:
 
     def decay_rate(self, q) -> Fraction:
         """The large-time rate of the factor's L^q' -> L^q estimate, for
-        2 <= q <= INF: (1/2)(1 - 2/q) on a torus factor with or without
-        its potential, its L^1 -> L^inf rate 1/2 interpolated against L^2
-        conservation; on H^3, 3/2 for every q > 2 (Anker-Pierfelice, Ann.
-        IHP 2009) and 0 at q = 2. A product's rate is the sum of its
-        factors' rates."""
-        inv_q = inverse_exponent(q)
-        if inv_q > Fraction(1, 2):
-            raise ValueError(f"a decay rate needs q >= 2, got {q}")
-        if self.kind == "hyperbolic-radial":
-            return Fraction(3, 2) if inv_q < Fraction(1, 2) else Fraction(0)
-        return Fraction(1, 2) * (1 - 2 * inv_q)
+        2 <= q <= INF (see exponents.factor_rates): a torus factor, with
+        or without its potential, is Euclidean of dimension 1, and the
+        radial factor is H^3. A product's rate is the sum of its factors'
+        rates."""
+        return factor_rates(self.grid.kind, 3 if self.grid.kind == HYPERBOLIC else 1, inverse_exponent(q))[1]
 
 
 def torus_frequencies(grid: Grid1D) -> np.ndarray:
@@ -545,18 +540,20 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     # keeps its relative accuracy, and folding the weights in one axis at a
     # time keeps a product of sinh^2 weights from overflowing on large
     # radial grids. The first contraction runs in row blocks of the values
-    # as rows of their last axis (see fields._by_rows): |u|^2 of a block
-    # feeds both row sums.
+    # as rows of their last axis (see fields._by_rows), each block in
+    # fields._row_groups: |u|^2 of a group feeds both row sums.
     values = u.values.reshape(-1, u.values.shape[-1])
     w = u.grids[-1].weights
     w_boundary = w * masks[-1]
     total, boundary = np.empty(len(values)), np.empty(len(values))
 
     def block(rows):
-        squared = np.empty(values[rows].shape)
-        _squares_into(values[rows], squared)
-        total[rows] = _sum_last_axis(squared, w)
-        boundary[rows] = _sum_last_axis(squared, w_boundary)
+        x, block_total, block_boundary = values[rows], total[rows], boundary[rows]
+        for group in _row_groups(x):
+            squared = np.empty(x[group].shape)
+            _squares_into(x[group], squared)
+            block_total[group] = _sum_last_axis(squared, w)
+            block_boundary[group] = _sum_last_axis(squared, w_boundary)
 
     _by_rows(block, values)
     total, boundary = total.reshape(u.values.shape[:-1]), boundary.reshape(u.values.shape[:-1])

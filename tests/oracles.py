@@ -14,28 +14,24 @@ HALF = Fraction(1, 2)
 
 
 def admissible_oracle(inv_p: Fraction, inv_q: Fraction, ab: Fraction) -> str:
+    """Keel-Tao's sharp sigma-admissible pairs (Amer. J. Math. 1998) for
+    the decay rate sigma = ab > 0: 1/p + sigma/q = sigma/2 with p, q >= 2
+    and (p, q, sigma) != (2, inf, 1); the endpoint is the one with p = 2.
+    Their theorem needs sigma > 0, so ab = 0 admits no pair."""
     on_line = inv_p + ab * inv_q == ab / 2
-    if not on_line:
+    if ab <= 0 or not on_line or inv_p > HALF or inv_q > HALF or (inv_p, inv_q, ab) == (HALF, 0, 1):
         return "not-admissible"
-    if ab > 1:
-        # 2 <= p <= inf and 2 <= q <= 2ab/(ab-1)
-        q_min_inv = (ab - 1) / (2 * ab)  # 1/q at the endpoint q = 2ab/(ab-1)
-        if inv_p > HALF or inv_q > HALF or inv_q < q_min_inv:
-            return "not-admissible"
-        if inv_p == HALF and inv_q == q_min_inv:
-            return "endpoint"
-        return "admissible"
-    # 0 < ab <= 1: p > 2/ab strict, 2 <= q < inf strict
-    if inv_p < ab / 2 and 0 < inv_q <= HALF:
-        return "admissible"
-    return "not-admissible"
+    return "endpoint" if inv_p == HALF else "admissible"
 
 
 def triangle_oracle(inv_p: Fraction, inv_q: Fraction, m: int, n: int) -> bool:
-    if (inv_p, inv_q) == (Fraction(0), HALF):
+    """The widened triangle of H^m x H^n as Anker-Pierfelice write it (Ann.
+    IHP 2009), with d = m + n: (1/p, 1/q) in (0, 1/2] x (0, 1/2), half-open,
+    with 2/p + d/q >= d/2, and the isolated point (0, 1/2)."""
+    if (inv_p, inv_q) == (0, HALF):
         return True
-    inside_square = 0 < inv_p <= HALF and 0 < inv_q <= HALF
-    return inside_square and 2 * inv_p + (m + n) * inv_q >= Fraction(m + n, 2)
+    inside = 0 < inv_p <= HALF and 0 < inv_q < HALF
+    return inside and 2 * inv_p + (m + n) * inv_q >= Fraction(m + n, 2)
 
 
 def product_field(f: Field, g: Field) -> Field:

@@ -1,5 +1,6 @@
 """Command-line driver: registry, exit codes, artifacts, determinism."""
 
+import collections
 import json
 import os
 import threading
@@ -662,8 +663,37 @@ class TestRunArtifacts:
         out_dir = self.run_admissible(tmp_path, output_root)
         assert (out_dir / "summary.txt").exists()
         assert (out_dir / "lattice.csv").exists()
-        summary = (out_dir / "summary.txt").read_text()
-        assert "[PASS]" in summary
+        summary = (out_dir / "summary.txt").read_text().splitlines()
+        # a classification count and no verdict: no run measures the region
+        assert summary[-1] == (
+            "admitted of 49 points, T(2,2) lattice denominator 12: in_triangle 10, admissible_ab_1/2 4, "
+            "admissible_ab_1 6, admissible_ab_3/2 3, admissible_ab_2 4, admissible_ab_3 3"
+        )
+        assert not any(line.startswith(("[PASS]", "[FAIL]")) for line in summary)
+
+    def test_committed_lattice_counts(self, capsys, output_root):
+        # the committed T(2,2) lattice, per column: the triangle without its
+        # edge 1/q = 1/2 but for (0, 1/2), and each index's scaling line with
+        # its endpoint, (4, inf) at a+b = 1/2 and not (2, inf) at a+b = 1
+        config = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs", "admissible-region.cfg")
+        assert main(["run", config]) == EXIT_OK
+        lines = (output_root / "admissible-region" / "lattice.csv").read_text().splitlines()[1:]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        counts = {h: dict(collections.Counter(row[h] for row in rows)) for h in header[2:]}
+        assert counts == {
+            "in_triangle": {"True": 10, "False": 39},
+            "admissible_ab_1/2": {"admissible": 4, "not-admissible": 45},
+            "admissible_ab_1": {"admissible": 6, "not-admissible": 43},
+            "admissible_ab_3/2": {"admissible": 2, "endpoint": 1, "not-admissible": 46},
+            "admissible_ab_2": {"admissible": 3, "endpoint": 1, "not-admissible": 45},
+            "admissible_ab_3": {"admissible": 2, "endpoint": 1, "not-admissible": 46},
+        }
+        triangle = {(row["inv_p"], row["inv_q"]) for row in rows if row["in_triangle"] == "True"}
+        assert ("0", "1/2") in triangle and not any(q == "1/2" for p, q in triangle - {("0", "1/2")})
+        by_pair = {(row["inv_p"], row["inv_q"]): row for row in rows}
+        assert by_pair["1/4", "0"]["admissible_ab_1/2"] == "admissible"
+        assert by_pair["1/2", "0"]["admissible_ab_1"] == "not-admissible"
 
     def test_lattice_columns_follow_indices(self, tmp_path, capsys, output_root):
         # the indices key is a comma list of exact rationals, spaces and an

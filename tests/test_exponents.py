@@ -1,5 +1,6 @@
-"""Exact rational exponent algebra: admissibility, the triangle region
-and NLS exponent selection."""
+"""Exact rational exponent algebra: the factors' rates, the one Strichartz
+rule, its cases (admissibility, the triangle region) and NLS exponent
+selection."""
 
 import math
 from fractions import Fraction
@@ -14,11 +15,14 @@ from dispersia.exponents import (
     ExponentPair,
     HypothesisViolation,
     dual_exponent,
+    factor_rates,
     in_triangle_T,
     inverse_exponent,
     is_admissible,
     select_nls_exponents,
+    strichartz_class,
 )
+from dispersia.fields import EUCLIDEAN, HYPERBOLIC
 from oracles import HALF, admissible_oracle, triangle_oracle
 
 
@@ -41,6 +45,55 @@ class TestDualExponent:
     @settings(max_examples=100, deadline=None)
     def test_holder_identity(self, q):
         assert inverse_exponent(q) + inverse_exponent(dual_exponent(q)) == 1
+
+
+def lattice():
+    return [ExponentPair(Fraction(i, 12), Fraction(j, 12)) for i in range(7) for j in range(7)]
+
+
+class TestStrichartzRule:
+    """The rule a0(q) <= 2/p <= a_inf(q) on the sums of the factors' rates,
+    and its two decisions."""
+
+    @pytest.mark.parametrize("inv_q, rates", [
+        (HALF, (0, 0, 0, 0)),
+        (Fraction(1, 4), (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(3, 2))),
+        (Fraction(0), (HALF, HALF, Fraction(3, 2), Fraction(3, 2))),
+    ])
+    def test_factor_rates(self, inv_q, rates):
+        # a torus factor is Euclidean of dimension 1; H^3 has the local rate
+        # of R^3 and the large-time rate 3/2 off q = 2
+        assert factor_rates(EUCLIDEAN, 1, inv_q) + factor_rates(HYPERBOLIC, 3, inv_q) == rates
+
+    def test_unknown_kind_and_q_below_2_refused(self):
+        with pytest.raises(ValueError, match="unknown factor kind"):
+            factor_rates("spherical", 2, HALF)
+        with pytest.raises(ValueError, match="q >= 2"):
+            factor_rates(EUCLIDEAN, 1, Fraction(2, 3))
+
+    @pytest.mark.parametrize("factors", [
+        [(EUCLIDEAN, 1)], [(EUCLIDEAN, 3)], [(HYPERBOLIC, 2), (HYPERBOLIC, 3)], [(EUCLIDEAN, 1), (HYPERBOLIC, 3)],
+    ], ids=["R", "R3", "H2xH3", "RxH3"])
+    def test_edge_q_2_only_at_p_inf(self, factors):
+        # L^2 conservation: no global L^p_t L^2_x estimate for p < inf, and
+        # (inf, 2) an ordinary point of the rule
+        for i in range(7):
+            expected = Admissibility.ADMISSIBLE if i == 0 else Admissibility.NOT_ADMISSIBLE
+            assert strichartz_class(ExponentPair(Fraction(i, 12), HALF), factors) == expected
+
+    def test_keel_tao_q_inf_pairs(self):
+        # (2/s, inf) for an L^1 -> L^inf rate s < 1, and not (2, inf) at s = 1
+        assert is_admissible(ExponentPair(Fraction(1, 4), Fraction(0)), HALF) == Admissibility.ADMISSIBLE
+        assert is_admissible(ExponentPair(HALF, Fraction(0)), 1) == Admissibility.NOT_ADMISSIBLE
+        assert strichartz_class(ExponentPair(HALF, Fraction(0)), [(EUCLIDEAN, 2)]) == Admissibility.NOT_ADMISSIBLE
+
+    def test_mixed_product_is_the_triangle_of_dimension_4(self):
+        # free x H^3: the local rates of R^4, and the H^3 large-time rate
+        # covers every 2/p <= 1 off the edge
+        region = {(p.inv_p, p.inv_q) for p in lattice()
+                  if strichartz_class(p, [(EUCLIDEAN, 1), (HYPERBOLIC, 3)]) != Admissibility.NOT_ADMISSIBLE}
+        assert region == {(p.inv_p, p.inv_q) for p in lattice() if triangle_oracle(p.inv_p, p.inv_q, 2, 2)}
+        assert len(region) == 10
 
 
 class TestIsAdmissible:
@@ -147,6 +200,22 @@ class TestSelectNLSExponents:
     def test_gamma_just_above_bound_rejected(self):
         with pytest.raises(HypothesisViolation):
             select_nls_exponents(2, 2, Fraction(201, 100))
+
+    @pytest.mark.parametrize("gamma", [Fraction(1), HALF, Fraction(-1)])
+    def test_gamma_at_most_one_rejected(self, gamma):
+        with pytest.raises(HypothesisViolation, match="4/\\(m\\+n\\)"):
+            select_nls_exponents(1, 1, gamma)
+
+    @given(mn=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]), gamma=st.fractions(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_refused_exactly_outside_the_bound(self, mn, gamma):
+        m, n = mn
+        inside = 1 < gamma <= 1 + Fraction(4, m + n)
+        try:
+            select_nls_exponents(m, n, gamma)
+            assert inside
+        except HypothesisViolation:
+            assert not inside
 
     def test_gamma_at_bound_accepted(self):
         sel = select_nls_exponents(1, 1, 3)  # bound 1 + 4/2 = 3

@@ -1044,6 +1044,27 @@ class TestRowBlocks:
             for g, want in zip(got, expected):
                 assert bits_equal(g, want), (blocks, axis)
 
+    @pytest.mark.parametrize("group_points", [100, 560 * 7, 2**16])
+    def test_groups_ending_mid_block(self, monkeypatch, group_points):
+        # the sup norm and the wrap monitor walk each row block in groups of
+        # rows (one row when a row is wider than a group); here every block
+        # of 1, 2 or 3 ends mid-group but at 100 points, and the results
+        # keep the bits of one whole-array pass
+        u = Field((self.torus, self.h3), self.values(26) * np.exp(-self.h3.nodes / 4))
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        monkeypatch.setattr(fields, "_GROUP_POINTS", u.values.size)
+        expected = boundary_mass_fraction(u, (100.0, 0.0)), float(np.abs(u.values).max())
+        monkeypatch.setattr(fields, "_GROUP_POINTS", group_points)
+        step = max(1, group_points // 560)
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
+            rows = [512 * (k + 1) // blocks - 512 * k // blocks for k in range(blocks)]
+            assert all(r % step for r in rows) == (step > 1), (rows, step)
+            assert (boundary_mass_fraction(u, (100.0, 0.0)), lp_norm(u, INF)) == expected, (blocks, group_points)
+            nan_last = u.values.copy()
+            nan_last[-1, -1] = np.nan
+            assert math.isnan(fields._sup(nan_last))
+
     def test_concurrent_callers_match_sequential(self, monkeypatch):
         # two callers split their states into more blocks than the pool has
         # threads, so their blocks queue behind each other's; a short switch
