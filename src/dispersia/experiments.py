@@ -36,7 +36,6 @@ from .fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
-    Grid1D,
     SeparableField,
     _frozen,
     gaussian_field,
@@ -235,13 +234,14 @@ def _decay_verdict(cfg, report, label, series, u0, window, q, predicted, tol, **
     report.add(label, rep["verdict"] == "pass", f"slope={fit.slope:.4f} predicted=-{predicted} tol={tol}")
 
 
-def _potential_spec(family: str, amplitude: float, width: float, center: float) -> PotentialSpec:
-    """The [potential] settings as a PotentialSpec, checked before any
-    eigenbasis is built; a refusal names its [potential] key."""
+def _in_section(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a library constructor of the [section]
+    settings, called before any eigenbasis, solve or worker thread; its
+    ValueError re-raises as a ConfigError that names the section."""
     try:
-        return PotentialSpec(family, amplitude=amplitude, width=width, center=center)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[potential] {exc}") from exc
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _saved_steps(T: float, dt: float, stride: int = 1) -> list[int]:
@@ -253,15 +253,6 @@ def _saved_steps(T: float, dt: float, stride: int = 1) -> list[int]:
         return saved_steps(T, dt, stride)
     except ValueError as exc:
         raise ConfigError(f"[time] t_final = {T} must be an integer multiple of [time] dt = {dt}") from exc
-
-
-def _grid(n: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
-    """The [grid] settings as a Grid1D, checked before any eigenbasis or
-    worker thread."""
-    try:
-        return make_grid(n, length, kind)
-    except ValueError as exc:
-        raise ConfigError(f"[grid] {exc}") from exc
 
 
 # ---------------------------------------------------------------- experiments
@@ -316,14 +307,16 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     center = _get(cfg, "data", "center", 1.5, float) if hyperbolic else None
     pot = None
     if kind == "free-plus-potential":
-        pot = _potential_spec(
+        pot = _in_section(
+            "potential",
+            PotentialSpec,
             _get(cfg, "potential", "family", "sech-squared"),
-            _get(cfg, "potential", "amplitude", 0.3, float),
-            _get(cfg, "potential", "width", 1.0, float),
+            amplitude=_get(cfg, "potential", "amplitude", 0.3, float),
+            width=_get(cfg, "potential", "width", 1.0, float),
             center=length / 2,
         )
     _check_all_read(cfg)
-    grid = _grid(n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
+    grid = _in_section("grid", make_grid, n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
     profile = _radial_bump(grid, center, width) if hyperbolic else gaussian_field(grid, width).values
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
@@ -356,9 +349,9 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
             f"[grid] n_points must be odd (got {n}): the lattice rotation (j, k) -> (j + k, j - k) "
             "is a bijection only for an odd point count"
         )
-    pot = _potential_spec("sech-squared", amplitude, v_width, center=0.0)
+    pot = _in_section("potential", PotentialSpec, "sech-squared", amplitude=amplitude, width=v_width, center=0.0)
     _check_all_read(cfg)
-    grid = _grid(n, length)
+    grid = _in_section("grid", make_grid, n, length)
     v = pot.sample(grid)
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
 
@@ -444,14 +437,11 @@ def _nls_setup(cfg: ExperimentConfig):
     amp = _get(cfg, "data", "amplitude", 0.05, float)
     gamma = _get(cfg, "nls", "gamma", 3.0, float)
     mu = _get(cfg, "nls", "mu", 1.0, float)
-    grid = _grid(n, length)
+    grid = _in_section("grid", make_grid, n, length)
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
     u0 = u0.with_values(_frozen(amp * u0.values))
-    try:
-        nl = Nonlinearity(gamma=gamma, mu=mu)
-    except ValueError as exc:
-        raise ConfigError(f"[nls] {exc}") from exc
+    nl = _in_section("nls", Nonlinearity, gamma=gamma, mu=mu)
     sel = select_nls_exponents(1, 1, nl.exact_gamma)
     return u0, specs, nl, sel
 

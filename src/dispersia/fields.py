@@ -11,13 +11,14 @@ that a sampled function's norm approximates the continuum one.
 
 The thread rule of the package lives here, in its lowest module:
 `transform_workers` is the thread count of every transform and of the
-state-sized pointwise steps that `_by_rows` runs once per block of rows
-(the finiteness check of a Field, |u|^2 and the sup norm here; the
-spectral phase, the H^3 sinh scalings and the wrap monitor in
-propagators). `_in_blocks` runs contiguous row blocks, one on the calling
-thread and the others on one pool: the blocks of `_by_rows`, and those of
-the two-particle Strang loop, one per core at any size, since each of its
-blocks carries a whole loop.
+state-sized pointwise steps that `_by_rows` runs once per group of whole
+rows of about _GROUP_POINTS points (the finiteness check of a Field,
+|u|^2 and the sup norm here; the spectral phase, the H^3 sinh scalings
+and the wrap monitor in propagators), so each temporary is group-sized.
+`_in_blocks` runs contiguous blocks, one on the calling thread and the
+others on one pool: the runs of whole groups of `_by_rows`, one per
+thread, and the row blocks of the two-particle Strang loop, one per core
+at any size, since each of its blocks carries a whole loop.
 """
 
 from __future__ import annotations
@@ -34,20 +35,16 @@ HYPERBOLIC = "hyperbolic-radial"
 
 _MIN_POINTS = 8
 
-# |u|^2 squares this many (re, im) pairs at a time: the 256 KB temporary
-# stays in cache, where one temporary the size of a 1024 x 1120 array made
-# the dense wrap monitor slower than two strided passes
-_SQUARE_CHUNK = 2**14
-
-# the sup norm and the wrap monitor walk a row block in groups of this many
-# points, not in one 4.6 MB temporary at 1024 x 1120; 2**14 read slower
+# _by_rows calls its step on groups of whole rows of about this many
+# points, so a step's temporary stays near cache size and not state-sized
+# (a 4.6 MB block at 1024 x 1120); 2**14 read slower
 _GROUP_POINTS = 2**16
 
-# arrays below this many points are transformed on one thread, and each of
-# their pointwise steps is one whole-array call (see _by_rows): there two
+# arrays below this many points are transformed on one thread, and every
+# row group of their pointwise steps runs on the calling thread: there two
 # transform workers gained little or lost (0.95-1.24x at 243^2 and 256^2
 # on 2 cores), and the NLS routes on such grids already run a second thread.
-# From here up a pointwise step is one call per core, on its block of rows.
+# From here up each core runs a pointwise step on its run of row groups.
 # The gate prices one pass over an array; the two-particle Strang loop,
 # whose blocks each carry a whole loop, is split at every size
 _THREAD_MIN_POINTS = 2**18
@@ -63,11 +60,11 @@ def _cores() -> int:
 
 def transform_workers(values: np.ndarray) -> int:
     """The thread count of a state-sized step on `values`: the `workers` of
-    a scipy.fft call, and the block count of _by_rows. Every core the
-    process may run on from 2**18 points up, one below that. The threads
-    split the batch of 1-D transforms, or the rows of a pointwise step,
-    each computed as on one thread, so the result does not depend on the
-    count."""
+    a scipy.fft call, and the number of runs of row groups of _by_rows.
+    Every core the process may run on from 2**18 points up, one below
+    that. The threads split the batch of 1-D transforms, or the row groups
+    of a pointwise step, each computed as on one thread, so the result does
+    not depend on the count."""
     if values.size < _THREAD_MIN_POINTS:
         return 1
     return _cores()
@@ -94,23 +91,26 @@ def _in_blocks(fn, n: int, blocks: int) -> list:
 
 
 def _by_rows(fn, values: np.ndarray) -> list:
-    """[fn(rows) for each block of rows]. Below _THREAD_MIN_POINTS it is
-    [fn(...)], one call on the whole array on this thread. From there up
-    `rows` slices one contiguous block of values' rows (axis 0) per
-    transform_workers(values) thread, and _in_blocks calls fn once on each.
-    A step that is elementwise, a reduction per row, a max or an all gives
-    the same bits for any block count."""
-    if values.size < _THREAD_MIN_POINTS:
+    """[fn(rows) for each group of rows], in row order: `rows` slices a
+    group of whole rows (axis 0) of values, at least one row and at most
+    about _GROUP_POINTS points. Below _THREAD_MIN_POINTS every group runs
+    on this thread; from there up _in_blocks runs one contiguous run of
+    whole groups per transform_workers(values) thread. A 0-d array is one
+    call, fn(...). A step that is elementwise, a reduction per row, a max
+    or an all gives the same bits for any grouping."""
+    if values.ndim == 0:
         return [fn(...)]
     n = len(values)
-    return _in_blocks(fn, n, min(transform_workers(values), n))
+    step = max(1, _GROUP_POINTS * n // max(values.size, 1))
+    groups = [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
+    def run(span):
+        return [fn(rows) for rows in groups[span]]
 
-def _row_groups(values: np.ndarray) -> list:
-    """Consecutive slices of values' rows (axis 0), each of at least one
-    row and at most about _GROUP_POINTS points."""
-    step = max(1, _GROUP_POINTS * len(values) // values.size)
-    return [slice(i, i + step) for i in range(0, len(values), step)]
+    if values.size < _THREAD_MIN_POINTS:
+        return run(slice(None))
+    blocks = _in_blocks(run, len(groups), min(transform_workers(values), len(groups)))
+    return [result for block in blocks for result in block]
 
 
 @dataclass(frozen=True)
@@ -195,17 +195,17 @@ def _frozen_to_memory(a: np.ndarray) -> bool:
 
 
 def _all_finite(values: np.ndarray) -> bool:
-    """Whether every value of a complex array is finite, in row blocks
+    """Whether every value of a complex array is finite, in row groups
     (see _by_rows); where the last axis is contiguous, on the (re, im)
     float view, whose isfinite is vectorised (twice as fast at 256^2)."""
 
-    def block(rows):
+    def group(rows):
         part = values[rows]
         if part.strides[-1] == part.itemsize:
             part = part.view(part.real.dtype)
         return np.isfinite(part).all()
 
-    return all(_by_rows(block, values))
+    return all(_by_rows(group, values))
 
 
 def _immutable(values, shape: tuple) -> np.ndarray:
@@ -281,26 +281,23 @@ class SeparableField:
 
 def _abs_squared(values: np.ndarray) -> np.ndarray:
     """|u|^2 as re^2 + im^2: the square root of np.abs is never taken. A
-    complex array is squared over its (re, im) float view, in row blocks
-    (see _by_rows), and each pair is added, _SQUARE_CHUNK pairs at a time;
-    input that is not C-contiguous is copied first, since the view needs
-    it."""
+    complex array is squared over its (re, im) float view and each pair
+    added, one row group at a time (see _by_rows, which walks the output:
+    a 0-d one is one call); input that is not C-contiguous is copied first,
+    since the view needs it."""
     if not np.iscomplexobj(values):
         return np.square(values)
     src = np.ascontiguousarray(values)
     out = np.empty(values.shape, dtype=values.real.dtype)
-    _by_rows(lambda rows: _squares_into(src[rows], out[rows]), src)
+    _by_rows(lambda rows: _squares_into(src[rows], out[rows]), out)
     return out
 
 
 def _squares_into(values: np.ndarray, out: np.ndarray):
-    """out = re^2 + im^2 of C-contiguous complex values, _SQUARE_CHUNK
-    pairs at a time; for a caller that already holds a block of rows."""
-    pairs = values.reshape(-1).view(out.dtype).reshape(-1, 2)
-    flat = out.reshape(-1)
-    for start in range(0, len(flat), _SQUARE_CHUNK):
-        sq = np.square(pairs[start : start + _SQUARE_CHUNK])
-        np.add(sq[:, 0], sq[:, 1], out=flat[start : start + _SQUARE_CHUNK])
+    """out = re^2 + im^2 of C-contiguous complex values, in one square of
+    their (re, im) pairs and one add; for a caller that holds a row group."""
+    sq = np.square(values.reshape(-1).view(out.dtype).reshape(-1, 2))
+    np.add(sq[:, 0], sq[:, 1], out=out.reshape(-1))
 
 
 def _weighted_axis_norm(
@@ -328,10 +325,9 @@ def _lp_exponent(r) -> float:
 
 
 def _sup(values: np.ndarray) -> float:
-    """max |u|, in row blocks (see _by_rows) walked in _row_groups; a NaN
-    propagates."""
-    maxima = _by_rows(lambda rows: [np.abs(values[rows][g]).max() for g in _row_groups(values[rows])], values)
-    return float(np.max(np.concatenate(maxima)))
+    """max |u|, in row groups (see _by_rows); np.max of the group maxima
+    propagates a NaN, where Python's max drops one that comes first."""
+    return float(np.max(_by_rows(lambda rows: np.abs(values[rows]).max(), values)))
 
 
 def values_lp_norms(values: np.ndarray, grids, exponents) -> list[float]:

@@ -7,10 +7,11 @@ H^3 factor by a sine transform (see h3_factor). On a product of factors
 `spectral_product` gives the flow as one forward transform per axis, one
 phase and one inverse transform per axis. `fields.transform_workers` is
 the thread count of every transform, and of the phase, the H^3 sinh
-scalings and the wrap monitor's |u|^2, each one call per block of rows
-(fields._by_rows). The two-particle Strang loop runs on one block of rows
-per core at every size, each block with one-thread transforms and its own
-rows of the kinetic phase (see two_particle_propagate).
+scalings and the wrap monitor's |u|^2, each one call per group of whole
+rows, with a run of groups per thread (fields._by_rows). The two-particle
+Strang loop runs on one block of rows per core at every size, each block
+with one-thread transforms and its own rows of the kinetic phase (see
+two_particle_propagate).
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -42,7 +43,6 @@ from .fields import (
     _axis_shape,
     _by_rows,
     _frozen,
-    _row_groups,
     _squares_into,
 )
 from .exponents import factor_rates, inverse_exponent
@@ -225,7 +225,7 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
 
     Both transforms scale and transform _own(values, overwrite) in place,
     so with overwrite=True they allocate no state-sized array. A scaling is
-    one in-place multiply per block of rows (see fields._by_rows). The
+    one in-place multiply per row group (see fields._by_rows). The
     inverse multiplies by a precomputed 1 / sinh(r): the bits of a division
     by sinh(r), up to the sign of an exact zero, at about a third of its
     cost."""
@@ -233,7 +233,7 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
     inv_sinh_r = 1.0 / sinh_r
 
     def scale(x, axis, by):
-        # x *= by along `axis`, in place; on axis 0 a block takes its rows of `by`
+        # x *= by along `axis`, in place; on axis 0 a group takes its rows of `by`
         by = np.broadcast_to(_axis_shape(x, axis, by), x.shape)
         _by_rows(lambda rows: np.multiply(x[rows], by[rows], out=x[rows]), x)
         return x
@@ -307,14 +307,14 @@ class SpectralProduct:
     def propagate_coefficients(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """e^{itL} of the state whose forward transform is `coeffs`: coeffs
         times the phase of t, and the inverse; `coeffs` is not written. Each
-        block of rows (see fields._by_rows) builds its rows of the
+        row group (see fields._by_rows) builds its rows of the
         outer-product phase into the one output buffer, with the bits of
         phase(t), and multiplies coeffs into them. coeffs stays the first
         operand: numpy's complex multiply is not bitwise commutative."""
         first, *rest = [f.phase(t) for f in self.factors]
         out = np.empty(coeffs.shape, dtype=complex)
 
-        def block(rows):
+        def group(rows):
             o = out[rows]
             *lead, last = [first[rows], *rest]
             if lead:
@@ -323,7 +323,7 @@ class SpectralProduct:
                 o[...] = last
             np.multiply(coeffs[rows], o, out=o)
 
-        _by_rows(block, out)
+        _by_rows(group, out)
         return self.inverse(out, overwrite=True)
 
 
@@ -539,23 +539,21 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     # as boundary. Every sum has non-negative terms, so a tiny fraction
     # keeps its relative accuracy, and folding the weights in one axis at a
     # time keeps a product of sinh^2 weights from overflowing on large
-    # radial grids. The first contraction runs in row blocks of the values
-    # as rows of their last axis (see fields._by_rows), each block in
-    # fields._row_groups: |u|^2 of a group feeds both row sums.
+    # radial grids. The first contraction runs in row groups of the values
+    # as rows of their last axis (see fields._by_rows): |u|^2 of a group
+    # feeds both row sums.
     values = u.values.reshape(-1, u.values.shape[-1])
     w = u.grids[-1].weights
     w_boundary = w * masks[-1]
     total, boundary = np.empty(len(values)), np.empty(len(values))
 
-    def block(rows):
-        x, block_total, block_boundary = values[rows], total[rows], boundary[rows]
-        for group in _row_groups(x):
-            squared = np.empty(x[group].shape)
-            _squares_into(x[group], squared)
-            block_total[group] = _sum_last_axis(squared, w)
-            block_boundary[group] = _sum_last_axis(squared, w_boundary)
+    def group(rows):
+        squared = np.empty(values[rows].shape)
+        _squares_into(values[rows], squared)
+        total[rows] = _sum_last_axis(squared, w)
+        boundary[rows] = _sum_last_axis(squared, w_boundary)
 
-    _by_rows(block, values)
+    _by_rows(group, values)
     total, boundary = total.reshape(u.values.shape[:-1]), boundary.reshape(u.values.shape[:-1])
     for grid, m in zip(reversed(u.grids[:-1]), reversed(masks[:-1])):
         boundary = _sum_last_axis(np.where(m, total, boundary), grid.weights)

@@ -271,19 +271,43 @@ class TestNormReduction:
 
 
 class TestRowBlocks:
-    """_by_rows calls its step once on each contiguous block of a state's
-    rows, one block per transform_workers thread: block 0 on the calling
-    thread, the others on the pool; below 2^18 points it makes one call on
-    the whole array."""
+    """_by_rows calls its step once on each group of whole rows of about
+    _GROUP_POINTS points, in row order; from 2^18 points up each
+    transform_workers thread runs one contiguous run of whole groups, the
+    first on the calling thread and the others on the pool, and below that
+    every group runs on the calling thread."""
 
-    def test_one_call_per_block_in_order(self, monkeypatch):
-        values = np.empty((512, 512))
+    @staticmethod
+    def calls(values):
+        return _by_rows(lambda rows: (rows.start, rows.stop, threading.get_ident()), values)
+
+    def test_groups_in_row_order(self, monkeypatch):
+        # 600 rows of 1000 points: groups of 65 rows, the last of 15
+        values = np.empty((600, 1000))
+        groups = [(a, min(a + 65, 600)) for a in range(0, 600, 65)]
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
-            got = _by_rows(lambda rows: (rows.start, rows.stop, threading.get_ident()), values)
-            edges = [512 * k // workers for k in range(workers + 1)]
-            assert [(a, b) for a, b, _ in got] == list(zip(edges, edges[1:]))
-            assert [thread == threading.get_ident() for _, _, thread in got] == [True] + [False] * (workers - 1)
+            got = self.calls(values)
+            assert [(a, b) for a, b, _ in got] == groups
+            edges = [len(groups) * k // workers for k in range(workers + 1)]
+            threads = [{thread for _, _, thread in got[a:b]} for a, b in zip(edges, edges[1:])]
+            # a block's groups run on one thread, block 0 on this one
+            assert all(len(t) == 1 for t in threads)
+            assert [t == {threading.get_ident()} for t in threads] == [True] + [False] * (workers - 1)
+
+    @pytest.mark.parametrize("shape", [(600, 1000), (512, 512), (3, 2**17), (5, 3, 2**15), (2**19,), (7, 0), (0, 9)])
+    def test_groups_tile_the_rows(self, monkeypatch, shape):
+        # each group is at least one row, even when one row is wider than a
+        # group, and at most _GROUP_POINTS points otherwise
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
+        values = np.empty(shape)
+        row = math.prod(shape[1:])
+        got = [(a, b) for a, b, _ in self.calls(values)]
+        assert [a for a, _ in got] + [shape[0]] == [0] + [b for _, b in got]
+        assert all(b > a and (b - a) * row <= max(row, fields._GROUP_POINTS) for a, b in got)
+
+    def test_zero_dimensional_is_one_call(self):
+        assert _by_rows(lambda rows: rows, np.array(1.0)) == [Ellipsis]
 
     def test_blocks_tile_the_range(self):
         # _in_blocks, the runner under _by_rows and the two-particle Strang
@@ -293,43 +317,42 @@ class TestRowBlocks:
             assert [(a, b) for a, b, _ in got] == [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
             assert [thread == threading.get_ident() for _, _, thread in got] == [True] + [False] * (blocks - 1)
 
-    def test_below_the_threshold_one_call_on_this_thread(self, monkeypatch):
+    def test_below_the_threshold_every_group_on_this_thread(self, monkeypatch):
+        # 256 x 1023 is below 2^18 points: four groups of 64 rows, all here
         monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
-        values = np.empty((256, 1023))
-        calls = []
-        got = _by_rows(lambda rows: calls.append((rows, threading.get_ident())) or len(calls), values)
-        assert got == [1]
-        assert calls == [(Ellipsis, threading.get_ident())]
+        got = self.calls(np.empty((256, 1023)))
+        assert got == [(a, a + 64, threading.get_ident()) for a in range(0, 256, 64)]
 
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_block_exception_reraises(self, monkeypatch, failing):
+    @pytest.mark.parametrize("failing", range(5))
+    def test_group_exception_reraises(self, monkeypatch, failing):
+        # 300 rows of 1024 points: five groups of 64 rows on three blocks
         monkeypatch.setattr(fields, "transform_workers", lambda values: 3)
         values = np.empty((300, 1024))
 
         def fn(rows):
-            if rows.start == 100 * failing:
-                raise ArithmeticError(f"block {failing}")
+            if rows.start == 64 * failing:
+                raise ArithmeticError(f"group {failing}")
             return rows.start
 
-        with pytest.raises(ArithmeticError, match=f"block {failing}"):
+        with pytest.raises(ArithmeticError, match=f"group {failing}"):
             _by_rows(fn, values)
 
     def test_blocks_end_before_an_exception_surfaces(self, monkeypatch):
         # a caller that sees block 0 fail may free what the other blocks
-        # write into, so they have ended by then
+        # write into, so they have ended by then; of the five groups of 64
+        # rows block 0 holds the one that fails, blocks 1 and 2 the others
         monkeypatch.setattr(fields, "transform_workers", lambda values: 3)
         ended = []
 
         def fn(rows):
             if rows.start == 0:
-                raise ArithmeticError("block 0")
-            if rows.start in (100, 200):
-                time.sleep(0.05)
+                raise ArithmeticError("group 0")
+            time.sleep(0.05)
             ended.append(rows.start)
 
-        with pytest.raises(ArithmeticError, match="block 0"):
+        with pytest.raises(ArithmeticError, match="group 0"):
             _by_rows(fn, np.empty((300, 1024)))
-        assert sorted(ended) == [100, 200]
+        assert sorted(ended) == [64, 128, 192, 256]
 
 
 class TestGaussianField:

@@ -27,6 +27,7 @@ from dispersia.fields import (
     HYPERBOLIC,
     Field,
     SeparableField,
+    _frozen,
     gaussian_field,
     lp_norm,
     make_grid,
@@ -954,8 +955,8 @@ def test_dense_product_allocation_budget(kinds):
 
 def test_threaded_product_allocation_budget(monkeypatch):
     # the budget of test_dense_product_allocation_budget above 2^18 points,
-    # where the phase runs on two blocks of rows, one per thread:
-    # tracemalloc counts the pool thread's allocations too, and each block
+    # where the phase runs on two runs of row groups, one per thread:
+    # tracemalloc counts the pool thread's allocations too, and each group
     # builds its phase rows straight into the product's buffer
     monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
     grids = (make_grid(512, 64.0), make_grid(560, 40.0, HYPERBOLIC))
@@ -978,9 +979,9 @@ def test_threaded_product_allocation_budget(monkeypatch):
 
 
 class TestRowBlocks:
-    """The state-sized pointwise steps run once on each block of rows, one
-    block per transform_workers thread, and give the same bits for any
-    block count; 3 blocks split the 512 rows unevenly."""
+    """The state-sized pointwise steps run once on each group of rows, a
+    run of whole groups per transform_workers thread, and give the same
+    bits for any block count; 3 blocks split the groups unevenly."""
 
     torus, wide, h3 = make_grid(512, 200.0), make_grid(560, 150.0), make_grid(560, 40.0, HYPERBOLIC)
     h3_rows = make_grid(512, 40.0, HYPERBOLIC)
@@ -1026,8 +1027,8 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_h3_scalings_independent_of_block_count(self, monkeypatch, axis):
-        # the sinh r and 1/sinh r scalings run once per block of rows, on
-        # axis 0 each block with its rows of the scale, in place under
+        # the sinh r and 1/sinh r scalings run once per row group, on
+        # axis 0 each group with its rows of the scale, in place under
         # overwrite=True, with the bits of one whole-array multiply
         grid = self.h3_rows if axis == 0 else self.h3
         factor = h3_factor(grid)
@@ -1045,25 +1046,56 @@ class TestRowBlocks:
                 assert bits_equal(g, want), (blocks, axis)
 
     @pytest.mark.parametrize("group_points", [100, 560 * 7, 2**16])
-    def test_groups_ending_mid_block(self, monkeypatch, group_points):
-        # the sup norm and the wrap monitor walk each row block in groups of
-        # rows (one row when a row is wider than a group); here every block
-        # of 1, 2 or 3 ends mid-group but at 100 points, and the results
-        # keep the bits of one whole-array pass
+    def test_uneven_groups(self, monkeypatch, group_points):
+        # the sup norm and the wrap monitor walk the rows in groups (one row
+        # when a row is wider than a group), and a block is a run of whole
+        # groups; here groups of 7 or 117 rows leave a shorter last group,
+        # 1, 2 or 3 blocks hold them, and the results keep the bits of one
+        # whole-array pass
         u = Field((self.torus, self.h3), self.values(26) * np.exp(-self.h3.nodes / 4))
         monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
         monkeypatch.setattr(fields, "_GROUP_POINTS", u.values.size)
         expected = boundary_mass_fraction(u, (100.0, 0.0)), float(np.abs(u.values).max())
         monkeypatch.setattr(fields, "_GROUP_POINTS", group_points)
         step = max(1, group_points // 560)
+        assert (512 % step > 0) == (step > 1)
+        groups = [(a, min(a + step, 512)) for a in range(0, 512, step)]
         for blocks in (1, 2, 3):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
-            rows = [512 * (k + 1) // blocks - 512 * k // blocks for k in range(blocks)]
-            assert all(r % step for r in rows) == (step > 1), (rows, step)
+            assert fields._by_rows(lambda rows: (rows.start, rows.stop), u.values) == groups
             assert (boundary_mass_fraction(u, (100.0, 0.0)), lp_norm(u, INF)) == expected, (blocks, group_points)
             nan_last = u.values.copy()
             nan_last[-1, -1] = np.nan
             assert math.isnan(fields._sup(nan_last))
+
+    def test_pointwise_temporaries_stay_group_sized(self, monkeypatch):
+        # on one thread each step's temporaries are one group's (about 2^16
+        # points), not a block's or a state's: below 2 MiB on a 17.5 MiB
+        # state, beyond the 8.75 MiB output of |u|^2
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        grids = (make_grid(1024, 200.0), make_grid(1120, 40.0, HYPERBOLIC))
+        rng = np.random.default_rng(31)
+        values = _frozen(rng.standard_normal((1024, 1120)) + 1j * rng.standard_normal((1024, 1120)))
+        u = Field(grids, values)
+        assert u.values is values
+        steps = {
+            "all_finite": lambda: fields._all_finite(values),
+            "field": lambda: Field(grids, values),
+            "sup": lambda: fields._sup(values),
+            "boundary": lambda: boundary_mass_fraction(u, (100.0, 0.0)),
+            "abs_squared": lambda: fields._abs_squared(values),
+        }
+        for name, step in steps.items():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = step()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            if name == "abs_squared":
+                peak -= result.nbytes
+            assert peak < 2 * 2**20, (name, peak / 2**20)
 
     def test_concurrent_callers_match_sequential(self, monkeypatch):
         # two callers split their states into more blocks than the pool has
