@@ -536,12 +536,13 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     t1, t2 = 1.0, 20.0
 
     def saved_index(t_query):
-        for i, t in enumerate(saved):
+        for i, t in enumerate(saved[:-1]):
             if math.isclose(t, t_query, rel_tol=1e-9):
                 return i
         raise ConfigError(
-            f"the verdict reads tail({t_query}), so t = {t_query} must be a saved time at most "
-            f"[time] t_final = {T}; with dt = {dt} and [time] save_stride = {stride} it is not"
+            f"the verdict reads tail({t_query}), the largest distance from z({t_query}) to a later profile, so "
+            f"t = {t_query} must be a saved time before the last one, which [time] t_final = {T} sets; "
+            f"with dt = {dt} and [time] save_stride = {stride} it is not"
         )
 
     i1, i2 = saved_index(t1), saved_index(t2)

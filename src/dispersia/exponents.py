@@ -133,15 +133,13 @@ class NLSExponentSelection:
     beta: Fraction
     p: Fraction
     q: Fraction
-    p_tilde: Fraction
-    q_tilde: Fraction
 
 
 def select_nls_exponents(m: int, n: int, gamma) -> NLSExponentSelection:
-    """Choose p = q = p~ = q~ = 1 + gamma with beta = (gamma-1)(m+n)/2 for
-    a gamma whose pair (1/p, 1/p) is in the triangle of in_triangle_T, which
-    reads only d = m + n (m = n = 1 is taken too): gamma in (1, 1 + 4/d].
-    Otherwise raises HypothesisViolation naming the bound."""
+    """Choose p = q = 1 + gamma, also the dual pair p~ = q~, with beta =
+    (gamma-1)(m+n)/2 for a gamma whose pair (1/p, 1/p) is in the triangle
+    of in_triangle_T, which reads only d = m + n (m = n = 1 is taken too):
+    gamma in (1, 1 + 4/d]. Otherwise raises HypothesisViolation naming the bound."""
     if m < 1 or n < 1:
         raise ValueError("factor dimensions must be >= 1")
     gamma = Fraction(gamma)
@@ -149,4 +147,4 @@ def select_nls_exponents(m: int, n: int, gamma) -> NLSExponentSelection:
     if p < 2 or (strichartz_class(ExponentPair(1 / p, 1 / p), [(HYPERBOLIC, m), (HYPERBOLIC, n)])
                  == Admissibility.NOT_ADMISSIBLE):
         raise HypothesisViolation(f"gamma={gamma} outside (1, 1 + 4/(m+n)] = (1, {1 + Fraction(4, m + n)}] for m+n={m + n}")
-    return NLSExponentSelection(m=m, n=n, gamma=gamma, beta=(gamma - 1) * (m + n) / 2, p=p, q=p, p_tilde=p, q_tilde=p)
+    return NLSExponentSelection(m=m, n=n, gamma=gamma, beta=(gamma - 1) * (m + n) / 2, p=p, q=p)

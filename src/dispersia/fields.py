@@ -12,9 +12,11 @@ that a sampled function's norm approximates the continuum one.
 The thread rule of the package lives here, in its lowest module:
 `transform_workers` is the thread count of every transform and of the
 state-sized pointwise steps that `_by_rows` runs once per group of whole
-rows of about _GROUP_POINTS points (the finiteness check of a Field,
-|u|^2 and the sup norm here; the spectral phase, the H^3 sinh scalings
-and the wrap monitor in propagators), so each temporary is group-sized.
+rows of about _GROUP_POINTS points (the finiteness check of a Field and
+the L^r norms here; the spectral phase, the H^3 sinh scalings and the
+wrap monitor in propagators), so each temporary is group-sized. A finite
+norm and the wrap monitor sum over the product measure one axis at a
+time with _sum_last_axis, the package's one weighted-sum rule.
 `_in_blocks` runs contiguous blocks, one on the calling thread and the
 others on one pool: the runs of whole groups of `_by_rows`, one per
 thread, and the row blocks of the two-particle Strang loop, one per core
@@ -97,7 +99,9 @@ def _by_rows(fn, values: np.ndarray) -> list:
     on this thread; from there up _in_blocks runs one contiguous run of
     whole groups per transform_workers(values) thread. A 0-d array is one
     call, fn(...). A step that is elementwise, a reduction per row, a max
-    or an all gives the same bits for any grouping."""
+    or an all gives the same bits for any grouping: the finite L^r norms
+    and the wrap monitor walk the values as rows of their last axis, each
+    group summing its rows with _sum_last_axis."""
     if values.ndim == 0:
         return [fn(...)]
     n = len(values)
@@ -164,13 +168,6 @@ class Grid1D:
 
 def make_grid(n_points: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
     return Grid1D(n_points=int(n_points), length=float(length), kind=kind)
-
-
-def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
-    """A 1-D array reshaped to broadcast along one axis of values."""
-    shape = [1] * values.ndim
-    shape[axis] = arr.shape[0]
-    return arr.reshape(shape)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -279,40 +276,21 @@ class SeparableField:
         return len(self.factors)
 
 
-def _abs_squared(values: np.ndarray) -> np.ndarray:
-    """|u|^2 as re^2 + im^2: the square root of np.abs is never taken. A
-    complex array is squared over its (re, im) float view and each pair
-    added, one row group at a time (see _by_rows, which walks the output:
-    a 0-d one is one call); input that is not C-contiguous is copied first,
-    since the view needs it."""
-    if not np.iscomplexobj(values):
-        return np.square(values)
-    src = np.ascontiguousarray(values)
-    out = np.empty(values.shape, dtype=values.real.dtype)
-    _by_rows(lambda rows: _squares_into(src[rows], out[rows]), out)
-    return out
+def _sum_last_axis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j values[..., j] weights[j], the package's one weighted sum: by
+    einsum and not by a matrix product, since a BLAS call wakes the
+    OpenBLAS thread pool, whose threads then spin on the cores that the
+    next transform's workers need. It builds no temporary."""
+    return np.einsum("...j,j->...", values, weights)
 
 
 def _squares_into(values: np.ndarray, out: np.ndarray):
-    """out = re^2 + im^2 of C-contiguous complex values, in one square of
-    their (re, im) pairs and one add; for a caller that holds a row group."""
-    sq = np.square(values.reshape(-1).view(out.dtype).reshape(-1, 2))
+    """out = re^2 + im^2 of complex values, in one square of their (re, im)
+    pairs and one add: the square root of np.abs is never taken. For a
+    caller that holds a row group; values that are not C-contiguous are
+    copied first, since the view needs it."""
+    sq = np.square(np.ascontiguousarray(values).reshape(-1).view(out.dtype).reshape(-1, 2))
     np.add(sq[:, 0], sq[:, 1], out=out.reshape(-1))
-
-
-def _weighted_axis_norm(
-    values: np.ndarray, weights: np.ndarray, r: float, axis: int, squared: np.ndarray | None = None
-) -> np.ndarray:
-    """L^r norm along one axis, for finite r. For r >= 2 the summand |u|^r
-    is (|u|^2)^(r/2), from `squared` (|values|^2) when the caller has it:
-    no square root, no pow at r = 2 and one square at r = 4. For r < 2 it
-    is taken from |u|, whose square could overflow where |u|^r does not."""
-    if r < 2:
-        power = np.abs(values) ** r
-    else:
-        sq = _abs_squared(values) if squared is None else squared
-        power = sq if r == 2 else np.square(sq) if r == 4 else sq ** (r / 2)
-    return np.sum(_axis_shape(values, axis, weights) * power, axis=axis) ** (1.0 / r)
 
 
 def _lp_exponent(r) -> float:
@@ -332,20 +310,40 @@ def _sup(values: np.ndarray) -> float:
 
 def values_lp_norms(values: np.ndarray, grids, exponents) -> list[float]:
     """lp_norm of a bare values array on the product of `grids`, one per
-    exponent; |u|^2 is formed once for all the finite exponents >= 2."""
+    exponent. A finite norm is an iterated sum (Fubini): the values, as
+    rows of their last axis, are walked once in row groups (see _by_rows),
+    and each group sums |u|^r against the last grid's weights for every
+    finite r; the row sums are then summed against each earlier grid's
+    weights, the last of them first, and one r-th root is taken at the end.
+    For r >= 2, |u|^r is (|u|^2)^(r/2) from one |u|^2 per group: no square
+    root, no pow at r = 2 and one square at r = 4. Below 2 it is taken from
+    |u|, whose square could overflow where |u|^r does not."""
     rs = [_lp_exponent(r) for r in exponents]
-    squared = _abs_squared(values) if any(2 <= rv < math.inf for rv in rs) else None
-    last = len(grids) - 1
-    out = []
-    for rv in rs:
-        if math.isinf(rv):
-            out.append(_sup(values))
-            continue
-        acc = _weighted_axis_norm(values, grids[last].weights, rv, last, squared)
-        for axis in reversed(range(last)):
-            acc = _weighted_axis_norm(acc, grids[axis].weights, rv, axis)
-        out.append(float(acc))
-    return out
+    finite = [(k, rv) for k, rv in enumerate(rs) if rv < math.inf]
+    values = np.asarray(values, dtype=complex)
+    rows = values.reshape(-1, values.shape[-1])
+    weights = grids[-1].weights
+    sums = np.zeros((len(rs), len(rows)))
+
+    def group(part):
+        if any(rv >= 2 for _, rv in finite):
+            squared = np.empty(rows[part].shape)
+            _squares_into(rows[part], squared)
+        if any(rv < 2 for _, rv in finite):
+            modulus = np.abs(rows[part])
+        for k, rv in finite:
+            if rv < 2:
+                power = modulus**rv
+            else:
+                power = squared if rv == 2 else np.square(squared) if rv == 4 else squared ** (rv / 2)
+            sums[k, part] = _sum_last_axis(power, weights)
+
+    if finite:
+        _by_rows(group, rows)
+    acc = sums.reshape(len(rs), *values.shape[:-1])
+    for grid in reversed(grids[:-1]):
+        acc = _sum_last_axis(acc, grid.weights)
+    return [_sup(values) if math.isinf(rv) else float(total) ** (1.0 / rv) for rv, total in zip(rs, acc)]
 
 
 def values_lp_norm(values: np.ndarray, grids, r) -> float:

@@ -40,10 +40,10 @@ from .fields import (
     Field,
     Grid1D,
     SeparableField,
-    _axis_shape,
     _by_rows,
     _frozen,
     _squares_into,
+    _sum_last_axis,
 )
 from .exponents import factor_rates, inverse_exponent
 
@@ -206,6 +206,13 @@ def _complex_dst(transform, values: np.ndarray, axis: int, overwrite: bool = Fal
     pairs = x.view(float).reshape(x.shape + (2,))
     out = transform(pairs, type=2, axis=axis % x.ndim, workers=fields.transform_workers(x), overwrite_x=True)
     return out.view(complex)[..., 0]
+
+
+def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
+    """A 1-D array reshaped to broadcast along one axis of values."""
+    shape = [1] * values.ndim
+    shape[axis] = arr.shape[0]
+    return arr.reshape(shape)
 
 
 def h3_factor(grid: Grid1D) -> SpectralFactor:
@@ -507,13 +514,6 @@ def _boundary_mask(grid: Grid1D, center: float) -> np.ndarray:
     return x > 0.95 * grid.length
 
 
-def _sum_last_axis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j values[..., j] weights[j], by einsum and not by a matrix
-    product: a BLAS call wakes the OpenBLAS thread pool, whose threads then
-    spin on the cores that the next transform's workers need."""
-    return np.einsum("...j,j->...", values, weights)
-
-
 def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     """Fraction of L^2 mass within 5% of the domain boundary, boundary
     meaning the antipode of the given center on a torus axis and the
@@ -526,11 +526,11 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
         # cancellation of that form when the fractions are small
         frac = 0.0
         for f, m in zip(u.factors, masks):
-            density = np.abs(f.values) ** 2 * f.grids[0].weights
-            total = float(np.sum(density))
+            squared, w = np.abs(f.values) ** 2, f.grids[0].weights
+            total = float(_sum_last_axis(squared, w))
             if total == 0:
                 return 0.0
-            b = float(np.sum(density * m)) / total
+            b = float(_sum_last_axis(squared, w * m)) / total
             frac = b + (1.0 - b) * frac
         return frac
     # contract the weighted density one trailing axis at a time, carrying

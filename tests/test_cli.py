@@ -559,12 +559,14 @@ class TestNLSRunners:
 
     @pytest.mark.parametrize(
         "time_section,key",
-        [("t_final = 40\ndt = 0.1\nsave_stride = 100\n", "save_stride"), ("t_final = 10\ndt = 0.1\n", "t_final")],
-        ids=["t1-between-saved-samples", "t2-past-t_final"],
+        [("t_final = 40\ndt = 0.1\nsave_stride = 100\n", "save_stride"), ("t_final = 10\ndt = 0.1\n", "t_final"),
+         ("t_final = 20\ndt = 0.1\nsave_stride = 10\n", "[time] t_final")],
+        ids=["t1-between-saved-samples", "t2-past-t_final", "t2-last-saved-time"],
     )
     def test_scattering_tail_time_not_saved_refused(self, tmp_path, capsys, output_root, time_section, key):
         # the verdict reads tail(1.0) and tail(20.0); a nearest-sample stand-in
-        # would print another time's tail under their names
+        # would print another time's tail under their names, and a tail at
+        # the last saved time has no later profile, so it is 0 and passes
         path = write_config(tmp_path, f"[experiment]\nname = nls-scattering\n[time]\n{time_section}")
         assert main(["run", path]) == EXIT_CONFIG
         assert key in capsys.readouterr().err

@@ -185,7 +185,7 @@ class TestSelectNLSExponents:
     def test_reference_selection_m2_n2_gamma2(self):
         sel = select_nls_exponents(2, 2, 2)
         assert sel.beta == 2
-        assert sel.p == sel.q == sel.p_tilde == sel.q_tilde == 3
+        assert sel.p == sel.q == 3
 
     def test_m3_n3_gamma_5_3(self):
         sel = select_nls_exponents(3, 3, Fraction(5, 3))
@@ -234,8 +234,8 @@ class TestSelectNLSExponents:
         sel = select_nls_exponents(m, n, gamma)
         assert sel.gamma == 1 + 2 * sel.beta / (m + n)
         assert 0 < sel.beta <= 2
-        # self-mapping identity p = p~' * gamma
-        assert dual_exponent(sel.p_tilde) * sel.gamma == sel.p
+        # self-mapping identity p = p~' * gamma, with p~ = p
+        assert dual_exponent(sel.p) * sel.gamma == sel.p
         # the selected pair lies in the triangle T
         if m >= 2 and n >= 2:
             assert triangle_oracle(1 / sel.p, 1 / sel.q, m, n)

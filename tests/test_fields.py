@@ -1,8 +1,10 @@
 """Grids, fields, and quadrature norms."""
 
+import functools
 import math
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +17,9 @@ from dispersia.fields import (
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
-    _abs_squared,
     _by_rows,
     _frozen,
+    _squares_into,
     gaussian_field,
     lp_norm,
     make_grid,
@@ -212,7 +214,7 @@ class TestNormReduction:
     def reference(values, grids, r):
         if math.isinf(r):
             return float(np.abs(values).max())
-        w = np.multiply.outer(grids[0].weights, grids[1].weights)
+        w = functools.reduce(np.multiply.outer, [g.weights for g in grids])
         return float(np.sum(w * np.abs(values) ** float(r)) ** (1 / float(r)))
 
     @given(seed=st.integers(0, 10**6), kind=st.sampled_from(sorted(GRIDS)), r=st.sampled_from(EXPONENTS))
@@ -238,26 +240,53 @@ class TestNormReduction:
     )
     @pytest.mark.parametrize(
         "layout",
-        ["contiguous", "transposed", "sliced", "sliced-last-axis", "transposed-stack", "scalar"],
+        ["contiguous", "transposed", "sliced", "sliced-last-axis", "transposed-stack"],
     )
-    def test_abs_squared_is_the_sum_of_two_squares(self, scale, layout):
-        # the one-pass square of the (re, im) view must give re^2 + im^2 bit
-        # for bit, on any layout, including the ones the view cannot take
+    def test_norms_on_every_layout_and_scale(self, scale, layout):
+        # the one-pass square of the (re, im) view gives re^2 + im^2 bit for
+        # bit, and the norms walk the rows of any layout, including the ones
+        # the view cannot take, down to subnormal and up to overflowing |u|^2.
+        # Where |u|^r is subnormal (r = 2 at 1e-160) its terms are good only
+        # to the subnormal spacing ulp(0), for the reference as well
         rng = np.random.default_rng(7)
-        stack = scale * (rng.standard_normal((4, 24, 20)) + 1j * rng.standard_normal((4, 24, 20)))
+        stack = scale * (rng.standard_normal((16, 24, 24)) + 1j * rng.standard_normal((16, 24, 24)))
         values = {
             "contiguous": stack[0],
             "transposed": stack[0].T,
             "sliced": stack[::2, 3:17],
             "sliced-last-axis": stack[1, :, ::3],
             "transposed-stack": stack.transpose(2, 0, 1),
-            "scalar": stack[0, 0, 0],
         }[layout]
+        kinds = (EUCLIDEAN, HYPERBOLIC, EUCLIDEAN)
+        grids = tuple(make_grid(n, n / 4, kind) for n, kind in zip(values.shape, kinds))
         with np.errstate(over="ignore", under="ignore"):
             expected = np.square(values.real) + np.square(values.imag)
-            got = _abs_squared(values)
-        assert got.shape == np.shape(values)
-        assert np.array_equal(got, expected)
+            got = np.empty(values.shape)
+            _squares_into(values, got)
+            assert np.array_equal(got, expected)
+            norms = values_lp_norms(values, grids, (1, 2, 4))
+            for r, norm in zip((1, 2, 4), norms):
+                power = np.float64(scale) ** r
+                rel = max(1e-14, math.ulp(0.0) / power) if power > 0 else 0
+                assert norm == pytest.approx(self.reference(values, grids, r), rel=rel, abs=0), r
+
+    @pytest.mark.parametrize("r", [1, Fraction(3, 2), 2, 3, 4])
+    def test_norm_temporaries_stay_group_sized(self, monkeypatch, r):
+        # on one thread a finite norm's temporaries are one row group's
+        # (about 2^16 points): its |u|^2 or |u|, and its power. The traced
+        # peak stays below 2 MiB on a 17.5 MiB state
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        grids = (make_grid(1024, 200.0), make_grid(1120, 40.0, HYPERBOLIC))
+        rng = np.random.default_rng(32)
+        u = Field(grids, _frozen(rng.standard_normal((1024, 1120)) + 1j * rng.standard_normal((1024, 1120))))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lp_norm(u, r)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak / 2**20
 
     def test_huge_modulus_l1_stays_finite(self):
         # |u|^2 overflows at |u| = 1e160; the norms below r = 2 never form it

@@ -32,6 +32,7 @@ from dispersia.fields import (
     lp_norm,
     make_grid,
     transform_workers,
+    values_lp_norms,
 )
 from dispersia.propagators import (
     PotentialSpec,
@@ -1002,7 +1003,7 @@ class TestRowBlocks:
             out[label] = flow.propagate_coefficients(coeffs, 1.7)
         out["boundary"] = np.float64(boundary_mass_fraction(u, (100.0, 0.0)))
         out["sup"] = np.float64(lp_norm(u, INF))
-        out["abs_squared"] = fields._abs_squared(u.values)
+        out["norms"] = np.array(values_lp_norms(u.values, u.grids, (1, 2, 4)))
         return out
 
     def test_independent_of_block_count(self, monkeypatch):
@@ -1018,7 +1019,12 @@ class TestRowBlocks:
     def test_matches_unblocked_steps(self):
         # the blocked steps against their whole-array forms
         u = Field((self.torus, self.h3), self.values(24))
-        assert bits_equal(fields._abs_squared(u.values), np.square(u.values.real) + np.square(u.values.imag))
+        squared = np.square(u.values.real) + np.square(u.values.imag)
+        powers = {1: np.abs(u.values), 2: squared, 4: np.square(squared)}
+        weights = [g.weights for g in u.grids]
+        expected = [float(np.einsum("i,i", np.einsum("ij,j->i", p, weights[1]), weights[0])) ** (1 / r)
+                    for r, p in powers.items()]
+        assert values_lp_norms(u.values, u.grids, (1, 2, 4)) == expected
         assert lp_norm(u, INF) == float(np.abs(u.values).max())
         specs = [PropagatorSpec("free", self.torus), PropagatorSpec("hyperbolic-radial", self.h3)]
         flow = propagators.spectral_product(specs, u.grids)
@@ -1047,7 +1053,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("group_points", [100, 560 * 7, 2**16])
     def test_uneven_groups(self, monkeypatch, group_points):
-        # the sup norm and the wrap monitor walk the rows in groups (one row
+        # the norms and the wrap monitor walk the rows in groups (one row
         # when a row is wider than a group), and a block is a run of whole
         # groups; here groups of 7 or 117 rows leave a shorter last group,
         # 1, 2 or 3 blocks hold them, and the results keep the bits of one
@@ -1055,7 +1061,7 @@ class TestRowBlocks:
         u = Field((self.torus, self.h3), self.values(26) * np.exp(-self.h3.nodes / 4))
         monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
         monkeypatch.setattr(fields, "_GROUP_POINTS", u.values.size)
-        expected = boundary_mass_fraction(u, (100.0, 0.0)), float(np.abs(u.values).max())
+        expected = boundary_mass_fraction(u, (100.0, 0.0)), values_lp_norms(u.values, u.grids, (1, 3, INF))
         monkeypatch.setattr(fields, "_GROUP_POINTS", group_points)
         step = max(1, group_points // 560)
         assert (512 % step > 0) == (step > 1)
@@ -1063,7 +1069,8 @@ class TestRowBlocks:
         for blocks in (1, 2, 3):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
             assert fields._by_rows(lambda rows: (rows.start, rows.stop), u.values) == groups
-            assert (boundary_mass_fraction(u, (100.0, 0.0)), lp_norm(u, INF)) == expected, (blocks, group_points)
+            got = boundary_mass_fraction(u, (100.0, 0.0)), values_lp_norms(u.values, u.grids, (1, 3, INF))
+            assert got == expected, (blocks, group_points)
             nan_last = u.values.copy()
             nan_last[-1, -1] = np.nan
             assert math.isnan(fields._sup(nan_last))
@@ -1071,7 +1078,7 @@ class TestRowBlocks:
     def test_pointwise_temporaries_stay_group_sized(self, monkeypatch):
         # on one thread each step's temporaries are one group's (about 2^16
         # points), not a block's or a state's: below 2 MiB on a 17.5 MiB
-        # state, beyond the 8.75 MiB output of |u|^2
+        # state
         monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
         grids = (make_grid(1024, 200.0), make_grid(1120, 40.0, HYPERBOLIC))
         rng = np.random.default_rng(31)
@@ -1083,18 +1090,16 @@ class TestRowBlocks:
             "field": lambda: Field(grids, values),
             "sup": lambda: fields._sup(values),
             "boundary": lambda: boundary_mass_fraction(u, (100.0, 0.0)),
-            "abs_squared": lambda: fields._abs_squared(values),
+            "norms": lambda: values_lp_norms(values, grids, (1, 2, 4)),
         }
         for name, step in steps.items():
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                result = step()
+                step()
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            if name == "abs_squared":
-                peak -= result.nbytes
             assert peak < 2 * 2**20, (name, peak / 2**20)
 
     def test_concurrent_callers_match_sequential(self, monkeypatch):
