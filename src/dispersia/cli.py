@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .exponents import HypothesisViolation
-from .experiments import ConfigError, UnknownExperiment, _fractions_from_str, classify_lattice, list_experiments, run
+from .experiments import ConfigError, UnknownExperiment, list_experiments, run
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -38,13 +38,6 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _cmd_admissible(args) -> int:
-    header, rows = classify_lattice(args.m, args.n, args.grid, _fractions_from_str(args.indices))
-    for row in [header] + rows:
-        print(",".join(row))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dispersia",
@@ -58,13 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list registered experiments")
     p_list.set_defaults(fn=_cmd_list)
-
-    p_adm = sub.add_parser("admissible", help="classify the exponent lattice exactly")
-    p_adm.add_argument("--m", type=int, required=True)
-    p_adm.add_argument("--n", type=int, required=True)
-    p_adm.add_argument("--grid", type=int, default=12, help="lattice denominator")
-    p_adm.add_argument("--indices", default="1/2,1,3/2,2,3", help="comma-separated a+b values")
-    p_adm.set_defaults(fn=_cmd_admissible)
     return parser
 
 

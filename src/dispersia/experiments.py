@@ -199,12 +199,6 @@ def _separable_datum(grid, profile: np.ndarray, k: int) -> Field:
     return Field((grid,) * k, _frozen(functools.reduce(np.multiply.outer, [profile] * k)))
 
 
-def _radial_bump(grid, center: float, width: float) -> np.ndarray:
-    """Radial Gaussian shell on an H^3 grid, normalized in weighted L^1."""
-    values = np.exp(-((grid.nodes - center) ** 2) / (2 * width**2))
-    return _frozen(values / lp_norm(Field((grid,), values), 1))
-
-
 def _decay_window(cfg, t_min, t_max, n_times):
     """The [time] window (t_min, t_max) and its n_times log-spaced sample
     times, checked before any solve: the fit reads at least 5 samples of a
@@ -219,11 +213,13 @@ def _decay_window(cfg, t_min, t_max, n_times):
     return (t_min, t_max), np.geomspace(t_min, t_max, n_times)
 
 
-def _decay_verdict(cfg, report, label, series, u0, window, q, predicted, tol, **extra):
+def _decay_verdict(cfg, report, label, series, u0, window, q, specs, tol, **extra):
     """Shared tail of every decay experiment: the norms ||u(t)||_q of
     `series` divided by ||u0||_q', their power-law fit over the window, the
-    verdict against slope -predicted, and the series.csv and fit.json
-    artifacts (fit.json also carries the `extra` entries)."""
+    verdict against slope -predicted, where predicted is the sum of the
+    decay rates at q of the factors `specs`, and the series.csv and
+    fit.json artifacts (fit.json also carries the `extra` entries)."""
+    predicted = sum(s.decay_rate(q) for s in specs)
     base = lp_norm(u0, dual_exponent(q))
     series = [replace(s, value=s.value / base) for s in series]
     fit = fit_decay_exponent(series, window)
@@ -317,13 +313,11 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
         )
     _check_all_read(cfg)
     grid = _in_section("grid", make_grid, n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
-    profile = _radial_bump(grid, center, width) if hyperbolic else gaussian_field(grid, width).values
+    u0 = SeparableField((_in_section("data", gaussian_field, grid, width, center),) * k)
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
-    predicted = sum(s.decay_rate(q) for s in specs)
-    u0 = SeparableField((Field((grid,), profile),) * k)
     series = norm_series(lambda u, t: product_propagate(specs, u, t), u0, times, float(q))
-    _decay_verdict(cfg, report, label.format(k=k, q=q), series, u0, window, q, predicted, tol)
+    _decay_verdict(cfg, report, label.format(k=k, q=q), series, u0, window, q, specs, tol)
 
 
 def run_two_particle(cfg: ExperimentConfig, report: RunReport):
@@ -353,7 +347,7 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     _check_all_read(cfg)
     grid = _in_section("grid", make_grid, n, length)
     v = pot.sample(grid)
-    u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
+    u0 = _separable_datum(grid, _in_section("data", gaussian_field, grid, width).values, 2)
 
     def route_difference():
         # route equivalence at matched step counts
@@ -387,39 +381,26 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     # variable's free factor and the difference variable's potential factor
     factors = (PropagatorSpec("free", grid), PropagatorSpec("free-plus-potential", grid, pot))
     _decay_verdict(
-        cfg,
-        report,
-        "two-particle decay slope",
-        series,
-        u0,
-        window,
-        INF,
-        sum(s.decay_rate(INF) for s in factors),
-        tol,
-        equivalence_l2_difference=diff,
+        cfg, report, "two-particle decay slope", series, u0, window, INF, factors, tol, equivalence_l2_difference=diff
     )
 
 
-def classify_lattice(m: int, n: int, denominator: int, indices=()) -> tuple[list, list]:
-    """Exact rational classification of the (1/p, 1/q) lattice, as the
-    header and the rows of strings of lattice.csv: triangle membership for
-    the product of dimensions (m, n) and admissibility for each index a+b."""
-    if denominator < 1:
-        raise ValueError(f"lattice denominator must be >= 1, got {denominator}")
-    pairs = [ExponentPair(Fraction(i, denominator), Fraction(j, denominator))
-             for i, j in itertools.product(range(denominator // 2 + 1), repeat=2)]
-    rows = [[str(p.inv_p), str(p.inv_q), str(in_triangle_T(p, m, n))] + [is_admissible(p, ab).value for ab in indices]
-            for p in pairs]
-    return ["inv_p", "inv_q", "in_triangle"] + [f"admissible_ab_{ab}" for ab in indices], rows
-
-
 def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
+    """Exact rational classification of the (1/p, 1/q) lattice in
+    lattice.csv: triangle membership for the product of dimensions (m, n)
+    and admissibility for each index a+b."""
     m = _get(cfg, "exponents", "m", 2, int)
     n = _get(cfg, "exponents", "n", 2, int)
     denominator = _get(cfg, "exponents", "denominator", 12, int)
     indices = _get(cfg, "exponents", "indices", _fractions_from_str("1/2,1,3/2,2,3"), _fractions_from_str)
     _check_all_read(cfg)
-    header, rows = classify_lattice(m, n, denominator, indices)
+    if denominator < 1:
+        raise ValueError(f"lattice denominator must be >= 1, got {denominator}")
+    pairs = [ExponentPair(Fraction(i, denominator), Fraction(j, denominator))
+             for i, j in itertools.product(range(denominator // 2 + 1), repeat=2)]
+    header = ["inv_p", "inv_q", "in_triangle"] + [f"admissible_ab_{ab}" for ab in indices]
+    rows = [[str(p.inv_p), str(p.inv_q), str(in_triangle_T(p, m, n))] + [is_admissible(p, ab).value for ab in indices]
+            for p in pairs]
     _write_csv(cfg, "lattice.csv", header, rows)
     # a count and no verdict: the classification is exact, and no run
     # measures the region it states
@@ -439,7 +420,7 @@ def _nls_setup(cfg: ExperimentConfig):
     mu = _get(cfg, "nls", "mu", 1.0, float)
     grid = _in_section("grid", make_grid, n, length)
     specs = [PropagatorSpec("free", grid)] * 2
-    u0 = _separable_datum(grid, gaussian_field(grid, width).values, 2)
+    u0 = _separable_datum(grid, _in_section("data", gaussian_field, grid, width).values, 2)
     u0 = u0.with_values(_frozen(amp * u0.values))
     nl = _in_section("nls", Nonlinearity, gamma=gamma, mu=mu)
     sel = select_nls_exponents(1, 1, nl.exact_gamma)

@@ -360,7 +360,9 @@ def lp_norm(u: Field | SeparableField, r) -> float:
 
 
 def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None) -> Field:
-    """Gaussian bump exp(-(x-center)^2 / (2 width^2)), torus-centered by default."""
+    """Gaussian bump exp(-(x-center)^2 / (2 width^2)), torus-centered by
+    default. A bump that is 0 at every node, too narrow to reach one or
+    centred too far from the grid, is a ValueError."""
     if center is None:
         center = grid.length / 2 if grid.kind == EUCLIDEAN else grid.length / 8
     x = grid.nodes
@@ -368,4 +370,7 @@ def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None
         d = np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2
     else:
         d = x - center
-    return Field((grid,), _frozen(np.exp(-(d**2) / (2.0 * width**2))))
+    values = np.exp(-(d**2) / (2.0 * width**2))
+    if not values.max() > 0:
+        raise ValueError(f"width = {width} and center = {center} give a Gaussian that is 0 at every node")
+    return Field((grid,), _frozen(values))

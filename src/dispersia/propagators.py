@@ -372,7 +372,7 @@ def product_propagate(specs, u: Field | SeparableField, t: float) -> Field | Sep
     specs = _check_specs(specs, u.grids)
     if isinstance(u, SeparableField):
         return SeparableField(tuple(product_propagate([s], f, t) for s, f in zip(specs, u.factors)))
-    flow = spectral_product(specs, u.grids)
+    flow = SpectralProduct(tuple(s.factor for s in specs))
     return u.with_values(_frozen(flow.propagate_coefficients(_forward_coefficients(flow, u), t)))
 
 

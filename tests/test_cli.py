@@ -410,6 +410,33 @@ class TestExitCodes:
         assert f"[grid] {key}" in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize(
+        "name, settings",
+        [
+            ("hyperbolic-decay", "[data]\ncenter = 400\n"),
+            ("hyperbolic-decay", "[data]\ncenter = -50\n"),
+            ("two-particle", "[data]\nwidth = 0.005\n"),
+            ("free-product-decay", "[grid]\nn_points = 1023\n[data]\nwidth = 0.005\n"),
+        ],
+        ids=["h3-center-400", "h3-center-minus-50", "two-particle-width", "free-width-odd-grid"],
+    )
+    def test_zero_datum_refused(self, tmp_path, capsys, output_root, monkeypatch, name, settings):
+        # a Gaussian centred far off the grid, or narrower than the node
+        # spacing about a centre between nodes, is 0 at every node; it is
+        # refused as the [data] settings that gave it, before any
+        # eigenbasis, worker thread or artifact, and not after every solve
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the datum check")
+
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", never)
+        path = write_config(tmp_path, f"[experiment]\nname = {name}\n{settings}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", path]) == EXIT_CONFIG
+        assert "[data] width" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_malformed_config_leaves_no_outputs(self, tmp_path, capsys, output_root):
         path = write_config(tmp_path, "[experiment]\nname = \n[[[\n")
         assert main(["run", path]) == EXIT_CONFIG
@@ -616,41 +643,6 @@ class TestDecayDefaults:
         assert f" predicted=-{self.PREDICTED[preset, k]} " in verdicts[0]
 
 
-class TestAdmissibleSubcommand:
-    def test_lattice_csv_on_stdout(self, capsys):
-        assert main(["admissible", "--m", "2", "--n", "2", "--grid", "12"]) == EXIT_OK
-        out = capsys.readouterr().out.strip().splitlines()
-        header = out[0].split(",")
-        assert header[:3] == ["inv_p", "inv_q", "in_triangle"]
-        assert len(out) == 1 + 7 * 7
-
-    def test_isolated_point_row_present(self, capsys):
-        main(["admissible", "--m", "2", "--n", "2", "--grid", "12", "--indices", "2"])
-        out = capsys.readouterr().out
-        assert "0,1/2,True" in out
-
-    @pytest.mark.parametrize("denominator", ["0", "-2"])
-    def test_nonpositive_grid_refused(self, capsys, denominator):
-        assert main(["admissible", "--m", "2", "--n", "2", "--grid", denominator]) == EXIT_INVALID_ARGUMENT
-        assert "denominator" in capsys.readouterr().err
-
-    def test_zero_denominator_index_refused(self, capsys):
-        # a zero denominator is an invalid argument, like any malformed index
-        assert main(["admissible", "--m", "2", "--n", "2", "--indices", "1/2,1/0"]) == EXIT_INVALID_ARGUMENT
-        assert "1/0" in capsys.readouterr().err
-
-    def test_negative_index_refused(self, capsys):
-        # an index a+b is a sum of decay rates, which are nonnegative
-        assert main(["admissible", "--m", "2", "--n", "2", "--indices=-1"]) == EXIT_INVALID_ARGUMENT
-        assert "must be nonnegative" in capsys.readouterr().err
-
-    def test_endpoint_classified(self, capsys):
-        main(["admissible", "--m", "2", "--n", "2", "--grid", "4", "--indices", "2"])
-        rows = capsys.readouterr().out.strip().splitlines()
-        endpoint_rows = [r for r in rows if r.endswith("endpoint")]
-        assert endpoint_rows == ["1/2,1/4,True,endpoint"]
-
-
 class TestRunArtifacts:
     def run_admissible(self, tmp_path, output_root, subdir="a"):
         path = write_config(
@@ -696,6 +688,15 @@ class TestRunArtifacts:
         by_pair = {(row["inv_p"], row["inv_q"]): row for row in rows}
         assert by_pair["1/4", "0"]["admissible_ab_1/2"] == "admissible"
         assert by_pair["1/2", "0"]["admissible_ab_1"] == "not-admissible"
+
+    def test_endpoint_classified(self, tmp_path, capsys, output_root):
+        # on the 1/4 lattice at a+b = 2 the one endpoint is (p, q) = (2, 4)
+        path = write_config(
+            tmp_path, "[experiment]\nname = admissible-region\n[exponents]\ndenominator = 4\nindices = 2\n"
+        )
+        assert main(["run", path]) == EXIT_OK
+        rows = (output_root / "admissible-region" / "lattice.csv").read_text().splitlines()[2:]
+        assert [r for r in rows if r.endswith("endpoint")] == ["1/2,1/4,True,endpoint"]
 
     def test_lattice_columns_follow_indices(self, tmp_path, capsys, output_root):
         # the indices key is a comma list of exact rationals, spaces and an
