@@ -375,6 +375,14 @@ class TestExitCodes:
         assert "must be nonnegative" in capsys.readouterr().err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("key", ["m", "n"])
+    def test_small_lattice_dimension_refused(self, tmp_path, capsys, output_root, key):
+        # the triangle T(m, n) is stated for factor dimensions m, n >= 2
+        path = write_config(tmp_path, f"[experiment]\nname = admissible-region\n[exponents]\n{key} = 1\n")
+        assert main(["run", path]) == EXIT_INVALID_ARGUMENT
+        assert "factor dimensions must be >= 2" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
         # sinh(r)^2 overflows float64 near r = 355
         path = write_config(tmp_path, "[experiment]\nname = hyperbolic-decay\n[grid]\nr_max = 800\n")
@@ -688,6 +696,26 @@ class TestRunArtifacts:
         by_pair = {(row["inv_p"], row["inv_q"]): row for row in rows}
         assert by_pair["1/4", "0"]["admissible_ab_1/2"] == "admissible"
         assert by_pair["1/2", "0"]["admissible_ab_1"] == "not-admissible"
+
+    def test_lattice_rows_and_header(self, tmp_path, capsys, output_root):
+        # an odd denominator stops each axis at the last multiple below
+        # 1/2: 0, 1/5, 2/5 in 1/p and 1/q, so 3 x 3 rows
+        path = write_config(tmp_path, "[experiment]\nname = admissible-region\n[exponents]\ndenominator = 5\n")
+        assert main(["run", path]) == EXIT_OK
+        lines = (output_root / "admissible-region" / "lattice.csv").read_text().splitlines()[1:]
+        assert lines[0].split(",")[:3] == ["inv_p", "inv_q", "in_triangle"]
+        assert {tuple(r.split(",")[:2]) for r in lines[1:]} == {
+            (p, q) for p in ("0", "1/5", "2/5") for q in ("0", "1/5", "2/5")
+        }
+        assert len(lines) == 1 + 3 * 3
+
+    def test_isolated_point_row_present(self, tmp_path, capsys, output_root):
+        # (0, 1/2) is in the triangle though the rest of its edge is not,
+        # and at a+b = 2 it is on the scaling line 2/p + 4/q = 2
+        path = write_config(tmp_path, "[experiment]\nname = admissible-region\n[exponents]\nindices = 2\n")
+        assert main(["run", path]) == EXIT_OK
+        rows = (output_root / "admissible-region" / "lattice.csv").read_text().splitlines()[2:]
+        assert "0,1/2,True,admissible" in rows
 
     def test_endpoint_classified(self, tmp_path, capsys, output_root):
         # on the 1/4 lattice at a+b = 2 the one endpoint is (p, q) = (2, 4)
