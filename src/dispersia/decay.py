@@ -35,7 +35,7 @@ class DecayFit:
     n_samples: int
 
 
-def norm_series(evolve, u0: Field | SeparableField, times, r, sequential: bool = False):
+def norm_series(evolve, u0: Field | SeparableField, times, r):
     """||u(t)||_r at each time, with wrap-around flags. A flag is sticky:
     mass that has reached the boundary and left its band again still
     contaminates the state, so every sample after a flagged one is flagged.
@@ -43,23 +43,17 @@ def norm_series(evolve, u0: Field | SeparableField, times, r, sequential: bool =
     `evolve` is a closure (u, t) -> state taking and returning the kind of
     state u0 is: a dense Field, or a SeparableField that the product flow
     keeps factored (its norms and wrap flags are then computed per factor).
-    With sequential=True each sample continues from the previous one via
-    time additivity (useful for split-step flows); otherwise each time is
-    reached directly from u0.
+    It is called as evolve(u0, t) once per time, in time order, so it may
+    also continue from its own last state (the two-particle Strang series).
     """
     times = [float(t) for t in times]
     if not all(0 < t < math.inf for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, strictly positive and increasing")
     centers = peak_centers(u0)
     out = []
-    current, t_current = u0, 0.0
     flagged = False
     for t in times:
-        if sequential:
-            current = evolve(current, t - t_current)
-            t_current = t
-        else:
-            current = evolve(u0, t)
+        current = evolve(u0, t)
         flagged = flagged or boundary_mass_fraction(current, centers) > 0.01
         out.append(SeriesSample(t=t, value=lp_norm(current, r), flagged=flagged))
     return out

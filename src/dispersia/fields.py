@@ -97,13 +97,11 @@ def _by_rows(fn, values: np.ndarray) -> list:
     group of whole rows (axis 0) of values, at least one row and at most
     about _GROUP_POINTS points. Below _THREAD_MIN_POINTS every group runs
     on this thread; from there up _in_blocks runs one contiguous run of
-    whole groups per transform_workers(values) thread. A 0-d array is one
-    call, fn(...). A step that is elementwise, a reduction per row, a max
-    or an all gives the same bits for any grouping: the finite L^r norms
-    and the wrap monitor walk the values as rows of their last axis, each
-    group summing its rows with _sum_last_axis."""
-    if values.ndim == 0:
-        return [fn(...)]
+    whole groups per transform_workers(values) thread. A step that is
+    elementwise, a reduction per row, a max or an all gives the same bits
+    for any grouping: the finite L^r norms and the wrap monitor walk the
+    values as rows of their last axis, each group summing its rows with
+    _sum_last_axis."""
     n = len(values)
     step = max(1, _GROUP_POINTS * n // max(values.size, 1))
     groups = [slice(i, min(i + step, n)) for i in range(0, n, step)]
@@ -361,8 +359,10 @@ def lp_norm(u: Field | SeparableField, r) -> float:
 
 def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None) -> Field:
     """Gaussian bump exp(-(x-center)^2 / (2 width^2)), torus-centered by
-    default. A bump that is 0 at every node, too narrow to reach one or
-    centred too far from the grid, is a ValueError."""
+    default. Where a square or the quotient overflows, the bump takes its
+    exact float limit 0. A width whose 2 width^2 is not a positive finite
+    float, and a bump that is 0 at every node, too narrow to reach one or
+    centred too far from the grid, are ValueErrors."""
     if center is None:
         center = grid.length / 2 if grid.kind == EUCLIDEAN else grid.length / 8
     x = grid.nodes
@@ -370,7 +370,11 @@ def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None
         d = np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2
     else:
         d = x - center
-    values = np.exp(-(d**2) / (2.0 * width**2))
+    with np.errstate(over="ignore"):
+        scale = 2.0 * np.float64(width) ** 2
+        if not 0 < scale < math.inf:
+            raise ValueError(f"width = {width} gives 2 width^2 = {scale}, not a positive finite float")
+        values = np.exp(-(d**2) / scale)
     if not values.max() > 0:
         raise ValueError(f"width = {width} and center = {center} give a Gaussian that is 0 at every node")
     return Field((grid,), _frozen(values))

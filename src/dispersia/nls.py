@@ -29,7 +29,7 @@ import numpy as np
 from .decay import time_norm
 from .exponents import NLSExponentSelection, select_nls_exponents
 from .fields import Field, _frozen, values_lp_norm, values_lp_norms
-from .propagators import spectral_product
+from .propagators import _strang, spectral_product
 
 
 @dataclass(frozen=True)
@@ -104,33 +104,29 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
     """Strang-split NLS states at the saved_steps of T, dt and save_stride,
     under the product flow of `specs` (one spec per axis of u0), yielded as
     (time, Field) pairs in time order: u0 itself at time 0, then a Field of
-    a fresh copy of each saved state, which the Field checks finite once.
-    The loop never writes to u0. The linear step is one forward transform,
-    the phase of dt (built once) and one inverse transform, each free to
-    overwrite its input; the nonlinear substeps run in place, in two
-    buffers kept for the whole run."""
+    each saved state. Each interval between saved states is one _strang
+    loop on its own copy of the last one. The linear step is one forward
+    transform, the phase of dt (built once) and one inverse transform, each
+    free to overwrite; the nonlinear substeps run in place, in two buffers
+    kept for the whole run."""
     saved = saved_steps(T, dt, save_stride)
-    n_steps = saved[-1]
     flow = spectral_product(specs, u0.grids)
     kinetic = flow.phase(dt)
     work = (np.empty(u0.values.shape), np.empty(u0.values.shape, dtype=complex))
-    yield 0.0, u0
-    j = 1
-    values = _nonlinear_substep(u0.values.copy(), nl, dt / 2, work)
-    for step in range(1, n_steps + 1):
+
+    def linear_step(values):
         coeffs = flow.forward(values, overwrite=True)
         coeffs *= kinetic
-        values = flow.inverse(coeffs, overwrite=True)
-        if step == saved[j]:
-            values = _nonlinear_substep(values, nl, dt / 2, work)
-            yield step * dt, Field(u0.grids, _frozen(values.copy()))
-            j += 1
-            if step < n_steps:
-                values = _nonlinear_substep(values, nl, dt / 2, work)
-        else:
-            # the exact phase rotations form a group: the closing half step
-            # of this step and the opening one of the next are one full step
-            values = _nonlinear_substep(values, nl, dt, work)
+        return flow.inverse(coeffs, overwrite=True)
+
+    def nonlinear_step(values, s):
+        return _nonlinear_substep(values, nl, s * dt, work)
+
+    state = u0
+    yield 0.0, u0
+    for start, stop in zip(saved, saved[1:]):
+        state = Field(u0.grids, _frozen(_strang(state.values, linear_step, nonlinear_step, stop - start)))
+        yield stop * dt, state
 
 
 def splitstep_nls(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, save_stride: int = 1) -> list:

@@ -91,13 +91,13 @@ class PotentialSpec:
             raise ValueError(f"width must be finite and > 0 (a decaying V), got {self.width}")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Analytic profile at signed distances x from the center."""
-        d = (np.asarray(x, dtype=float) - self.center) / self.width
-        if self.family == "gaussian-bump":
-            return self.amplitude * np.exp(-(d**2))
-        # sech-squared: far from the center cosh(d)^2 overflows to inf, and
-        # the quotient is then the exact float limit 0
+        """Analytic profile at signed distances x from the center. Far from
+        the center d, d^2 or cosh(d)^2 overflows to inf, and the profile is
+        then its exact float limit 0."""
         with np.errstate(over="ignore"):
+            d = (np.asarray(x, dtype=float) - self.center) / self.width
+            if self.family == "gaussian-bump":
+                return self.amplitude * np.exp(-(d**2))
             return self.amplitude / np.cosh(d) ** 2
 
     def sample(self, grid: Grid1D) -> np.ndarray:
@@ -256,15 +256,22 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
     return SpectralFactor(forward, inverse, dual_lattice**2 + RHO_H3**2)
 
 
-def _strang(values: np.ndarray, kinetic_step, half_phase: np.ndarray, steps: int) -> np.ndarray:
-    """Strang splitting h K (h h K)^(steps-1) h: `kinetic_step` is one
-    kinetic step of the split flow, the potential half-phases outermost."""
-    full = half_phase * half_phase
-    out = values * half_phase
+def _strang(values: np.ndarray, kinetic_step, pointwise_step, steps: int) -> np.ndarray:
+    """Strang splitting P(1/2) K (P(1) K)^(steps-1) P(1/2) on one C-ordered
+    complex copy of `values`: K is `kinetic_step(x)` and P(s) the pointwise
+    flow `pointwise_step(x, s)` over s steps, a group, so the two half steps
+    between kinetic steps are one full step. Each may overwrite x."""
+    out = pointwise_step(np.array(values, dtype=complex, order="C"), 0.5)
     for k in range(steps):
         out = kinetic_step(out)
-        out *= full if k < steps - 1 else half_phase
+        out = pointwise_step(out, 1.0 if k < steps - 1 else 0.5)
     return out
+
+
+def _phase_step(half: np.ndarray):
+    """The pointwise step of the potential phase `half` per half step, in place."""
+    full = half * half
+    return lambda x, s: np.multiply(x, half if s < 1 else full, out=x)
 
 
 def _check_specs(specs, grids) -> list:
@@ -466,7 +473,7 @@ def two_particle_propagate(
                 x *= block_mult
                 return sfft.ifft(x, axis=1, workers=1, overwrite_x=True)
 
-            w[rows] = _strang(w[rows], kinetic, half, steps)
+            w[rows] = _strang(w[rows], kinetic, _phase_step(half), steps)
 
         fields._in_blocks(strang_rows, n, min(fields._cores(), n))
         w = sfft.ifft(w, axis=0, workers=workers, overwrite_x=True)
@@ -493,7 +500,7 @@ def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: fl
         w *= mult
         return sfft.ifft2(w, workers=workers, overwrite_x=True)
 
-    return u0.with_values(_frozen(_strang(u0.values, kinetic, half, steps)))
+    return u0.with_values(_frozen(_strang(u0.values, kinetic, _phase_step(half), steps)))
 
 
 def peak_centers(u: Field | SeparableField) -> tuple[float, ...]:

@@ -1,8 +1,9 @@
 """Independent oracles shared by the unit and acceptance tests, written
 directly from their definitions with no shared code with the library:
 the exponent classifiers, the dense product state of two fields, the
-product flow composed axis by axis, and the Plancherel weights of the H^3
-sine transform."""
+product flow composed axis by axis, the NLS split-step loop with its half
+steps merged by hand, and the Plancherel weights of the H^3 sine
+transform."""
 
 from fractions import Fraction
 
@@ -52,6 +53,29 @@ def per_axis_flow(factors, values: np.ndarray, t: float, axes=None) -> np.ndarra
         coeffs *= np.exp(-1j * t * factor.lam).reshape(shape)
         values = factor.inverse(coeffs, axis)
     return values
+
+
+def merged_splitstep(values: np.ndarray, linear_step, rotate, dt: float, saved) -> list:
+    """The Strang split-step with its half steps merged by hand, step by
+    step: a half rotation, then for each step the linear step and a full
+    rotation, except that a saved step closes with a half rotation, keeps a
+    copy and, unless it is the last, opens the next step with another half.
+    `rotate(values, tau)` is the pointwise flow over tau and `saved` the
+    saved steps, 0 first. Returns the copies kept at the saved steps after
+    step 0, in step order."""
+    n_steps = saved[-1]
+    kept = []
+    values = rotate(values.copy(), dt / 2)
+    for step in range(1, n_steps + 1):
+        values = linear_step(values)
+        if step in saved:
+            values = rotate(values, dt / 2)
+            kept.append(values.copy())
+            if step < n_steps:
+                values = rotate(values, dt / 2)
+        else:
+            values = rotate(values, dt)
+    return kept
 
 
 def h3_plancherel_weights(grid) -> np.ndarray:

@@ -425,14 +425,27 @@ class TestExitCodes:
             ("hyperbolic-decay", "[data]\ncenter = -50\n"),
             ("two-particle", "[data]\nwidth = 0.005\n"),
             ("free-product-decay", "[grid]\nn_points = 1023\n[data]\nwidth = 0.005\n"),
+            ("free-product-decay", "[data]\nwidth = 1e-170\n"),
+            ("free-product-decay", "[data]\nwidth = 1e160\n"),
+            ("hyperbolic-decay", "[data]\ncenter = 1e200\n"),
         ],
-        ids=["h3-center-400", "h3-center-minus-50", "two-particle-width", "free-width-odd-grid"],
+        ids=[
+            "h3-center-400",
+            "h3-center-minus-50",
+            "two-particle-width",
+            "free-width-odd-grid",
+            "free-width-square-underflows",
+            "free-width-square-overflows",
+            "h3-center-square-overflows",
+        ],
     )
     def test_zero_datum_refused(self, tmp_path, capsys, output_root, monkeypatch, name, settings):
         # a Gaussian centred far off the grid, or narrower than the node
-        # spacing about a centre between nodes, is 0 at every node; it is
-        # refused as the [data] settings that gave it, before any
-        # eigenbasis, worker thread or artifact, and not after every solve
+        # spacing about a centre between nodes, is 0 at every node, and a
+        # width whose 2 width^2 underflows to 0 or overflows gives no
+        # Gaussian; each is refused as the [data] settings that gave it,
+        # before any eigenbasis, worker thread or artifact, and not after
+        # every solve or with a warning
         def never(*args, **kwargs):
             raise AssertionError("ran past the datum check")
 

@@ -148,11 +148,23 @@ class TestNormSeries:
         _, u0, evolve = self.make_flow()
         assert norm_series(evolve, u0, [], 2) == []
 
-    def test_sequential_matches_direct_for_exact_flow(self):
+    def test_continuing_closure_matches_direct_for_exact_flow(self):
+        # evolve is called as evolve(u0, t) once per time, in time order, so
+        # a closure may continue from its own last state and time, as the
+        # two-particle Strang series does
         _, u0, evolve = self.make_flow()
-        direct = norm_series(evolve, u0, [1.0, 2.0, 4.0], math.inf)
-        sequential = norm_series(evolve, u0, [1.0, 2.0, 4.0], math.inf, sequential=True)
-        for a, b in zip(direct, sequential):
+        times = [1.0, 2.0, 4.0]
+        calls, last = [], [u0, 0.0]
+
+        def continue_to(u, t):
+            calls.append((u is u0, t))
+            last[:] = [evolve(last[0], t - last[1]), t]
+            return last[0]
+
+        direct = norm_series(evolve, u0, times, math.inf)
+        continued = norm_series(continue_to, u0, times, math.inf)
+        assert calls == [(True, t) for t in times]
+        for a, b in zip(direct, continued):
             assert a.value == pytest.approx(b.value, rel=1e-10)
 
     def test_nonpositive_times_rejected(self):

@@ -335,9 +335,6 @@ class TestRowBlocks:
         assert [a for a, _ in got] + [shape[0]] == [0] + [b for _, b in got]
         assert all(b > a and (b - a) * row <= max(row, fields._GROUP_POINTS) for a, b in got)
 
-    def test_zero_dimensional_is_one_call(self):
-        assert _by_rows(lambda rows: rows, np.array(1.0)) == [Ellipsis]
-
     def test_blocks_tile_the_range(self):
         # _in_blocks, the runner under _by_rows and the two-particle Strang
         # loop: contiguous blocks in row order, the first on this thread

@@ -31,7 +31,7 @@ from dispersia.nls import (
     splitstep_states,
 )
 from dispersia.propagators import PotentialSpec, PropagatorSpec, product_propagate, spectral_product
-from oracles import product_field
+from oracles import merged_splitstep, product_field
 
 
 def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
@@ -216,6 +216,32 @@ class TestSplitstepBuffers:
             got = _nonlinear_substep(buffered, nl, dt, work)
             assert got is buffered
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("setup", [small_data_setup, free_h3_setup], ids=["free-free", "free-h3"])
+    def test_matches_merged_loop_bit_for_bit(self, setup, stride):
+        # one _strang loop per saved interval gives the bits of the loop that
+        # merges the half steps by hand; 23 steps are a multiple of neither
+        # stride 3 nor 10, so the last interval is a short one
+        u0, specs = setup(amplitude=0.3)
+        nl = Nonlinearity(gamma=3.0)
+        T, dt = 2.3, 0.1
+        flow = spectral_product(specs, u0.grids)
+        kinetic = flow.phase(dt)
+        saved = nls.saved_steps(T, dt, stride)
+        expected = merged_splitstep(
+            u0.values,
+            lambda x: flow.inverse(flow.forward(x) * kinetic),
+            lambda x, tau: self.gauge_oracle(x, nl, tau),
+            dt,
+            saved,
+        )
+        states = list(splitstep_states(u0, nl, specs, T, dt, stride))
+        assert [t for t, _ in states] == [step * dt for step in saved]
+        assert len(expected) == len(states) - 1
+        for (_, state), values in zip(states[1:], expected):
+            got = np.ascontiguousarray(state.values)
+            assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
 
     def test_saved_slices_match_stride_one(self):
         u0, specs = small_data_setup(n=64, length=32.0, amplitude=0.3)
