@@ -418,14 +418,14 @@ def _nls_setup(cfg: ExperimentConfig):
     length = _get(cfg, "grid", "length", 64.0, float)
     width = _positive(cfg, "data", "width", 2.0)
     amp = _get(cfg, "data", "amplitude", 0.05, float)
-    gamma = _get(cfg, "nls", "gamma", 3.0, float)
+    gamma = _get(cfg, "nls", "gamma", Fraction(3), _fraction)
     mu = _get(cfg, "nls", "mu", 1.0, float)
     grid = _in_section("grid", make_grid, n, length)
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = _separable_datum(grid, _in_section("data", gaussian_field, grid, width).values, 2)
     u0 = u0.with_values(_frozen(amp * u0.values))
     nl = _in_section("nls", Nonlinearity, gamma=gamma, mu=mu)
-    sel = select_nls_exponents(1, 1, nl.exact_gamma)
+    sel = select_nls_exponents(1, 1, nl.gamma)
     return u0, specs, nl, sel
 
 
@@ -478,7 +478,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         result.converged and contracting,
         f"ratios={['%.3e' % r for r in ratios]}",
     )
-    expected = 2.0 ** -(nl.gamma - 1)
+    expected = 2.0 ** -nl.power
     scale_ok = abs(r_half / r_full - expected) <= scaling_tol * expected
     report.add(
         "contraction ratio data-size scaling",

@@ -10,17 +10,18 @@ anyone may still write is copied once. Norms are quadrature weighted so
 that a sampled function's norm approximates the continuum one.
 
 The thread rule of the package lives here, in its lowest module:
-`transform_workers` is the thread count of every transform and of the
-state-sized pointwise steps that `_by_rows` runs once per group of whole
-rows of about _GROUP_POINTS points (the finiteness check of a Field and
-the L^r norms here; the spectral phase, the H^3 sinh scalings and the
-wrap monitor in propagators), so each temporary is group-sized. A finite
-norm and the wrap monitor sum over the product measure one axis at a
-time with _sum_last_axis, the package's one weighted-sum rule.
-`_in_blocks` runs contiguous blocks, one on the calling thread and the
-others on one pool: the runs of whole groups of `_by_rows`, one per
-thread, and the row blocks of the two-particle Strang loop, one per core
-at any size, since each of its blocks carries a whole loop.
+`transform_workers` is the thread count of every transform, which
+`_by_lines` runs once per group of whole lines, and of the state-sized
+pointwise steps that `_by_rows` runs once per group of whole rows of
+about _GROUP_POINTS points (the finiteness check of a Field and the L^r
+norms here; the spectral phase and the wrap monitor in propagators), so
+each temporary is group-sized. A finite norm and the wrap monitor sum
+over the product measure one axis at a time with _sum_last_axis, the
+package's one weighted-sum rule. `_in_blocks` runs contiguous blocks,
+one on the calling thread and the others on one pool: the runs of whole
+groups of `_by_rows` and `_by_lines`, one per thread, and the row blocks
+of the two-particle Strang loop, one per core at any size, since each of
+its blocks carries a whole loop.
 """
 
 from __future__ import annotations
@@ -61,12 +62,12 @@ def _cores() -> int:
 
 
 def transform_workers(values: np.ndarray) -> int:
-    """The thread count of a state-sized step on `values`: the `workers` of
-    a scipy.fft call, and the number of runs of row groups of _by_rows.
-    Every core the process may run on from 2**18 points up, one below
-    that. The threads split the batch of 1-D transforms, or the row groups
-    of a pointwise step, each computed as on one thread, so the result does
-    not depend on the count."""
+    """The thread count of a state-sized step on `values`: the number of
+    runs of row groups of _by_rows, and of line groups of a transform
+    (_by_lines). Every core the process may run on from 2**18 points up,
+    one below that. The threads split the batch of 1-D transforms, or the
+    row groups of a pointwise step, each computed as on one thread, so the
+    result does not depend on the count."""
     if values.size < _THREAD_MIN_POINTS:
         return 1
     return _cores()
@@ -102,8 +103,29 @@ def _by_rows(fn, values: np.ndarray) -> list:
     for any grouping: the finite L^r norms and the wrap monitor walk the
     values as rows of their last axis, each group summing its rows with
     _sum_last_axis."""
+    return _in_groups(fn, values, _GROUP_POINTS)
+
+
+def _by_lines(fn, values: np.ndarray, axis: int, points: int) -> np.ndarray:
+    """fn(lines) on groups of whole lines of values along `axis`, and then
+    values: each `lines` is a view of values with the lines on its last
+    axis, and the groups are _by_rows's groups of the axes before it, of
+    about `points` points, threaded as _by_rows's are. A 1-D array is one
+    line. Every transform runs here, one 1-D transform per line, each
+    computed as on one thread, so its bits do not depend on the grouping
+    or the thread count."""
+    lines = np.moveaxis(values, axis, -1)
+    if lines.ndim == 1:
+        fn(lines)
+    else:
+        _in_groups(lambda rows: fn(lines[rows]), lines, points)
+    return values
+
+
+def _in_groups(fn, values: np.ndarray, points: int) -> list:
+    """_by_rows with groups of about `points` points."""
     n = len(values)
-    step = max(1, _GROUP_POINTS * n // max(values.size, 1))
+    step = max(1, points * n // max(values.size, 1))
     groups = [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
     def run(span):

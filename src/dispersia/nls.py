@@ -34,23 +34,25 @@ from .propagators import _strang, spectral_product
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Gauge-invariant power nonlinearity F(u) = mu |u|^(gamma-1) u."""
+    """Gauge-invariant power nonlinearity F(u) = mu |u|^(gamma-1) u. gamma
+    is kept as the exact rational it was given as (a float is its exact
+    binary value), which every hypothesis check compares; the power
+    computes with `power`, gamma - 1 as a float."""
 
-    gamma: float
+    gamma: Fraction
     mu: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1 < self.gamma < math.inf:
+            raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
         if complex(self.mu).imag != 0:
             # the exact phase-rotation substep keeps |u| only for real mu
             raise ValueError(f"mu must be real, got {self.mu!r}")
 
     @property
-    def exact_gamma(self) -> Fraction:
-        """gamma as the exact rational every hypothesis check compares: the
-        closest fraction with denominator at most 10^6."""
-        return Fraction(self.gamma).limit_denominator(10**6)
+    def power(self) -> float:
+        return float(self.gamma) - 1
 
 
 def apply_nonlinearity(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
@@ -58,7 +60,7 @@ def apply_nonlinearity(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
     the |u| temporary, which gives mu * |u| ** (gamma - 1) * u bit for
     bit."""
     mag = np.abs(values)
-    mag **= nl.gamma - 1
+    mag **= nl.power
     mag = nl.mu * mag
     return mag * values
 
@@ -73,7 +75,7 @@ def _nonlinear_substep(values: np.ndarray, nl: Nonlinearity, dt: float, work) ->
     # the operations and their order of dt * mu * |u| ** (gamma - 1),
     # cos and -sin, then values * phase: results stay bit for bit
     np.abs(values, out=angle)
-    angle **= nl.gamma - 1
+    angle **= nl.power
     angle *= dt * complex(nl.mu).real
     np.cos(angle, out=phase.real)
     np.sin(angle, out=phase.imag)
@@ -176,7 +178,7 @@ def picard_iterate(
     time slices. Divergence (3 consecutive growing distances) is
     reported via contractive=False, not raised.
     """
-    select_nls_exponents(exponents.m, exponents.n, nl.exact_gamma)  # refuses a gamma outside its bound
+    select_nls_exponents(exponents.m, exponents.n, nl.gamma)  # refuses a gamma outside its bound
     p = float(exponents.p)
     q = float(exponents.q)
     times = [i * dt for i in range(_time_steps(T, dt) + 1)]

@@ -3,12 +3,14 @@
 Every factor kind is an operator diagonalised by a transform along its
 grid axis (a SpectralFactor): the free torus factor by the FFT, the
 free-plus-potential torus factor by its exact eigenbasis, and the radial
-H^3 factor by a sine transform (see h3_factor). On a product of factors
-`spectral_product` gives the flow as one forward transform per axis, one
-phase and one inverse transform per axis. `fields.transform_workers` is
-the thread count of every transform, and of the phase, the H^3 sinh
-scalings and the wrap monitor's |u|^2, each one call per group of whole
-rows, with a run of groups per thread (fields._by_rows). The two-particle
+H^3 factor by a sine transform computed with one complex FFT per line
+(see h3_factor). Every FFT is numpy.fft's, so the package needs no scipy.
+On a product of factors `spectral_product` gives the flow as one forward
+transform per axis, one phase and one inverse transform per axis.
+`fields.transform_workers` is the thread count of every transform, one
+call per group of whole lines along its axis (fields._by_lines), and of
+the phase and the wrap monitor's |u|^2, each one call per group of whole
+rows (fields._by_rows), with a run of groups per thread. The two-particle
 Strang loop runs on one block of rows per core at every size, each block
 with one-thread transforms and its own rows of the kinetic phase (see
 two_particle_propagate).
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import fields
 from .fields import (
@@ -40,6 +41,7 @@ from .fields import (
     Field,
     Grid1D,
     SeparableField,
+    _by_lines,
     _by_rows,
     _frozen,
     _squares_into,
@@ -147,13 +149,19 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
 
 
+def _fft_along(transform):
+    """`transform` (np.fft.fft or np.fft.ifft) along one axis, in place on
+    _own(values, overwrite), one call per group of lines (see _by_lines).
+    Each line is computed as by one whole-array call, so the bits do not
+    depend on the grouping or the thread count."""
+    return lambda values, axis, overwrite=False: _by_lines(
+        lambda lines: transform(lines, out=lines), _own(values, overwrite), axis, fields._GROUP_POINTS
+    )
+
+
 def _free_factor(grid: Grid1D) -> SpectralFactor:
     """The free torus factor: FFT along the axis, spectrum xi^2."""
-    return SpectralFactor(
-        lambda x, axis, overwrite=False: sfft.fft(x, axis=axis, workers=fields.transform_workers(x), overwrite_x=overwrite),
-        lambda x, axis, overwrite=False: sfft.ifft(x, axis=axis, workers=fields.transform_workers(x), overwrite_x=overwrite),
-        torus_frequencies(grid) ** 2,
-    )
+    return SpectralFactor(_fft_along(np.fft.fft), _fft_along(np.fft.ifft), torus_frequencies(grid) ** 2)
 
 
 def _matrix_along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
@@ -171,7 +179,11 @@ def _potential_factor(grid: Grid1D, potential: PotentialSpec) -> SpectralFactor:
     diag(V). Forward is E^T along the axis, inverse E, and the spectrum
     is the eigenvalues (Trefethen, Spectral Methods in MATLAB, 2000)."""
     n = grid.n_points
-    column = sfft.ifft(torus_frequencies(grid) ** 2).real
+    # the real part of the inverse FFT of the real, even xi^2 is the real
+    # half-spectrum of its forward FFT over n, mirrored: these are the bits
+    # of a real-input inverse FFT
+    half = np.fft.rfft(torus_frequencies(grid) ** 2, norm="forward").real
+    column = np.concatenate((half, half[1 : (n + 1) // 2][::-1]))
     # the circulant is symmetric, so it is the Toeplitz matrix column[|i - j|]:
     # row i is the window of (c[n-1], ..., c[1], c[0], c[1], ..., c[n-1])
     # that puts c[0] in column i
@@ -195,24 +207,76 @@ def _own(values, overwrite: bool) -> np.ndarray:
     return np.array(values, dtype=complex, order="C")
 
 
-def _complex_dst(transform, values: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
-    """The type-II `transform` (sfft.dst or sfft.idst) of complex values
-    along one axis as one real transform: the (re, im) pairs become a
-    trailing axis of a float view, where scipy would make two strided real
-    calls. Each 1-D transform is computed as before, so the result is
-    bit-identical. It is written, with overwrite_x, into _own(values,
-    overwrite), whose memory the returned array shares."""
-    x = _own(values, overwrite)
-    pairs = x.view(float).reshape(x.shape + (2,))
-    out = transform(pairs, type=2, axis=axis % x.ndim, workers=fields.transform_workers(x), overwrite_x=True)
-    return out.view(complex)[..., 0]
+# a sine transform works on a group of lines in two buffers of the group's
+# size, and a numpy product on them adds a buffer of up to 8192 elements.
+# A group of about this many points, and at most a sixteenth of the array,
+# keeps the three near cache size and, on a 256 x 280 state, below a
+# quarter of it (test_dense_product_allocation_budget); at 1024 x 1120,
+# groups of 2**13 points read a third slower
+_SINE_GROUP_POINTS = 2**15
 
 
-def _axis_shape(values: np.ndarray, axis: int, arr: np.ndarray) -> np.ndarray:
-    """A 1-D array reshaped to broadcast along one axis of values."""
-    shape = [1] * values.ndim
-    shape[axis] = arr.shape[0]
-    return arr.reshape(shape)
+def _sine_transforms(by_forward: np.ndarray, by_inverse: np.ndarray):
+    """(dst, idst) along one axis of n points, each (x, axis) -> x in place
+    on a writable complex x: dst is the unnormalised DST-II of
+    by_forward * x, y_k = 2 sum_j by_j x_j sin(pi (k + 1)(2j + 1) / (2n)),
+    and idst is by_inverse times its exact inverse (scipy's dst and idst of
+    type 2). Each line takes one complex FFT of length n (Makhoul, IEEE
+    Trans. ASSP 28, 1980): the even samples in order and the odd ones
+    reversed and negated, the FFT V, and y_{n-1-k} = w_k V_k + conj(w_k)
+    V_{n-k} with w_k = exp(-i pi k / (2n)) and V_n = V_0; the inverse
+    undoes each step. The scalings ride on the gather and the scatter.
+
+    A group of lines (see fields._by_lines) is read into two C-ordered
+    buffers of its size and written back by copies: every product and sum
+    runs on the buffers, where numpy's ufuncs need at most one buffer of
+    their own, and a copy needs none."""
+    n = len(by_forward)
+    h = (n + 1) // 2
+    w = np.exp(-0.5j * np.pi / n * np.arange(n))
+    w_conj = w.conj()
+    u = 0.5 * w_conj
+    u_shift = -1j * u
+    # the reordered scalings: the even samples, then the odd ones reversed
+    # and negated
+    gather = np.concatenate((by_forward[0::2], -by_forward[1::2][::-1]))
+    scatter = np.concatenate((by_inverse[0::2], -by_inverse[1::2][::-1]))
+
+    def dst_lines(lines):
+        v, t = np.empty((2, *lines.shape), dtype=complex)
+        np.copyto(v[..., :h], lines[..., 0::2])
+        np.copyto(v[..., h:], lines[..., 1::2][..., ::-1])
+        v *= gather
+        np.fft.fft(v, out=v)
+        # t_k = V_{n-k}
+        np.copyto(t[..., 1:], v[..., :0:-1])
+        np.copyto(t[..., 0], v[..., 0])
+        t *= w_conj
+        v *= w
+        v += t
+        np.copyto(lines, v[..., ::-1])
+
+    def idst_lines(lines):
+        # z_k = y_{n-1-k}; V_k = u_k (z_k - i z_{n-k}) with z_n = 0
+        v, t = np.empty((2, *lines.shape), dtype=complex)
+        np.copyto(v, lines[..., ::-1])
+        np.copyto(t[..., 1:], lines[..., :-1])
+        t[..., 0] = 0
+        v *= u
+        t *= u_shift
+        v += t
+        np.fft.ifft(v, out=v)
+        v *= scatter
+        np.copyto(lines[..., 0::2], v[..., :h])
+        np.copyto(lines[..., 1::2][..., ::-1], v[..., h:])
+
+    def group_points(x):
+        return min(_SINE_GROUP_POINTS, x.size // 16)
+
+    return (
+        lambda x, axis: _by_lines(dst_lines, x, axis, group_points(x)),
+        lambda x, axis: _by_lines(idst_lines, x, axis, group_points(x)),
+    )
 
 
 def h3_factor(grid: Grid1D) -> SpectralFactor:
@@ -224,36 +288,28 @@ def h3_factor(grid: Grid1D) -> SpectralFactor:
     transform, with the dual lattice lambda_k = k pi / r_max, k = 1..n. The
     spectrum is lambda^2 + rho^2 with rho = 1 (RHO_H3).
 
-    Normalization of the transform pair is operational: the inverse is the
-    exact inverse of the forward map. With the unnormalized type-II sine
-    transform the weighted L^2 norm of f equals a weighted l^2 norm of its
-    coefficients, with weight 4 pi dr / (2n) on every mode but the top one,
-    which carries half of it.
+    The sine transform is scipy's unnormalised DST-II and its inverse,
+    each line by one complex FFT of length n (Makhoul's algorithm; see
+    _sine_transforms). The normalization of the pair is operational: the
+    inverse is the exact inverse of the forward map. With the unnormalized
+    type-II sine transform the weighted L^2 norm of f equals a weighted
+    l^2 norm of its coefficients, with weight 4 pi dr / (2n) on every mode
+    but the top one, which carries half of it.
 
-    Both transforms scale and transform _own(values, overwrite) in place,
-    so with overwrite=True they allocate no state-sized array. A scaling is
-    one in-place multiply per row group (see fields._by_rows). The
-    inverse multiplies by a precomputed 1 / sinh(r): the bits of a division
-    by sinh(r), up to the sign of an exact zero, at about a third of its
-    cost."""
+    Both transforms run in place on _own(values, overwrite), so with
+    overwrite=True they allocate no state-sized array: the sinh(r) scaling
+    rides on the forward's gather and the 1 / sinh(r) scaling on the
+    inverse's scatter, one group of lines at a time. The inverse multiplies
+    by a precomputed 1 / sinh(r): the bits of a division by sinh(r), up to
+    the sign of an exact zero, at about a third of its cost."""
     sinh_r = np.sinh(grid.nodes)
-    inv_sinh_r = 1.0 / sinh_r
-
-    def scale(x, axis, by):
-        # x *= by along `axis`, in place; on axis 0 a group takes its rows of `by`
-        by = np.broadcast_to(_axis_shape(x, axis, by), x.shape)
-        _by_rows(lambda rows: np.multiply(x[rows], by[rows], out=x[rows]), x)
-        return x
-
-    def forward(values, axis, overwrite=False):
-        x = scale(_own(values, overwrite), axis, sinh_r)
-        return _complex_dst(sfft.dst, x, axis, overwrite=True)
-
-    def inverse(coeffs, axis, overwrite=False):
-        return scale(_complex_dst(sfft.idst, coeffs, axis, overwrite), axis, inv_sinh_r)
-
+    dst, idst = _sine_transforms(sinh_r, 1.0 / sinh_r)
     dual_lattice = np.pi * np.arange(1, grid.n_points + 1) / grid.length
-    return SpectralFactor(forward, inverse, dual_lattice**2 + RHO_H3**2)
+    return SpectralFactor(
+        lambda values, axis, overwrite=False: dst(_own(values, overwrite), axis),
+        lambda coeffs, axis, overwrite=False: idst(_own(coeffs, overwrite), axis),
+        dual_lattice**2 + RHO_H3**2,
+    )
 
 
 def _strang(values: np.ndarray, kinetic_step, pointwise_step, steps: int) -> np.ndarray:
@@ -450,12 +506,12 @@ def two_particle_propagate(
     if t > 0:
         dt = t / steps
         half = np.exp(-0.5j * dt * v)[np.newaxis, :]
-        xi2 = torus_frequencies(grid) ** 2
+        free = _free_factor(grid)
+        xi2 = free.lam
         idx = np.arange(n)
-        workers = fields.transform_workers(w)
         # w is the read-only view of a Field: the first transform copies,
         # and each block writes its rows back into the copy
-        w = sfft.fft(w, axis=0, workers=workers)
+        w = free.forward(w, 0)
 
         def strang_rows(rows):
             # the whole loop on one block of sum momenta, on one thread, with
@@ -469,14 +525,16 @@ def two_particle_propagate(
             block_mult = np.exp(-1j * dt * (xi2[(j + idx) % n] + xi2[(j - idx) % n]))
 
             def kinetic(x):
-                x = sfft.fft(x, axis=1, workers=1, overwrite_x=True)
+                # one call each on this block's thread: a block may not
+                # split its transforms again (see fields._in_blocks)
+                np.fft.fft(x, out=x)
                 x *= block_mult
-                return sfft.ifft(x, axis=1, workers=1, overwrite_x=True)
+                return np.fft.ifft(x, out=x)
 
             w[rows] = _strang(w[rows], kinetic, _phase_step(half), steps)
 
         fields._in_blocks(strang_rows, n, min(fields._cores(), n))
-        w = sfft.ifft(w, axis=0, workers=workers, overwrite_x=True)
+        w = free.inverse(w, 0, overwrite=True)
     return two_particle_rotate(u0.with_values(_frozen(w)), "inverse")
 
 
@@ -484,21 +542,29 @@ def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: fl
     """Reference two-particle solve in the original coordinates: 2-D Strang
     split-step with the sampled two-variable potential V(x - y). Each
     kinetic step runs in place on the Strang iterate, which `_strang`
-    allocates, so the caller's values are never written."""
+    allocates, so the caller's values are never written. The transforms
+    run one axis at a time, axis 0 first, as SpectralProduct's do; the
+    inverse scales once, by 1/n^2 after its axis-0 pass, where
+    SpectralProduct's scales by 1/n after each pass, and so keeps the bits
+    of a 2-D inverse FFT."""
     n = grid.n_points
     idx = np.arange(n)
-    xi = torus_frequencies(grid)
+    free = _free_factor(grid)
+    flow = SpectralProduct((free, free))
+    unscaled_inverse = _fft_along(functools.partial(np.fft.ifft, norm="forward"))
     dt = t / steps
-    mult = np.exp(-1j * dt * (xi[:, None] ** 2 + xi[None, :] ** 2))
+    mult = np.exp(-1j * dt * (free.lam[:, None] + free.lam[None, :]))
     # the half-phase of the samples V(x_j - y_k); the 2-D samples are freed
     # once it is built
     half = np.exp(-0.5j * dt * np.asarray(potential, dtype=float)[(idx[:, None] - idx[None, :]) % n])
-    workers = fields.transform_workers(u0.values)
 
     def kinetic(w):
-        w = sfft.fft2(w, workers=workers, overwrite_x=True)
+        w = flow.forward(w, overwrite=True)
         w *= mult
-        return sfft.ifft2(w, workers=workers, overwrite_x=True)
+        w = unscaled_inverse(w, 0, overwrite=True)
+        pairs = w.view(float)
+        pairs *= 1.0 / n**2
+        return unscaled_inverse(w, 1, overwrite=True)
 
     return u0.with_values(_frozen(_strang(u0.values, kinetic, _phase_step(half), steps)))
 

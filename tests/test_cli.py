@@ -6,6 +6,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import Future
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ class TestExitCodes:
             f"[experiment]\nname = {name}\n[nls]\ngamma = 3.0004\n[time]\nt_final = 1\ndt = 0.5\n",
         )
         assert main(["run", path]) == EXIT_HYPOTHESIS
+
+    @pytest.mark.parametrize("gamma", ["3.0000001", "3.0000004"])
+    def test_gamma_near_bound_checked_exactly(self, tmp_path, capsys, output_root, gamma):
+        # the bound is checked on the rational the config states: a gamma
+        # that rounds to 3 at denominator 10^6 is still above it
+        path = write_config(
+            tmp_path,
+            f"[experiment]\nname = nls-smalldata\n[nls]\ngamma = {gamma}\n[time]\nt_final = 1\ndt = 0.5\n",
+        )
+        assert main(["run", path]) == EXIT_HYPOTHESIS
+        assert f"gamma={Fraction(gamma)} outside" in capsys.readouterr().err
+        assert not output_root.exists()
+
+    def test_gamma_just_above_one_runs(self, tmp_path, capsys, output_root):
+        # 1.0000004 lies inside (1, 3] and runs, though it rounds to 1 at
+        # denominator 10^6
+        path = write_config(tmp_path, SMALL_SCATTERING.replace("[time]", "[nls]\ngamma = 1.0000004\n[time]"))
+        assert main(["run", path]) == EXIT_OK
+        assert (output_root / "nls-scattering" / "tails.csv").exists()
 
     @pytest.mark.parametrize("gamma", ["1", "0.5"])
     @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])

@@ -197,7 +197,7 @@ class TestSplitstepBuffers:
     @staticmethod
     def gauge_oracle(values, nl, dt):
         # the gauge-invariant substep as one expression, before its buffers
-        angle = dt * complex(nl.mu).real * np.abs(values) ** (nl.gamma - 1)
+        angle = dt * complex(nl.mu).real * np.abs(values) ** (float(nl.gamma) - 1)
         phase = np.empty(values.shape, dtype=complex)
         np.cos(angle, out=phase.real)
         np.negative(np.sin(angle), out=phase.imag)

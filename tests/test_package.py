@@ -1,14 +1,21 @@
 """The package surface and layout: every name that dispersia exports is
 used by the library itself, so no API exists only for its tests; the
-transforms live in one module, every import is at module level, and the
-dense path makes no BLAS call outside the potential eigenbasis."""
+package imports no scipy and runs without it, every import is at module
+level, and the dense path makes no BLAS call outside the potential
+eigenbasis."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import dispersia
 
 SRC = Path(dispersia.__file__).parent
+CONFIGS = Path(__file__).parent.parent / "scripts" / "configs"
 
 
 def exported_names() -> set[str]:
@@ -60,10 +67,33 @@ def imported_modules(tree) -> set[str]:
     return names
 
 
-def test_only_propagators_imports_scipy_fft():
-    # every factor kind, and so every transform, lives in propagators.py
-    importers = sorted(name for name, tree in module_trees().items() if "scipy.fft" in imported_modules(tree))
-    assert importers == ["propagators.py"]
+def test_no_module_imports_scipy():
+    # every transform is numpy.fft's; scipy is a test-only oracle
+    importers = sorted(
+        name
+        for name, tree in module_trees().items()
+        if any(module.split(".")[0] == "scipy" for module in imported_modules(tree))
+    )
+    assert importers == []
+
+
+@pytest.mark.parametrize("config", ["hyperbolic-decay", "potential-product-decay-2factor"])
+def test_runs_with_scipy_unimportable(tmp_path, config):
+    # a fresh interpreter in which `import scipy` raises runs the H^3 sine
+    # transform and the potential eigenbasis to exit 0
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dispersia.cli import main\n"
+        "sys.exit(main(['run', sys.argv[1]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "DISPERSIA_OUTPUT_ROOT": str(tmp_path)}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIGS / f"{config}.cfg")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "[PASS]" in result.stdout
 
 
 def test_no_import_inside_a_function():

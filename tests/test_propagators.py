@@ -1,8 +1,8 @@
 """Euclidean propagators through the product_propagate entry point: free
 flow against the closed-form Gaussian, the potential eigenbasis against
 Strang splitting, product factorization, flow properties of every factor kind, the two-particle
-rotation, the wrap monitor, and bit-identity of the threaded and real-view
-transforms."""
+rotation, the wrap monitor, bit-identity of the threaded and line-grouped
+transforms, and the sine transform against scipy's."""
 
 import functools
 import math
@@ -37,7 +37,7 @@ from dispersia.fields import (
 from dispersia.propagators import (
     PotentialSpec,
     PropagatorSpec,
-    _complex_dst,
+    _sine_transforms,
     boundary_mass_fraction,
     h3_factor,
     peak_centers,
@@ -853,14 +853,32 @@ class TestTransformThreads:
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
             assert np.array_equal(product_propagate(specs, u, 1.7).values, threaded)
 
-    @pytest.mark.parametrize("transform", [sfft.dst, sfft.idst], ids=["dst", "idst"])
-    def test_complex_dst_matches_scipy(self, transform):
+    @staticmethod
+    def dst_cases(n):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((48, 40)) + 1j * rng.standard_normal((48, 40))
-        cases = [(x, 0), (x, 1), (x, -1), (x[0], 0), (x[0], -1), (x.T, 0), (x.T, -1)]
-        for values, axis in cases:
-            expected = transform(values, type=2, axis=axis)
-            assert np.array_equal(_complex_dst(transform, values, axis), expected)
+        x = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
+        stack = rng.standard_normal((4, n, 5)) + 1j * rng.standard_normal((4, n, 5))
+        return [(x, 0), (x.T, 1), (x.T, -1), (x[:, 0], 0), (x[:, 0], -1), (stack, 1)]
+
+    @pytest.mark.parametrize("n", [7, 8, 40, 48])
+    def test_sine_transforms_match_scipy(self, n):
+        # the unscaled DST-II by one complex FFT per line, and its inverse,
+        # against scipy's type-2 dst and idst on 1-D, 2-D, transposed and
+        # 3-D inputs, along every axis
+        dst, idst = _sine_transforms(np.ones(n), np.ones(n))
+        for values, axis in self.dst_cases(n):
+            for transform, oracle in ((dst, sfft.dst), (idst, sfft.idst)):
+                expected = oracle(values, type=2, axis=axis)
+                got = transform(np.array(values, dtype=complex, order="C"), axis)
+                assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), (n, axis)
+
+    @pytest.mark.parametrize("n", [7, 8, 40, 48])
+    def test_sine_transforms_round_trip(self, n):
+        # the inverse undoes the forward: idst(dst(x)) is x
+        dst, idst = _sine_transforms(np.ones(n), np.ones(n))
+        for values, axis in self.dst_cases(n):
+            back = idst(dst(np.array(values, order="C"), axis), axis)
+            assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values)), (n, axis)
 
     def test_inverse_transforms_leave_coefficients_unchanged(self):
         # the H^3 factor's forward and inverse without overwrite write
@@ -889,17 +907,44 @@ class TestTransformThreads:
                 transform(stack)
                 assert np.array_equal(stack, kept)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_torus_product_matches_fftn(self, workers, monkeypatch):
-        # one transform per axis, axis 0 first both ways, is bit-identical
-        # to scipy's transform over both axes
-        monkeypatch.setattr(fields, "transform_workers", lambda values: workers)
-        grid = make_grid(256, 64.0)
-        flow = propagators.spectral_product([PropagatorSpec("free", grid)] * 2, [grid] * 2)
+    @pytest.mark.parametrize("shape", [(256, 256), (243, 243), (243, 280)], ids=str)
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_torus_product_matches_fftn(self, shape, blocks, monkeypatch):
+        # one transform per axis, axis 0 first both ways, in groups of 28 to
+        # 32 lines split over `blocks` threads, is bit-identical to scipy's
+        # forward transform over both axes and to its inverse transform one
+        # axis at a time (ifftn scales once by 1/(n0 n1), which at 243
+        # points is not the bits of 1/n0 and then 1/n1)
+        monkeypatch.setattr(fields, "transform_workers", lambda values: blocks)
+        monkeypatch.setattr(fields, "_THREAD_MIN_POINTS", 0)
+        monkeypatch.setattr(fields, "_GROUP_POINTS", 31 * 256)
+        grids = [make_grid(n, 64.0) for n in shape]
+        flow = propagators.spectral_product([PropagatorSpec("free", g) for g in grids], grids)
         rng = np.random.default_rng(5)
-        values = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-        assert np.array_equal(flow.forward(values), sfft.fftn(values, workers=workers))
-        assert np.array_equal(flow.inverse(values), sfft.ifftn(values, workers=workers))
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(flow.forward(values), sfft.fftn(values))
+        assert np.array_equal(flow.inverse(values), sfft.ifft(sfft.ifft(values, axis=0), axis=1))
+
+    def test_original_coordinates_reference_matches_scipy_oracle(self):
+        # the reference's 2-D Strang loop keeps the bits of scipy's fft2 and
+        # ifft2 at a grid size whose 1/n^2 is not exact
+        from dispersia.experiments import original_coordinates_reference
+
+        grid = make_grid(243, 60.0)
+        rng = np.random.default_rng(9)
+        u = Field((grid, grid), rng.standard_normal((243, 243)) + 1j * rng.standard_normal((243, 243)))
+        v = PotentialSpec("sech-squared", amplitude=0.5).sample(grid)
+        t, steps = 0.7, 5
+        idx = np.arange(243)
+        xi = torus_frequencies(grid)
+        mult = np.exp(-1j * (t / steps) * (xi[:, None] ** 2 + xi[None, :] ** 2))
+        half = np.exp(-0.5j * (t / steps) * v[(idx[:, None] - idx[None, :]) % 243])
+
+        def kinetic(x):
+            return sfft.ifft2(sfft.fft2(x) * mult)
+
+        oracle = propagators._strang(u.values, kinetic, propagators._phase_step(half), steps)
+        assert np.array_equal(original_coordinates_reference(grid, v, u, t, steps).values, oracle)
 
 
 class TestH3InPlace:
@@ -913,14 +958,18 @@ class TestH3InPlace:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("axis", [0, 1, -1])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_overwrite_transforms_in_place(self, direction, axis, workers, monkeypatch):
-        monkeypatch.setattr(fields, "transform_workers", lambda values: workers)
+        # against the transform on one block; groups of 2 lines (a
+        # sixteenth of the array) split over `workers` threads give its bits
         transform = getattr(h3_factor(self.grid), direction)
         values = self.values()
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
         expected = transform(values, axis)
+        monkeypatch.setattr(fields, "transform_workers", lambda values: workers)
+        monkeypatch.setattr(fields, "_THREAD_MIN_POINTS", 0)
         got = transform(values, axis, overwrite=True)
         assert np.shares_memory(got, values)
         assert bits_equal(got, expected)
@@ -1049,16 +1098,17 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_h3_scalings_independent_of_block_count(self, monkeypatch, axis):
-        # the sinh r and 1/sinh r scalings run once per row group, on
-        # axis 0 each group with its rows of the scale, in place under
-        # overwrite=True, with the bits of one whole-array multiply
+        # the sinh r and 1/sinh r scalings ride on each line group's gather
+        # and scatter, in place under overwrite=True, with the bits of one
+        # whole-array multiply and the unscaled transform on one block
         grid = self.h3_rows if axis == 0 else self.h3
         factor = h3_factor(grid)
         shape = [1, 1]
         shape[axis] = -1
         sinh_r = np.sinh(grid.nodes).reshape(shape)
-        expected = (_complex_dst(sfft.dst, self.values(29) * sinh_r, axis),
-                    _complex_dst(sfft.idst, self.values(30), axis) * (1.0 / sinh_r))
+        dst, idst = _sine_transforms(np.ones(grid.n_points), np.ones(grid.n_points))
+        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        expected = (dst(self.values(29) * sinh_r, axis), idst(self.values(30), axis) * (1.0 / sinh_r))
         for blocks in (1, 2, 3):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
             x, y = self.values(29), self.values(30)
