@@ -351,8 +351,8 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
 
     def route_difference():
         # route equivalence at matched step counts
-        rotated = two_particle_propagate(grid, v, u0, t_eq, steps_eq)
-        reference = original_coordinates_reference(grid, v, u0, t_eq, steps_eq)
+        rotated = two_particle_propagate(v, u0, t_eq, steps_eq)
+        reference = original_coordinates_reference(v, u0, t_eq, steps_eq)
         return lp_norm(rotated.with_values(_frozen(rotated.values - reference.values)), 2)
 
     state, t_prev = u0, 0.0
@@ -360,10 +360,10 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     def continue_to(u, t):
         # the Strang series goes on from its own last state and time
         nonlocal state, t_prev
-        state, t_prev = two_particle_propagate(grid, v, state, t - t_prev, math.ceil((t - t_prev) * spp)), t
+        state, t_prev = two_particle_propagate(v, state, t - t_prev, math.ceil((t - t_prev) * spp)), t
         return state
 
-    # The route solves and the decay series only read u0, grid and v and
+    # The route solves and the decay series only read u0 and v and
     # write arrays of their own, and the transforms and ufuncs release the
     # GIL, so the worker takes a core with results bit-identical to running
     # in sequence. The series stays on the calling thread (the Strang loops
@@ -535,7 +535,7 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     # the states in the order they are submitted, and every distance is the
     # same norm of the same difference, so the tails are bit-identical to
     # running in sequence. A worker exception re-raises from result().
-    acc = CauchyTails(specs, u0.grids)
+    acc = CauchyTails(specs)
     with ThreadPoolExecutor(max_workers=1) as pool:
         added = [pool.submit(acc.add, t, state) for t, state in splitstep_states(u0, nl, specs, T, dt, stride)]
         for future in added:

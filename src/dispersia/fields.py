@@ -10,18 +10,18 @@ anyone may still write is copied once. Norms are quadrature weighted so
 that a sampled function's norm approximates the continuum one.
 
 The thread rule of the package lives here, in its lowest module:
-`transform_workers` is the thread count of every transform, which
-`_by_lines` runs once per group of whole lines, and of the state-sized
-pointwise steps that `_by_rows` runs once per group of whole rows of
-about _GROUP_POINTS points (the finiteness check of a Field and the L^r
-norms here; the spectral phase and the wrap monitor in propagators), so
-each temporary is group-sized. A finite norm and the wrap monitor sum
-over the product measure one axis at a time with _sum_last_axis, the
+`transform_workers` is the thread count of every transform and of every
+state-sized pointwise step. `_by_rows`, the one group walk, runs a step
+once per group of whole rows (the finiteness check of a Field and the
+L^r norms here; the spectral phase and the wrap monitor in propagators),
+so each temporary is group-sized; `_by_lines` runs every transform on
+its groups of whole lines. A finite norm and the wrap monitor sum over
+the product measure one axis at a time with _sum_last_axis, the
 package's one weighted-sum rule. `_in_blocks` runs contiguous blocks,
 one on the calling thread and the others on one pool: the runs of whole
-groups of `_by_rows` and `_by_lines`, one per thread, and the row blocks
-of the two-particle Strang loop, one per core at any size, since each of
-its blocks carries a whole loop.
+groups of `_by_rows`, one per thread, and the row blocks of the
+two-particle Strang loop, one per core at any size, since each of its
+blocks carries a whole loop.
 """
 
 from __future__ import annotations
@@ -93,39 +93,18 @@ def _in_blocks(fn, n: int, blocks: int) -> list:
     return [first] + [f.result() for f in rest]
 
 
-def _by_rows(fn, values: np.ndarray) -> list:
+def _by_rows(fn, values: np.ndarray, points: int | None = None) -> list:
     """[fn(rows) for each group of rows], in row order: `rows` slices a
     group of whole rows (axis 0) of values, at least one row and at most
-    about _GROUP_POINTS points. Below _THREAD_MIN_POINTS every group runs
-    on this thread; from there up _in_blocks runs one contiguous run of
-    whole groups per transform_workers(values) thread. A step that is
-    elementwise, a reduction per row, a max or an all gives the same bits
-    for any grouping: the finite L^r norms and the wrap monitor walk the
-    values as rows of their last axis, each group summing its rows with
-    _sum_last_axis."""
-    return _in_groups(fn, values, _GROUP_POINTS)
-
-
-def _by_lines(fn, values: np.ndarray, axis: int, points: int) -> np.ndarray:
-    """fn(lines) on groups of whole lines of values along `axis`, and then
-    values: each `lines` is a view of values with the lines on its last
-    axis, and the groups are _by_rows's groups of the axes before it, of
-    about `points` points, threaded as _by_rows's are. A 1-D array is one
-    line. Every transform runs here, one 1-D transform per line, each
-    computed as on one thread, so its bits do not depend on the grouping
-    or the thread count."""
-    lines = np.moveaxis(values, axis, -1)
-    if lines.ndim == 1:
-        fn(lines)
-    else:
-        _in_groups(lambda rows: fn(lines[rows]), lines, points)
-    return values
-
-
-def _in_groups(fn, values: np.ndarray, points: int) -> list:
-    """_by_rows with groups of about `points` points."""
+    about `points` points (default _GROUP_POINTS). Below _THREAD_MIN_POINTS
+    every group runs on this thread; from there up _in_blocks runs one
+    contiguous run of whole groups per transform_workers(values) thread. A
+    step that is elementwise, a reduction per row, a max or an all gives
+    the same bits for any grouping: the finite L^r norms and the wrap
+    monitor walk the values as rows of their last axis, each group summing
+    its rows with _sum_last_axis."""
     n = len(values)
-    step = max(1, points * n // max(values.size, 1))
+    step = max(1, (_GROUP_POINTS if points is None else points) * n // max(values.size, 1))
     groups = [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
     def run(span):
@@ -135,6 +114,19 @@ def _in_groups(fn, values: np.ndarray, points: int) -> list:
         return run(slice(None))
     blocks = _in_blocks(run, len(groups), min(transform_workers(values), len(groups)))
     return [result for block in blocks for result in block]
+
+
+def _by_lines(fn, values: np.ndarray, axis: int, points: int | None = None) -> np.ndarray:
+    """fn(lines) on groups of whole lines of values along `axis`, and then
+    values: each `lines` is a view of values with the lines on its last
+    axis, and the groups are _by_rows's groups of the axes before it, of
+    about `points` points, threaded as _by_rows's are; a 1-D array is one
+    group of one line. Every transform runs here, one 1-D transform per
+    line, each computed as on one thread, so its bits do not depend on the
+    grouping or the thread count."""
+    lines = np.atleast_2d(np.moveaxis(values, axis, -1))
+    _by_rows(lambda rows: fn(lines[rows]), lines, points)
+    return values
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ rotation exp(-i mu |u|^(gamma-1) dt).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,19 +108,14 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
     under the product flow of `specs` (one spec per axis of u0), yielded as
     (time, Field) pairs in time order: u0 itself at time 0, then a Field of
     each saved state. Each interval between saved states is one _strang
-    loop on its own copy of the last one. The linear step is one forward
-    transform, the phase of dt (built once) and one inverse transform, each
-    free to overwrite; the nonlinear substeps run in place, in two buffers
-    kept for the whole run."""
+    loop on its own copy of the last one. The linear step is the product
+    flow's kinetic step (SpectralProduct.step) with the phase of dt, built
+    once; the nonlinear substeps run in place, in two buffers kept for the
+    whole run."""
     saved = saved_steps(T, dt, save_stride)
     flow = spectral_product(specs, u0.grids)
-    kinetic = flow.phase(dt)
+    kinetic = functools.partial(flow.step, phase=flow.phase(dt))
     work = (np.empty(u0.values.shape), np.empty(u0.values.shape, dtype=complex))
-
-    def linear_step(values):
-        coeffs = flow.forward(values, overwrite=True)
-        coeffs *= kinetic
-        return flow.inverse(coeffs, overwrite=True)
 
     def nonlinear_step(values, s):
         return _nonlinear_substep(values, nl, s * dt, work)
@@ -127,7 +123,7 @@ def splitstep_states(u0: Field, nl: Nonlinearity, specs, T: float, dt: float, sa
     state = u0
     yield 0.0, u0
     for start, stop in zip(saved, saved[1:]):
-        state = Field(u0.grids, _frozen(_strang(state.values, linear_step, nonlinear_step, stop - start)))
+        state = Field(u0.grids, _frozen(_strang(state.values, kinetic, nonlinear_step, stop - start)))
         yield stop * dt, state
 
 
@@ -272,13 +268,14 @@ class CauchyTails:
     """The Cauchy tail table tail(t_i) = max_{j >= i} ||z(t_j) - z(t_i)||_{L^2}
     of the profiles z(t) = e^{-itL} u(t) under the product flow of `specs`,
     built as the states arrive in time order: `add` takes the next state, a
-    Field on `grids`, forms its profile and raises each earlier tail to its
-    distance from the new profile. After the last state, `tails` is the
-    table, and the last profile is the numerical scattering state
-    candidate."""
+    Field on the specs' grids (one spec per axis), forms its profile and
+    raises each earlier tail to its distance from the new profile. After
+    the last state, `tails` is the table, and the last profile is the
+    numerical scattering state candidate."""
 
-    def __init__(self, specs, grids):
-        self.grids = tuple(grids)
+    def __init__(self, specs):
+        specs = list(specs)
+        self.grids = tuple(s.grid for s in specs)
         self._flow = spectral_product(specs, self.grids)
         self.times: list[float] = []
         self.profiles: list[np.ndarray] = []

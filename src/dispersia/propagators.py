@@ -6,14 +6,15 @@ free-plus-potential torus factor by its exact eigenbasis, and the radial
 H^3 factor by a sine transform computed with one complex FFT per line
 (see h3_factor). Every FFT is numpy.fft's, so the package needs no scipy.
 On a product of factors `spectral_product` gives the flow as one forward
-transform per axis, one phase and one inverse transform per axis.
-`fields.transform_workers` is the thread count of every transform, one
-call per group of whole lines along its axis (fields._by_lines), and of
-the phase and the wrap monitor's |u|^2, each one call per group of whole
-rows (fields._by_rows), with a run of groups per thread. The two-particle
-Strang loop runs on one block of rows per core at every size, each block
-with one-thread transforms and its own rows of the kinetic phase (see
-two_particle_propagate).
+transform per axis, one phase and one inverse transform per axis;
+`SpectralProduct.step` is that sweep with a given phase, the kinetic
+step of the NLS split-step and of the two-particle oracle
+(original_coordinates_reference). `fields.transform_workers` is the
+thread count of every transform, run on groups of whole lines
+(fields._by_lines), and of the phase and the wrap monitor's |u|^2, run
+on groups of whole rows (fields._by_rows). Each block of rows of the
+two-particle Strang loop, one per core, runs with one-thread transforms
+and its own rows of the kinetic phase (see two_particle_propagate).
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -151,11 +152,9 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
 
 def _fft_along(transform):
     """`transform` (np.fft.fft or np.fft.ifft) along one axis, in place on
-    _own(values, overwrite), one call per group of lines (see _by_lines).
-    Each line is computed as by one whole-array call, so the bits do not
-    depend on the grouping or the thread count."""
+    _own(values, overwrite), one call per group of lines (see _by_lines)."""
     return lambda values, axis, overwrite=False: _by_lines(
-        lambda lines: transform(lines, out=lines), _own(values, overwrite), axis, fields._GROUP_POINTS
+        lambda lines: transform(lines, out=lines), _own(values, overwrite), axis
     )
 
 
@@ -370,6 +369,12 @@ class SpectralProduct:
     def phase(self, t: float) -> np.ndarray:
         return functools.reduce(np.multiply.outer, [f.phase(t) for f in self.factors])
 
+    def step(self, values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """inverse(forward(values) * phase), free to overwrite values: a Strang loop's kinetic step."""
+        coeffs = self.forward(values, overwrite=True)
+        coeffs *= phase
+        return self.inverse(coeffs, overwrite=True)
+
     def propagate(self, values: np.ndarray, t: float) -> np.ndarray:
         """e^{itL} values; `values` is not written."""
         return self.propagate_coefficients(self.forward(values), t)
@@ -453,6 +458,19 @@ def _require_two_particle_grid(u: Field) -> int:
     return n
 
 
+def _two_particle_inputs(potential: np.ndarray, u0: Field, t: float, steps: int) -> tuple[int, np.ndarray]:
+    """(n, the potential's samples), once the inputs pass both two-particle routes' refusals."""
+    n = _require_two_particle_grid(u0)
+    v = np.asarray(potential, dtype=float)
+    if v.shape != (n,):
+        raise ValueError("potential samples must match the grid")
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    return n, v
+
+
 def two_particle_rotate(u: Field, direction: str = "forward") -> Field:
     """Exact lattice change of variables (j,k) -> (j+k, j-k) mod N.
 
@@ -472,9 +490,7 @@ def two_particle_rotate(u: Field, direction: str = "forward") -> Field:
     return u.with_values(_frozen(u.values.reshape(-1)[flat]))
 
 
-def two_particle_propagate(
-    grid: Grid1D, potential: np.ndarray, u0: Field, t: float, steps: int
-) -> Field:
+def two_particle_propagate(potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
     """Two-particle flow with interaction potential of the difference
     variable: rotate to sum/difference coordinates, split-step there with
     Laplacian coefficient 2 (the unnormalized rotation doubles the
@@ -492,21 +508,12 @@ def two_particle_propagate(
     block with one-thread transforms and its own rows of the kinetic phase;
     a row is computed as on one thread, so the result does not depend on
     the block count."""
-    n = _require_two_particle_grid(u0)
-    if u0.grids[0] != grid:
-        raise ValueError("field grid does not match the given grid")
-    v = np.asarray(potential, dtype=float)
-    if v.shape != (n,):
-        raise ValueError("potential samples must match the grid")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    n, v = _two_particle_inputs(potential, u0, t, steps)
     w = two_particle_rotate(u0, "forward").values
     if t > 0:
         dt = t / steps
         half = np.exp(-0.5j * dt * v)[np.newaxis, :]
-        free = _free_factor(grid)
+        free = _free_factor(u0.grids[0])
         xi2 = free.lam
         idx = np.arange(n)
         # w is the read-only view of a Field: the first transform copies,
@@ -538,34 +545,20 @@ def two_particle_propagate(
     return two_particle_rotate(u0.with_values(_frozen(w)), "inverse")
 
 
-def original_coordinates_reference(grid, potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
-    """Reference two-particle solve in the original coordinates: 2-D Strang
-    split-step with the sampled two-variable potential V(x - y). Each
-    kinetic step runs in place on the Strang iterate, which `_strang`
-    allocates, so the caller's values are never written. The transforms
-    run one axis at a time, axis 0 first, as SpectralProduct's do; the
-    inverse scales once, by 1/n^2 after its axis-0 pass, where
-    SpectralProduct's scales by 1/n after each pass, and so keeps the bits
-    of a 2-D inverse FFT."""
-    n = grid.n_points
+def original_coordinates_reference(potential: np.ndarray, u0: Field, t: float, steps: int) -> Field:
+    """Reference two-particle solve in the original coordinates: 2-D
+    Strang split-step with the sampled two-variable potential V(x - y),
+    on the inputs two_particle_propagate takes. Its kinetic step is
+    SpectralProduct.step of the free x free flow, on the iterate that
+    `_strang` allocates: the caller's values are never written."""
+    n, v = _two_particle_inputs(potential, u0, t, steps)
     idx = np.arange(n)
-    free = _free_factor(grid)
-    flow = SpectralProduct((free, free))
-    unscaled_inverse = _fft_along(functools.partial(np.fft.ifft, norm="forward"))
+    flow = SpectralProduct((_free_factor(u0.grids[0]),) * 2)
     dt = t / steps
-    mult = np.exp(-1j * dt * (free.lam[:, None] + free.lam[None, :]))
+    kinetic = functools.partial(flow.step, phase=flow.phase(dt))
     # the half-phase of the samples V(x_j - y_k); the 2-D samples are freed
     # once it is built
-    half = np.exp(-0.5j * dt * np.asarray(potential, dtype=float)[(idx[:, None] - idx[None, :]) % n])
-
-    def kinetic(w):
-        w = flow.forward(w, overwrite=True)
-        w *= mult
-        w = unscaled_inverse(w, 0, overwrite=True)
-        pairs = w.view(float)
-        pairs *= 1.0 / n**2
-        return unscaled_inverse(w, 1, overwrite=True)
-
+    half = np.exp(-0.5j * dt * v[(idx[:, None] - idx[None, :]) % n])
     return u0.with_values(_frozen(_strang(u0.values, kinetic, _phase_step(half), steps)))
 
 
@@ -591,21 +584,18 @@ def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:
     """Fraction of L^2 mass within 5% of the domain boundary, boundary
     meaning the antipode of the given center on a torus axis and the
     truncation radius on a hyperbolic axis."""
-    masks = [_boundary_mask(grid, centers[axis]) for axis, grid in enumerate(u.grids)]
     if isinstance(u, SeparableField):
         # the mask is a union of per-axis masks and the weighted density a
         # product, so the fraction is 1 - prod(1 - b_i) over the factors'
         # own fractions b_i; accumulating b_i + (1 - b_i) frac avoids the
-        # cancellation of that form when the fractions are small
+        # cancellation of that form when the fractions are small. A zero
+        # factor makes the state zero, whose fraction is 0 as a dense one's
         frac = 0.0
-        for f, m in zip(u.factors, masks):
-            squared, w = np.abs(f.values) ** 2, f.grids[0].weights
-            total = float(_sum_last_axis(squared, w))
-            if total == 0:
-                return 0.0
-            b = float(_sum_last_axis(squared, w * m)) / total
+        for f, center in zip(u.factors, centers, strict=True):
+            b = boundary_mass_fraction(f, (center,))
             frac = b + (1.0 - b) * frac
-        return frac
+        return frac if all(f.values.any() for f in u.factors) else 0.0
+    masks = [_boundary_mask(grid, centers[axis]) for axis, grid in enumerate(u.grids)]
     # contract the weighted density one trailing axis at a time, carrying
     # the total and the boundary part of the mass over the axes done so
     # far: a point of the next axis inside its mask counts all of its mass

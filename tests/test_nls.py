@@ -63,7 +63,7 @@ def free_potential_setup(amplitude=0.05):
 
 def cauchy_tails(states, specs) -> CauchyTails:
     """The CauchyTails of a list of (time, Field) states, fed in time order."""
-    acc = CauchyTails(specs, states[0][1].grids)
+    acc = CauchyTails(specs)
     for t, state in states:
         acc.add(t, state)
     return acc

@@ -40,6 +40,7 @@ from dispersia.propagators import (
     _sine_transforms,
     boundary_mass_fraction,
     h3_factor,
+    original_coordinates_reference,
     peak_centers,
     product_propagate,
     torus_frequencies,
@@ -385,6 +386,15 @@ class TestSeparableField:
         assert (expected > 0.01) == flagged
         assert boundary_mass_fraction(u, centers) == pytest.approx(expected, rel=1e-12)
 
+    def test_boundary_mass_fraction_of_a_zero_factor(self):
+        # the state is zero, and its fraction reads 0 as the dense one does,
+        # whatever the other factors' own fractions are
+        u = self.evolved()
+        zero = SeparableField((u.factors[0], Field(u.grids[1:2], np.zeros(40)), u.factors[2]))
+        centers = peak_centers(self.u0)
+        assert boundary_mass_fraction(u, centers) > 0.01
+        assert boundary_mass_fraction(zero, centers) == boundary_mass_fraction(dense(zero), centers) == 0.0
+
     @pytest.mark.parametrize("t", [1.7, -2.3])
     def test_product_propagate_matches_dense(self, t):
         factored = product_propagate(self.specs, self.u0, t)
@@ -482,7 +492,7 @@ class TestTwoParticlePropagate:
     def test_zero_potential_matches_2d_free_oracle(self):
         grid = make_grid(81, 40.0)
         u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.5))
-        out = two_particle_propagate(grid, np.zeros(81), u, 1.0, 32)
+        out = two_particle_propagate(np.zeros(81), u, 1.0, 32)
         xi = torus_frequencies(grid)
         mult = np.exp(-1j * 1.0 * (xi[:, None] ** 2 + xi[None, :] ** 2))
         direct = u.with_values(sfft.ifft2(sfft.fft2(u.values) * mult))
@@ -490,21 +500,20 @@ class TestTwoParticlePropagate:
         assert diff <= 1e-8
 
     def test_matches_original_coordinates_oracle(self):
-        from dispersia.experiments import original_coordinates_reference
-
         grid = make_grid(81, 40.0)
         pot = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=0.0)
         v = pot.sample(grid)
         u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
-        rotated = two_particle_propagate(grid, v, u, 1.0, 64)
-        reference = original_coordinates_reference(grid, v, u, 1.0, 64)
+        rotated = two_particle_propagate(v, u, 1.0, 64)
+        reference = original_coordinates_reference(v, u, 1.0, 64)
         diff = lp_norm(rotated.with_values(rotated.values - reference.values), 2)
         assert diff <= 1e-6
 
     @staticmethod
-    def strang_2d(grid, v, u, t, steps):
+    def strang_2d(v, u, t, steps):
         """The rotated Strang scheme with a full 2-D FFT pair in every
         kinetic step, the form without the sum-axis shortcut."""
+        grid = u.grids[0]
         n = grid.n_points
         dt = t / steps
         half = np.exp(-0.5j * dt * v)[np.newaxis, :]
@@ -519,12 +528,12 @@ class TestTwoParticlePropagate:
         grid = make_grid(n, length)
         v = PotentialSpec("sech-squared", amplitude=0.5, width=1.0, center=0.0).sample(grid)
         u = product_field(gaussian_field(grid, 1.0, center=-3.0), gaussian_field(grid, 1.5, center=4.0))
-        return grid, v, u
+        return v, u
 
     def test_matches_2d_strang_oracle(self):
-        grid, v, u = self.sech_case()
-        out = two_particle_propagate(grid, v, u, 1.0, 64).values
-        oracle = self.strang_2d(grid, v, u, 1.0, 64).values
+        v, u = self.sech_case()
+        out = two_particle_propagate(v, u, 1.0, 64).values
+        oracle = self.strang_2d(v, u, 1.0, 64).values
         assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("a", [1, 5, -7])
@@ -532,44 +541,44 @@ class TestTwoParticlePropagate:
         # V(x - y) is invariant under (x, y) -> (x + a h, y + a h), so the
         # flow is too: the conserved centre-of-mass momentum the sum-axis
         # shortcut rests on
-        grid, v, u = self.sech_case()
+        v, u = self.sech_case()
 
         def shift(f):
             return f.with_values(np.roll(f.values, (a, a), axis=(0, 1)))
 
-        flowed_then_shifted = shift(two_particle_propagate(grid, v, u, 1.0, 16)).values
-        shifted_then_flowed = two_particle_propagate(grid, v, shift(u), 1.0, 16).values
+        flowed_then_shifted = shift(two_particle_propagate(v, u, 1.0, 16)).values
+        shifted_then_flowed = two_particle_propagate(v, shift(u), 1.0, 16).values
         scale = np.max(np.abs(flowed_then_shifted))
         assert np.max(np.abs(shifted_then_flowed - flowed_then_shifted)) <= 1e-12 * scale
 
     def test_leaves_datum_unchanged(self):
-        grid, v, u = self.sech_case(n=27, length=15.0)
+        v, u = self.sech_case(n=27, length=15.0)
         values = np.array(u.values)
         kept = values.copy()
         datum = Field(u.grids, values)
-        two_particle_propagate(grid, v, datum, 1.0, 8)
+        two_particle_propagate(v, datum, 1.0, 8)
         assert np.array_equal(values, kept)
         assert np.array_equal(datum.values, kept)
 
     def test_independent_of_workers(self, monkeypatch):
-        grid, v, u = self.sech_case(n=513, length=200.0)
+        v, u = self.sech_case(n=513, length=200.0)
         assert u.values.size >= 2**18
-        threaded = two_particle_propagate(grid, v, u, 0.5, 3).values
+        threaded = two_particle_propagate(v, u, 0.5, 3).values
         for workers in (1, 2):
             monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
             for cores in (1, 2, 3):
                 monkeypatch.setattr(fields, "_cores", lambda c=cores: c)
-                assert np.array_equal(two_particle_propagate(grid, v, u, 0.5, 3).values, threaded)
+                assert np.array_equal(two_particle_propagate(v, u, 0.5, 3).values, threaded)
 
     @pytest.mark.parametrize("n, length", [(81, 40.0), (243, 160.0)])
     def test_independent_of_block_count(self, monkeypatch, n, length):
         # the Strang loop runs on one block of rows per core: 81 rows split
         # 40/41 into 2 blocks and 243 rows 121/122
-        grid, v, u = self.sech_case(n, length)
+        v, u = self.sech_case(n, length)
         results = {}
         for cores in (1, 2, 3):
             monkeypatch.setattr(fields, "_cores", lambda c=cores: c)
-            results[cores] = two_particle_propagate(grid, v, u, 0.37, 13).values
+            results[cores] = two_particle_propagate(v, u, 0.37, 13).values
         for cores in (2, 3):
             assert bits_equal(results[cores], results[1]), cores
 
@@ -592,8 +601,8 @@ class TestTwoParticlePropagate:
     def test_strang_blocks_share_the_cores(self, monkeypatch):
         monkeypatch.setattr(fields, "_cores", lambda: 2)
         caller, threads = self.strang_threads(monkeypatch)
-        grid, v, u = self.sech_case()
-        two_particle_propagate(grid, v, u, 1.0, 8)
+        v, u = self.sech_case()
+        two_particle_propagate(v, u, 1.0, 8)
         assert len(threads) == 2
         assert caller in threads and any(t != caller for t in threads)
 
@@ -603,14 +612,14 @@ class TestTwoParticlePropagate:
         # queue behind each other's; a short switch interval interleaves
         # them between every few bytecodes
         monkeypatch.setattr(fields, "_cores", lambda: 5)
-        grid, v, u = self.sech_case()
+        v, u = self.sech_case()
         cases = [(1.0, 16), (0.37, 13)]
-        expected = [two_particle_propagate(grid, v, u, t, steps).values for t, steps in cases]
+        expected = [two_particle_propagate(v, u, t, steps).values for t, steps in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(two_particle_propagate, grid, v, u, t, steps) for t, steps in cases]
+                futures = [pool.submit(two_particle_propagate, v, u, t, steps) for t, steps in cases]
                 results = [f.result(timeout=120).values for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -620,21 +629,41 @@ class TestTwoParticlePropagate:
     def test_later_block_exception_reraises(self, monkeypatch):
         monkeypatch.setattr(fields, "_cores", lambda: 3)
         self.strang_threads(monkeypatch, fail_off_caller=True)
-        grid, v, u = self.sech_case()
+        v, u = self.sech_case()
         with pytest.raises(ArithmeticError, match="a later block"):
-            two_particle_propagate(grid, v, u, 1.0, 8)
+            two_particle_propagate(v, u, 1.0, 8)
+
+    @pytest.mark.parametrize("route", [two_particle_propagate, original_coordinates_reference])
+    def test_refuses_unequal_axes(self, route):
+        # 243 points on tori of lengths 160 and 80 make no square grid: no
+        # one set of torus frequencies serves both axes
+        u = Field((make_grid(243, 160.0), make_grid(243, 80.0)), np.ones((243, 243)))
+        with pytest.raises(ValueError, match="square"):
+            route(np.zeros(243), u, 1.0, 4)
+
+    @pytest.mark.parametrize("route", [two_particle_propagate, original_coordinates_reference])
+    def test_refuses_steps_below_one(self, route):
+        v, u = self.sech_case(n=27, length=15.0)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            route(v, u, 1.0, 0)
+
+    @pytest.mark.parametrize("route", [two_particle_propagate, original_coordinates_reference])
+    def test_refuses_potential_off_the_grid(self, route):
+        v, u = self.sech_case(n=27, length=15.0)
+        with pytest.raises(ValueError, match="potential samples must match the grid"):
+            route(np.concatenate((v, v)), u, 1.0, 4)
 
     def test_t0_identity(self):
         grid = make_grid(9, 5.0)
         u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
-        out = two_particle_propagate(grid, np.zeros(9), u, 0.0, 1)
+        out = two_particle_propagate(np.zeros(9), u, 0.0, 1)
         assert np.allclose(out.values, u.values, atol=1e-14)
 
     def test_l2_preserved(self):
         grid = make_grid(27, 15.0)
         pot = PotentialSpec("gaussian-bump", amplitude=1.0, width=1.0, center=0.0)
         u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
-        out = two_particle_propagate(grid, pot.sample(grid), u, 2.0, 32)
+        out = two_particle_propagate(pot.sample(grid), u, 2.0, 32)
         assert lp_norm(out, 2) == pytest.approx(lp_norm(u, 2), rel=1e-10)
 
 
@@ -926,25 +955,26 @@ class TestTransformThreads:
         assert np.array_equal(flow.inverse(values), sfft.ifft(sfft.ifft(values, axis=0), axis=1))
 
     def test_original_coordinates_reference_matches_scipy_oracle(self):
-        # the reference's 2-D Strang loop keeps the bits of scipy's fft2 and
-        # ifft2 at a grid size whose 1/n^2 is not exact
-        from dispersia.experiments import original_coordinates_reference
-
+        # the reference's kinetic step is the free x free product flow's:
+        # scipy's per-axis fft and ifft, axis 0 first both ways, times the
+        # outer product of the 1-D phases, at a grid size whose 1/n is not
+        # exact
         grid = make_grid(243, 60.0)
         rng = np.random.default_rng(9)
         u = Field((grid, grid), rng.standard_normal((243, 243)) + 1j * rng.standard_normal((243, 243)))
         v = PotentialSpec("sech-squared", amplitude=0.5).sample(grid)
         t, steps = 0.7, 5
         idx = np.arange(243)
-        xi = torus_frequencies(grid)
-        mult = np.exp(-1j * (t / steps) * (xi[:, None] ** 2 + xi[None, :] ** 2))
+        phase = np.exp(-1j * (t / steps) * torus_frequencies(grid) ** 2)
+        mult = np.multiply.outer(phase, phase)
         half = np.exp(-0.5j * (t / steps) * v[(idx[:, None] - idx[None, :]) % 243])
 
         def kinetic(x):
-            return sfft.ifft2(sfft.fft2(x) * mult)
+            x = sfft.fft(sfft.fft(x, axis=0), axis=1) * mult
+            return sfft.ifft(sfft.ifft(x, axis=0), axis=1)
 
         oracle = propagators._strang(u.values, kinetic, propagators._phase_step(half), steps)
-        assert np.array_equal(original_coordinates_reference(grid, v, u, t, steps).values, oracle)
+        assert np.array_equal(original_coordinates_reference(v, u, t, steps).values, oracle)
 
 
 class TestH3InPlace:
