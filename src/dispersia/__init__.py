@@ -28,8 +28,6 @@ from .exponents import (
     ExponentPair,
     NLSExponentSelection,
     HypothesisViolation,
-    is_admissible,
-    in_triangle_T,
     select_nls_exponents,
     dual_exponent,
 )

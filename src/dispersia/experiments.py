@@ -26,11 +26,11 @@ from . import __version__
 from .decay import fit_decay_exponent, compare_prediction, norm_series
 from .exponents import (
     INF,
+    Admissibility,
     ExponentPair,
     dual_exponent,
-    in_triangle_T,
-    is_admissible,
     select_nls_exponents,
+    strichartz_class,
 )
 from .fields import (
     EUCLIDEAN,
@@ -388,9 +388,9 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
 
 
 def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
-    """Exact rational classification of the (1/p, 1/q) lattice in
-    lattice.csv: triangle membership for the product of dimensions (m, n)
-    and admissibility for each index a+b."""
+    """The (1/p, 1/q) lattice in lattice.csv, classified exactly by
+    strichartz_class: in the region of H^m x H^n (m, n >= 2) or not, and
+    for each decay index a+b >= 0, the Euclidean factor of dimension 2(a+b)."""
     m = _get(cfg, "exponents", "m", 2, int)
     n = _get(cfg, "exponents", "n", 2, int)
     denominator = _get(cfg, "exponents", "denominator", 12, int)
@@ -398,11 +398,16 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
     _check_all_read(cfg)
     if denominator < 1:
         raise ValueError(f"lattice denominator must be >= 1, got {denominator}")
+    if m < 2 or n < 2:
+        raise ValueError("factor dimensions must be >= 2")
+    if any(ab < 0 for ab in indices):
+        raise ValueError(f"decay exponents must be nonnegative, got a+b = {min(indices)}")
     pairs = [ExponentPair(Fraction(i, denominator), Fraction(j, denominator))
              for i, j in itertools.product(range(denominator // 2 + 1), repeat=2)]
+    triangle = [(HYPERBOLIC, m), (HYPERBOLIC, n)]
     header = ["inv_p", "inv_q", "in_triangle"] + [f"admissible_ab_{ab}" for ab in indices]
-    rows = [[str(p.inv_p), str(p.inv_q), str(in_triangle_T(p, m, n))] + [is_admissible(p, ab).value for ab in indices]
-            for p in pairs]
+    rows = [[str(p.inv_p), str(p.inv_q), str(strichartz_class(p, triangle) != Admissibility.NOT_ADMISSIBLE)]
+            + [strichartz_class(p, [(EUCLIDEAN, 2 * ab)]).value for ab in indices] for p in pairs]
     _write_csv(cfg, "lattice.csv", header, rows)
     # a count and no verdict: the classification is exact, and no run
     # measures the region it states

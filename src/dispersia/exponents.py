@@ -3,12 +3,12 @@
 The per-factor rates of the dispersive estimate live here, in
 factor_rates: PropagatorSpec.decay_rate reads them, and one rule,
 strichartz_class, classifies a pair (p, q) from their sums over a
-product's factors. The admissibility of a decay index a+b (is_admissible),
-the widened triangle of H^m x H^n (in_triangle_T) and the NLS exponent
-selection are cases of that rule. Everything is computed with Fractions,
-so the boundary cases (the endpoint pair, the edges of a region) classify
-exactly. Infinity is math.inf (exported as INF), which enters the exact
-arithmetic only as the inverse exponent 0.
+product's factors. The admissible-region lattice calls it on H^m x H^n
+and on each decay index a+b as the Euclidean factor of dimension 2(a+b),
+and the NLS exponent selection on H^m x H^n. Everything is computed with
+Fractions, so the boundary cases (the endpoint pair, the edges of a
+region) classify exactly. Infinity is math.inf (exported as INF), which
+enters the exact arithmetic only as the inverse exponent 0.
 """
 
 from __future__ import annotations
@@ -104,25 +104,6 @@ def strichartz_class(pair: ExponentPair, factors) -> Admissibility:
     return Admissibility.ENDPOINT if u == HALF else Admissibility.ADMISSIBLE
 
 
-def is_admissible(pair: ExponentPair, ab) -> Admissibility:
-    """The rule for a decay index ab = a+b >= 0 (a sum of rates): a0 =
-    a_inf = ab(1 - 2/q), a Euclidean factor of dimension 2ab, so the pairs
-    lie on the scaling line 1/p + ab/q = ab/2."""
-    ab = Fraction(ab)
-    if ab < 0:
-        raise ValueError(f"decay exponents must be nonnegative, got a+b = {ab}")
-    return strichartz_class(pair, [(EUCLIDEAN, 2 * ab)])
-
-
-def in_triangle_T(pair: ExponentPair, m: int, n: int) -> bool:
-    """The rule for H^m x H^n: a_inf = 3 > 2/p off the edge 1/q = 1/2, so
-    the region is the widened triangle 2/p + (m+n)/q >= (m+n)/2 with
-    1/q < 1/2, and the point (0, 1/2). m, n >= 2."""
-    if m < 2 or n < 2:
-        raise ValueError("factor dimensions must be >= 2")
-    return strichartz_class(pair, [(HYPERBOLIC, m), (HYPERBOLIC, n)]) != Admissibility.NOT_ADMISSIBLE
-
-
 @dataclass(frozen=True)
 class NLSExponentSelection:
     """The self-mapping Strichartz pair used by the fixed-point scheme."""
@@ -138,7 +119,7 @@ class NLSExponentSelection:
 def select_nls_exponents(m: int, n: int, gamma) -> NLSExponentSelection:
     """Choose p = q = 1 + gamma, also the dual pair p~ = q~, with beta =
     (gamma-1)(m+n)/2 for a gamma whose pair (1/p, 1/p) is in the triangle
-    of in_triangle_T, which reads only d = m + n (m = n = 1 is taken too):
+    of H^m x H^n, which reads only d = m + n (m = n = 1 is taken too):
     gamma in (1, 1 + 4/d]. Otherwise raises HypothesisViolation naming the bound."""
     if m < 1 or n < 1:
         raise ValueError("factor dimensions must be >= 1")

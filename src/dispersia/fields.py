@@ -9,19 +9,18 @@ read-only down to their memory, so they never change, and an array that
 anyone may still write is copied once. Norms are quadrature weighted so
 that a sampled function's norm approximates the continuum one.
 
-The thread rule of the package lives here, in its lowest module:
-`transform_workers` is the thread count of every transform and of every
-state-sized pointwise step. `_by_rows`, the one group walk, runs a step
-once per group of whole rows (the finiteness check of a Field and the
-L^r norms here; the spectral phase and the wrap monitor in propagators),
-so each temporary is group-sized; `_by_lines` runs every transform on
-its groups of whole lines. A finite norm and the wrap monitor sum over
-the product measure one axis at a time with _sum_last_axis, the
-package's one weighted-sum rule. `_in_blocks` runs contiguous blocks,
-one on the calling thread and the others on one pool: the runs of whole
-groups of `_by_rows`, one per thread, and the row blocks of the
-two-particle Strang loop, one per core at any size, since each of its
-blocks carries a whole loop.
+The thread rule of the package lives here, in its lowest module, in
+`_by_rows`, the one group walk. It runs a step once per group of whole
+rows (the finiteness check of a Field and the L^r norms here; the
+spectral phase and the wrap monitor in propagators), so each temporary
+is group-sized, and from 2^18 points up it splits the groups over every
+core (`_cores`); `_by_lines` runs every transform on its groups of whole
+lines. A finite norm and the wrap monitor sum over the product measure
+one axis at a time with _sum_last_axis, the package's one weighted-sum
+rule. `_in_blocks` runs contiguous blocks, one on the calling thread and
+the others on one pool: the runs of whole groups of `_by_rows`, one per
+thread, and the row blocks of the two-particle Strang loop, one per core
+at any size, since each of its blocks carries a whole loop.
 """
 
 from __future__ import annotations
@@ -61,18 +60,6 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def transform_workers(values: np.ndarray) -> int:
-    """The thread count of a state-sized step on `values`: the number of
-    runs of row groups of _by_rows, and of line groups of a transform
-    (_by_lines). Every core the process may run on from 2**18 points up,
-    one below that. The threads split the batch of 1-D transforms, or the
-    row groups of a pointwise step, each computed as on one thread, so the
-    result does not depend on the count."""
-    if values.size < _THREAD_MIN_POINTS:
-        return 1
-    return _cores()
-
-
 # the threads that run every row block but the first, which runs on the
 # calling thread; the pool starts them on first use
 _ROW_POOL = ThreadPoolExecutor(max_workers=max(_cores() - 1, 1), thread_name_prefix="dispersia-rows")
@@ -98,11 +85,11 @@ def _by_rows(fn, values: np.ndarray, points: int | None = None) -> list:
     group of whole rows (axis 0) of values, at least one row and at most
     about `points` points (default _GROUP_POINTS). Below _THREAD_MIN_POINTS
     every group runs on this thread; from there up _in_blocks runs one
-    contiguous run of whole groups per transform_workers(values) thread. A
-    step that is elementwise, a reduction per row, a max or an all gives
-    the same bits for any grouping: the finite L^r norms and the wrap
-    monitor walk the values as rows of their last axis, each group summing
-    its rows with _sum_last_axis."""
+    contiguous run of whole groups per core (_cores), at most one per
+    group. A step that is elementwise, a reduction per row, a max or an
+    all gives the same bits for any grouping and thread count: the finite
+    L^r norms and the wrap monitor walk the values as rows of their last
+    axis, each group summing its rows with _sum_last_axis."""
     n = len(values)
     step = max(1, (_GROUP_POINTS if points is None else points) * n // max(values.size, 1))
     groups = [slice(i, min(i + step, n)) for i in range(0, n, step)]
@@ -112,7 +99,7 @@ def _by_rows(fn, values: np.ndarray, points: int | None = None) -> list:
 
     if values.size < _THREAD_MIN_POINTS:
         return run(slice(None))
-    blocks = _in_blocks(run, len(groups), min(transform_workers(values), len(groups)))
+    blocks = _in_blocks(run, len(groups), min(_cores(), len(groups)))
     return [result for block in blocks for result in block]
 
 
@@ -176,6 +163,12 @@ class Grid1D:
             return np.full(self.n_points, dx)
         # geodesic-sphere area 4*pi*sinh(r)^2 in H^3
         return 4.0 * np.pi * np.sinh(self.nodes) ** 2 * dx
+
+    def displacement(self, center: float) -> np.ndarray:
+        """Signed distance of each node from `center`, the minimum image on a torus."""
+        if self.kind == EUCLIDEAN:
+            return np.mod(self.nodes - center + self.length / 2, self.length) - self.length / 2
+        return self.nodes - center
 
 
 def make_grid(n_points: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
@@ -379,11 +372,7 @@ def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None
     centred too far from the grid, are ValueErrors."""
     if center is None:
         center = grid.length / 2 if grid.kind == EUCLIDEAN else grid.length / 8
-    x = grid.nodes
-    if grid.kind == EUCLIDEAN:
-        d = np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2
-    else:
-        d = x - center
+    d = grid.displacement(center)
     with np.errstate(over="ignore"):
         scale = 2.0 * np.float64(width) ** 2
         if not 0 < scale < math.inf:

@@ -167,14 +167,16 @@ def picard_iterate(
     """Duhamel fixed-point iteration v_{k+1}(t) = e^{itL} f +
     int_0^t e^{i(t-s)L} F(v_k(s)) ds on the coarse time lattice, trapezoid
     quadrature in s, starting from the linear evolution under the product
-    flow of `specs` (one spec per axis of f).
+    flow of `specs` (one spec per axis of f). `exponents` must be
+    select_nls_exponents(m, n, nl.gamma); any other is a ValueError.
 
     Returns the full diagnostic history (Y-norms, successive distances,
     contraction ratios) and the last iterate, a read-only stack of its
     time slices. Divergence (3 consecutive growing distances) is
     reported via contractive=False, not raised.
     """
-    select_nls_exponents(exponents.m, exponents.n, nl.gamma)  # refuses a gamma outside its bound
+    if select_nls_exponents(exponents.m, exponents.n, nl.gamma) != exponents:
+        raise ValueError(f"exponents are not the selection for gamma = {nl.gamma}: {exponents}")
     p = float(exponents.p)
     q = float(exponents.q)
     times = [i * dt for i in range(_time_steps(T, dt) + 1)]
@@ -282,6 +284,8 @@ class CauchyTails:
         self._tails: list[float] = []
 
     def add(self, t: float, state: Field) -> None:
+        if state.grids != self.grids:
+            raise ValueError("field grid does not match spec grid")
         z = self._flow.propagate(state.values, -t)
         for i, earlier in enumerate(self.profiles):
             self._tails[i] = max(self._tails[i], values_lp_norm(z - earlier, self.grids, 2))

@@ -9,12 +9,13 @@ On a product of factors `spectral_product` gives the flow as one forward
 transform per axis, one phase and one inverse transform per axis;
 `SpectralProduct.step` is that sweep with a given phase, the kinetic
 step of the NLS split-step and of the two-particle oracle
-(original_coordinates_reference). `fields.transform_workers` is the
-thread count of every transform, run on groups of whole lines
+(original_coordinates_reference). `fields._by_rows` sets the thread
+count of every transform, run on groups of whole lines
 (fields._by_lines), and of the phase and the wrap monitor's |u|^2, run
-on groups of whole rows (fields._by_rows). Each block of rows of the
-two-particle Strang loop, one per core, runs with one-thread transforms
-and its own rows of the kinetic phase (see two_particle_propagate).
+on its groups of whole rows. Every torus distance is the minimum image
+of Grid1D.displacement. Each block of rows of the two-particle Strang
+loop, one per core, runs with one-thread transforms and its own rows of
+the kinetic phase (see two_particle_propagate).
 
 Sign convention, fixed once for the whole package: the free factor flow is
 the Fourier multiplier exp(-i t xi^2) on the discrete torus frequencies
@@ -106,9 +107,7 @@ class PotentialSpec:
     def sample(self, grid: Grid1D) -> np.ndarray:
         """Sample on torus nodes, using the minimum-image distance to the
         center so the bump sits periodically on the torus."""
-        x = grid.nodes
-        d = np.mod(x - self.center + grid.length / 2, grid.length) - grid.length / 2
-        return self.evaluate(d + self.center)
+        return self.evaluate(grid.displacement(self.center) + self.center)
 
 
 @dataclass(frozen=True)
@@ -573,11 +572,9 @@ def peak_centers(u: Field | SeparableField) -> tuple[float, ...]:
 
 def _boundary_mask(grid: Grid1D, center: float) -> np.ndarray:
     """Nodes within 5% of the boundary of one axis."""
-    x = grid.nodes
     if grid.kind == EUCLIDEAN:
-        d = np.abs(np.mod(x - center + grid.length / 2, grid.length) - grid.length / 2)
-        return d > 0.45 * grid.length
-    return x > 0.95 * grid.length
+        return np.abs(grid.displacement(center)) > 0.45 * grid.length
+    return grid.nodes > 0.95 * grid.length
 
 
 def boundary_mass_fraction(u: Field | SeparableField, centers) -> float:

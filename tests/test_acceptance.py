@@ -142,12 +142,8 @@ class TestAcceptance:
         )
 
     def test_criterion_08_admissibility_oracle(self):
-        from dispersia.exponents import (
-            Admissibility,
-            ExponentPair,
-            in_triangle_T,
-            is_admissible,
-        )
+        from dispersia.exponents import Admissibility, ExponentPair, strichartz_class
+        from dispersia.fields import EUCLIDEAN, HYPERBOLIC
         from oracles import admissible_oracle, triangle_oracle
 
         mismatches = 0
@@ -157,16 +153,18 @@ class TestAcceptance:
                 for j in range(7):
                     pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
                     checks += 1
-                    if is_admissible(pair, ab).value != admissible_oracle(pair.inv_p, pair.inv_q, ab):
+                    # a decay index a+b is the Euclidean factor of dimension 2(a+b)
+                    if strichartz_class(pair, [(EUCLIDEAN, 2 * ab)]).value != admissible_oracle(pair.inv_p, pair.inv_q, ab):
                         mismatches += 1
         for m, n in ((2, 2), (2, 3), (3, 3)):
             for i in range(7):
                 for j in range(7):
                     pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
                     checks += 1
-                    if in_triangle_T(pair, m, n) != triangle_oracle(pair.inv_p, pair.inv_q, m, n):
+                    region = strichartz_class(pair, [(HYPERBOLIC, m), (HYPERBOLIC, n)])
+                    if (region != Admissibility.NOT_ADMISSIBLE) != triangle_oracle(pair.inv_p, pair.inv_q, m, n):
                         mismatches += 1
-        endpoint = is_admissible(ExponentPair(Fraction(1, 2), Fraction(1, 4)), 2)
+        endpoint = strichartz_class(ExponentPair(Fraction(1, 2), Fraction(1, 4)), [(EUCLIDEAN, 4)])
         endpoint_ok = endpoint == Admissibility.ENDPOINT
         report(
             "criterion 8 admissibility oracle",

@@ -16,9 +16,7 @@ from dispersia.exponents import (
     HypothesisViolation,
     dual_exponent,
     factor_rates,
-    in_triangle_T,
     inverse_exponent,
-    is_admissible,
     select_nls_exponents,
     strichartz_class,
 )
@@ -49,6 +47,16 @@ class TestDualExponent:
 
 def lattice():
     return [ExponentPair(Fraction(i, 12), Fraction(j, 12)) for i in range(7) for j in range(7)]
+
+
+def index_class(pair, ab):
+    """The rule for a decay index a+b: the Euclidean factor of dimension 2(a+b)."""
+    return strichartz_class(pair, [(EUCLIDEAN, 2 * Fraction(ab))])
+
+
+def in_triangle(pair, m, n):
+    """Whether the rule admits the pair for H^m x H^n."""
+    return strichartz_class(pair, [(HYPERBOLIC, m), (HYPERBOLIC, n)]) != Admissibility.NOT_ADMISSIBLE
 
 
 class TestStrichartzRule:
@@ -83,8 +91,8 @@ class TestStrichartzRule:
 
     def test_keel_tao_q_inf_pairs(self):
         # (2/s, inf) for an L^1 -> L^inf rate s < 1, and not (2, inf) at s = 1
-        assert is_admissible(ExponentPair(Fraction(1, 4), Fraction(0)), HALF) == Admissibility.ADMISSIBLE
-        assert is_admissible(ExponentPair(HALF, Fraction(0)), 1) == Admissibility.NOT_ADMISSIBLE
+        assert index_class(ExponentPair(Fraction(1, 4), Fraction(0)), HALF) == Admissibility.ADMISSIBLE
+        assert index_class(ExponentPair(HALF, Fraction(0)), 1) == Admissibility.NOT_ADMISSIBLE
         assert strichartz_class(ExponentPair(HALF, Fraction(0)), [(EUCLIDEAN, 2)]) == Admissibility.NOT_ADMISSIBLE
 
     def test_mixed_product_is_the_triangle_of_dimension_4(self):
@@ -100,16 +108,16 @@ class TestIsAdmissible:
     def test_inf_2_always_admissible(self):
         pair = ExponentPair(Fraction(0), HALF)
         for ab in (HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
-            assert is_admissible(pair, ab) == Admissibility.ADMISSIBLE
+            assert index_class(pair, ab) == Admissibility.ADMISSIBLE
 
     def test_endpoint_ab2_is_2_4(self):
         pair = ExponentPair(Fraction(1, 2), Fraction(1, 4))
-        assert is_admissible(pair, 2) == Admissibility.ENDPOINT
+        assert index_class(pair, 2) == Admissibility.ENDPOINT
 
     def test_low_index_p_equal_2_never_admissible(self):
         for inv_q in (Fraction(0), Fraction(1, 4), HALF):
             pair = ExponentPair(HALF, inv_q)
-            assert is_admissible(pair, 1) == Admissibility.NOT_ADMISSIBLE
+            assert index_class(pair, 1) == Admissibility.NOT_ADMISSIBLE
 
     @pytest.mark.parametrize("ab", [Fraction(0), HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
     def test_exhaustive_lattice_agreement_with_oracle(self, ab):
@@ -117,7 +125,7 @@ class TestIsAdmissible:
             for j in range(7):
                 pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
                 expected = admissible_oracle(pair.inv_p, pair.inv_q, ab)
-                assert is_admissible(pair, ab).value == expected, (
+                assert index_class(pair, ab).value == expected, (
                     f"disagreement at 1/p={pair.inv_p} 1/q={pair.inv_q} ab={ab}"
                 )
 
@@ -128,7 +136,7 @@ class TestIsAdmissible:
         for i in range(denominator // 2 + 1):
             for j in range(denominator // 2 + 1):
                 pair = ExponentPair(Fraction(i, denominator), Fraction(j, denominator))
-                if is_admissible(pair, ab) == Admissibility.ENDPOINT:
+                if index_class(pair, ab) == Admissibility.ENDPOINT:
                     endpoints.append(pair)
         assert len(endpoints) == 1
         (pair,) = endpoints
@@ -142,30 +150,26 @@ class TestIsAdmissible:
     @settings(max_examples=200, deadline=None)
     def test_oracle_agreement_property(self, i, j, ab):
         pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
-        assert is_admissible(pair, ab).value == admissible_oracle(pair.inv_p, pair.inv_q, ab)
+        assert index_class(pair, ab).value == admissible_oracle(pair.inv_p, pair.inv_q, ab)
 
 
 class TestTriangleT:
     def test_isolated_point(self):
-        assert in_triangle_T(ExponentPair(Fraction(0), HALF), 2, 2)
+        assert in_triangle(ExponentPair(Fraction(0), HALF), 2, 2)
 
     def test_boundary_equality_case(self):
         # m=n=2: 2*(1/2) + 4*(1/4) = 2 = (m+n)/2
-        assert in_triangle_T(ExponentPair(HALF, Fraction(1, 4)), 2, 2)
+        assert in_triangle(ExponentPair(HALF, Fraction(1, 4)), 2, 2)
 
     def test_inf_4_excluded(self):
-        assert not in_triangle_T(ExponentPair(Fraction(0), Fraction(1, 4)), 2, 2)
-
-    def test_small_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            in_triangle_T(ExponentPair(HALF, HALF), 1, 2)
+        assert not in_triangle(ExponentPair(Fraction(0), Fraction(1, 4)), 2, 2)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
     def test_exhaustive_lattice_agreement(self, m, n):
         for i in range(7):
             for j in range(7):
                 pair = ExponentPair(Fraction(i, 12), Fraction(j, 12))
-                assert in_triangle_T(pair, m, n) == triangle_oracle(pair.inv_p, pair.inv_q, m, n)
+                assert in_triangle(pair, m, n) == triangle_oracle(pair.inv_p, pair.inv_q, m, n)
 
     @given(
         i=st.integers(1, 6),
@@ -177,8 +181,8 @@ class TestTriangleT:
     def test_membership_monotone_in_inv_p(self, i, i2, j, mn):
         m, n = mn
         lo, hi = sorted((i, i2))
-        if in_triangle_T(ExponentPair(Fraction(lo, 12), Fraction(j, 12)), m, n):
-            assert in_triangle_T(ExponentPair(Fraction(hi, 12), Fraction(j, 12)), m, n)
+        if in_triangle(ExponentPair(Fraction(lo, 12), Fraction(j, 12)), m, n):
+            assert in_triangle(ExponentPair(Fraction(hi, 12), Fraction(j, 12)), m, n)
 
 
 class TestSelectNLSExponents:

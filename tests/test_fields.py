@@ -275,7 +275,7 @@ class TestNormReduction:
         # on one thread a finite norm's temporaries are one row group's
         # (about 2^16 points): its |u|^2 or |u|, and its power. The traced
         # peak stays below 2 MiB on a 17.5 MiB state
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        monkeypatch.setattr(fields, "_cores", lambda: 1)
         grids = (make_grid(1024, 200.0), make_grid(1120, 40.0, HYPERBOLIC))
         rng = np.random.default_rng(32)
         u = Field(grids, _frozen(rng.standard_normal((1024, 1120)) + 1j * rng.standard_normal((1024, 1120))))
@@ -301,10 +301,10 @@ class TestNormReduction:
 
 class TestRowBlocks:
     """_by_rows calls its step once on each group of whole rows of about
-    _GROUP_POINTS points, in row order; from 2^18 points up each
-    transform_workers thread runs one contiguous run of whole groups, the
-    first on the calling thread and the others on the pool, and below that
-    every group runs on the calling thread."""
+    _GROUP_POINTS points, in row order; from 2^18 points up each core
+    (_cores) runs one contiguous run of whole groups, the first on the
+    calling thread and the others on the pool, and below that every group
+    runs on the calling thread."""
 
     @staticmethod
     def calls(values):
@@ -315,7 +315,7 @@ class TestRowBlocks:
         values = np.empty((600, 1000))
         groups = [(a, min(a + 65, 600)) for a in range(0, 600, 65)]
         for workers in (1, 2, 3, 5):
-            monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
+            monkeypatch.setattr(fields, "_cores", lambda n=workers: n)
             got = self.calls(values)
             assert [(a, b) for a, b, _ in got] == groups
             edges = [len(groups) * k // workers for k in range(workers + 1)]
@@ -328,7 +328,7 @@ class TestRowBlocks:
     def test_groups_tile_the_rows(self, monkeypatch, shape):
         # each group is at least one row, even when one row is wider than a
         # group, and at most _GROUP_POINTS points otherwise
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
+        monkeypatch.setattr(fields, "_cores", lambda: 2)
         values = np.empty(shape)
         row = math.prod(shape[1:])
         got = [(a, b) for a, b, _ in self.calls(values)]
@@ -345,14 +345,14 @@ class TestRowBlocks:
 
     def test_below_the_threshold_every_group_on_this_thread(self, monkeypatch):
         # 256 x 1023 is below 2^18 points: four groups of 64 rows, all here
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
+        monkeypatch.setattr(fields, "_cores", lambda: 2)
         got = self.calls(np.empty((256, 1023)))
         assert got == [(a, a + 64, threading.get_ident()) for a in range(0, 256, 64)]
 
     @pytest.mark.parametrize("failing", range(5))
     def test_group_exception_reraises(self, monkeypatch, failing):
         # 300 rows of 1024 points: five groups of 64 rows on three blocks
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 3)
+        monkeypatch.setattr(fields, "_cores", lambda: 3)
         values = np.empty((300, 1024))
 
         def fn(rows):
@@ -367,7 +367,7 @@ class TestRowBlocks:
         # a caller that sees block 0 fail may free what the other blocks
         # write into, so they have ended by then; of the five groups of 64
         # rows block 0 holds the one that fails, blocks 1 and 2 the others
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 3)
+        monkeypatch.setattr(fields, "_cores", lambda: 3)
         ended = []
 
         def fn(rows):

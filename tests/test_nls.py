@@ -387,6 +387,13 @@ class TestPicardIterate:
         with pytest.raises(HypothesisViolation):
             picard_iterate(u0, Nonlinearity(gamma=3.5), specs, sel, 1.0, 0.1)
 
+    def test_selection_for_another_gamma_refused(self):
+        # a gamma = 2 nonlinearity inside its bound, with the pair selected
+        # for gamma = 3: the iteration would run on that pair's p and q
+        u0, specs = small_data_setup(n=64, length=32.0)
+        with pytest.raises(ValueError, match="not the selection for gamma = 2"):
+            picard_iterate(u0, Nonlinearity(gamma=2), specs, self.exponents(), 1.0, 0.1)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_dt_refused(self, dt):
         u0, specs = small_data_setup(n=64, length=32.0)
@@ -422,6 +429,13 @@ class TestPicardIterate:
 
 
 class TestScatteringDiagnostic:
+    def test_state_off_the_specs_grids_refused(self):
+        # a state on tori of length 32 under the flow of tori of length 64
+        u0, _ = small_data_setup(n=64, length=32.0)
+        specs = [PropagatorSpec("free", make_grid(64, 64.0))] * 2
+        with pytest.raises(ValueError, match="field grid does not match spec grid"):
+            CauchyTails(specs).add(0.0, u0)
+
     def test_linear_flow_has_zero_tails(self):
         u0, specs = small_data_setup()
         states = splitstep_nls(u0, Nonlinearity(gamma=3.0, mu=0.0), specs, T=4.0, dt=0.2)

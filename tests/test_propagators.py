@@ -6,7 +6,6 @@ transforms, and the sine transform against scipy's."""
 
 import functools
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -31,7 +30,6 @@ from dispersia.fields import (
     gaussian_field,
     lp_norm,
     make_grid,
-    transform_workers,
     values_lp_norms,
 )
 from dispersia.propagators import (
@@ -564,11 +562,9 @@ class TestTwoParticlePropagate:
         v, u = self.sech_case(n=513, length=200.0)
         assert u.values.size >= 2**18
         threaded = two_particle_propagate(v, u, 0.5, 3).values
-        for workers in (1, 2):
-            monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
-            for cores in (1, 2, 3):
-                monkeypatch.setattr(fields, "_cores", lambda c=cores: c)
-                assert np.array_equal(two_particle_propagate(v, u, 0.5, 3).values, threaded)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(fields, "_cores", lambda c=cores: c)
+            assert np.array_equal(two_particle_propagate(v, u, 0.5, 3).values, threaded)
 
     @pytest.mark.parametrize("n, length", [(81, 40.0), (243, 160.0)])
     def test_independent_of_block_count(self, monkeypatch, n, length):
@@ -864,9 +860,13 @@ class TestTransformThreads:
     """The worker count of a transform comes from its size and the CPU
     affinity alone, and changes no bit of any result."""
 
-    def test_size_gate(self):
-        assert transform_workers(np.empty(2**18 - 1, dtype=complex)) == 1
-        assert transform_workers(np.empty((512, 512), dtype=complex)) == len(os.sched_getaffinity(0))
+    def test_size_gate(self, monkeypatch):
+        # _by_rows runs every group on this thread below 2^18 points, and
+        # from there up on every core
+        monkeypatch.setattr(fields, "_cores", lambda: 2)
+        for shape, threads in (((255, 1028), 1), ((512, 512), 2)):
+            calls = fields._by_rows(lambda rows: threading.get_ident(), np.empty(shape, dtype=complex))
+            assert len(set(calls)) == threads, shape
 
     @pytest.mark.parametrize("kind", ["free", "hyperbolic-radial"])
     def test_product_propagate_independent_of_workers(self, kind, monkeypatch):
@@ -879,7 +879,7 @@ class TestTransformThreads:
         assert u.values.size >= 2**18
         threaded = product_propagate(specs, u, 1.7).values
         for workers in (1, 2):
-            monkeypatch.setattr(fields, "transform_workers", lambda values, n=workers: n)
+            monkeypatch.setattr(fields, "_cores", lambda n=workers: n)
             assert np.array_equal(product_propagate(specs, u, 1.7).values, threaded)
 
     @staticmethod
@@ -944,7 +944,7 @@ class TestTransformThreads:
         # forward transform over both axes and to its inverse transform one
         # axis at a time (ifftn scales once by 1/(n0 n1), which at 243
         # points is not the bits of 1/n0 and then 1/n1)
-        monkeypatch.setattr(fields, "transform_workers", lambda values: blocks)
+        monkeypatch.setattr(fields, "_cores", lambda: blocks)
         monkeypatch.setattr(fields, "_THREAD_MIN_POINTS", 0)
         monkeypatch.setattr(fields, "_GROUP_POINTS", 31 * 256)
         grids = [make_grid(n, 64.0) for n in shape]
@@ -996,9 +996,9 @@ class TestH3InPlace:
         # sixteenth of the array) split over `workers` threads give its bits
         transform = getattr(h3_factor(self.grid), direction)
         values = self.values()
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        monkeypatch.setattr(fields, "_cores", lambda: 1)
         expected = transform(values, axis)
-        monkeypatch.setattr(fields, "transform_workers", lambda values: workers)
+        monkeypatch.setattr(fields, "_cores", lambda: workers)
         monkeypatch.setattr(fields, "_THREAD_MIN_POINTS", 0)
         got = transform(values, axis, overwrite=True)
         assert np.shares_memory(got, values)
@@ -1054,7 +1054,7 @@ def test_threaded_product_allocation_budget(monkeypatch):
     # where the phase runs on two runs of row groups, one per thread:
     # tracemalloc counts the pool thread's allocations too, and each group
     # builds its phase rows straight into the product's buffer
-    monkeypatch.setattr(fields, "transform_workers", lambda values: 2)
+    monkeypatch.setattr(fields, "_cores", lambda: 2)
     grids = (make_grid(512, 64.0), make_grid(560, 40.0, HYPERBOLIC))
     specs = [PropagatorSpec("free", grids[0]), PropagatorSpec("hyperbolic-radial", grids[1])]
     rng = np.random.default_rng(14)
@@ -1076,8 +1076,8 @@ def test_threaded_product_allocation_budget(monkeypatch):
 
 class TestRowBlocks:
     """The state-sized pointwise steps run once on each group of rows, a
-    run of whole groups per transform_workers thread, and give the same
-    bits for any block count; 3 blocks split the groups unevenly."""
+    run of whole groups per core, and give the same bits for any block
+    count; 3 blocks split the groups unevenly."""
 
     torus, wide, h3 = make_grid(512, 200.0), make_grid(560, 150.0), make_grid(560, 40.0, HYPERBOLIC)
     h3_rows = make_grid(512, 40.0, HYPERBOLIC)
@@ -1104,7 +1104,7 @@ class TestRowBlocks:
     def test_independent_of_block_count(self, monkeypatch):
         results = {}
         for blocks in (1, 2, 3):
-            monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
+            monkeypatch.setattr(fields, "_cores", lambda n=blocks: n)
             results[blocks] = self.results()
         assert results[1]["boundary"] > 0
         for blocks in (2, 3):
@@ -1137,10 +1137,10 @@ class TestRowBlocks:
         shape[axis] = -1
         sinh_r = np.sinh(grid.nodes).reshape(shape)
         dst, idst = _sine_transforms(np.ones(grid.n_points), np.ones(grid.n_points))
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        monkeypatch.setattr(fields, "_cores", lambda: 1)
         expected = (dst(self.values(29) * sinh_r, axis), idst(self.values(30), axis) * (1.0 / sinh_r))
         for blocks in (1, 2, 3):
-            monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
+            monkeypatch.setattr(fields, "_cores", lambda n=blocks: n)
             x, y = self.values(29), self.values(30)
             got = factor.forward(x, axis, overwrite=True), factor.inverse(y, axis, overwrite=True)
             assert np.shares_memory(got[0], x) and np.shares_memory(got[1], y)
@@ -1155,7 +1155,7 @@ class TestRowBlocks:
         # 1, 2 or 3 blocks hold them, and the results keep the bits of one
         # whole-array pass
         u = Field((self.torus, self.h3), self.values(26) * np.exp(-self.h3.nodes / 4))
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        monkeypatch.setattr(fields, "_cores", lambda: 1)
         monkeypatch.setattr(fields, "_GROUP_POINTS", u.values.size)
         expected = boundary_mass_fraction(u, (100.0, 0.0)), values_lp_norms(u.values, u.grids, (1, 3, INF))
         monkeypatch.setattr(fields, "_GROUP_POINTS", group_points)
@@ -1163,7 +1163,7 @@ class TestRowBlocks:
         assert (512 % step > 0) == (step > 1)
         groups = [(a, min(a + step, 512)) for a in range(0, 512, step)]
         for blocks in (1, 2, 3):
-            monkeypatch.setattr(fields, "transform_workers", lambda values, n=blocks: n)
+            monkeypatch.setattr(fields, "_cores", lambda n=blocks: n)
             assert fields._by_rows(lambda rows: (rows.start, rows.stop), u.values) == groups
             got = boundary_mass_fraction(u, (100.0, 0.0)), values_lp_norms(u.values, u.grids, (1, 3, INF))
             assert got == expected, (blocks, group_points)
@@ -1175,7 +1175,7 @@ class TestRowBlocks:
         # on one thread each step's temporaries are one group's (about 2^16
         # points), not a block's or a state's: below 2 MiB on a 17.5 MiB
         # state
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 1)
+        monkeypatch.setattr(fields, "_cores", lambda: 1)
         grids = (make_grid(1024, 200.0), make_grid(1120, 40.0, HYPERBOLIC))
         rng = np.random.default_rng(31)
         values = _frozen(rng.standard_normal((1024, 1120)) + 1j * rng.standard_normal((1024, 1120)))
@@ -1202,7 +1202,7 @@ class TestRowBlocks:
         # two callers split their states into more blocks than the pool has
         # threads, so their blocks queue behind each other's; a short switch
         # interval interleaves them between every few bytecodes
-        monkeypatch.setattr(fields, "transform_workers", lambda values: 5)
+        monkeypatch.setattr(fields, "_cores", lambda: 5)
         specs = [PropagatorSpec("free", self.torus), PropagatorSpec("hyperbolic-radial", self.h3)]
         data = [Field((self.torus, self.h3), self.values(seed)) for seed in (27, 28)]
 
@@ -1227,7 +1227,7 @@ class TestRowBlocks:
     def test_nonfinite_in_the_last_block_refused(self, monkeypatch, blocks):
         # the last row is in the last worker's block: a dropped block result
         # would pass the NaN
-        monkeypatch.setattr(fields, "transform_workers", lambda values: blocks)
+        monkeypatch.setattr(fields, "_cores", lambda: blocks)
         values = self.values(26)
         values[-1, -1] = np.nan
         with pytest.raises(ValueError, match="field values must be finite"):
