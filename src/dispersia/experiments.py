@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,7 @@ from .exponents import (
     strichartz_class,
 )
 from .fields import (
+    DIMENSION,
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
@@ -45,6 +46,7 @@ from .fields import (
 )
 from .nls import CauchyTails, Nonlinearity, picard_iterate, saved_steps, splitstep_nls, splitstep_states
 from .propagators import (
+    _KINDS,
     PotentialSpec,
     PropagatorSpec,
     original_coordinates_reference,
@@ -251,6 +253,16 @@ def _saved_steps(T: float, dt: float, stride: int = 1) -> list[int]:
         raise ConfigError(f"[time] t_final = {T} must be an integer multiple of [time] dt = {dt}") from exc
 
 
+def _beside(main, side):
+    """(main(), side()), `side` run on a one-worker pool while `main` runs on
+    the calling thread. Both only read what they share and write arrays of
+    their own, and transforms and ufuncs release the GIL: the results are
+    bit-identical to a sequential run, and a worker exception re-raises."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(side)
+        return main(), worker.result()
+
+
 # ---------------------------------------------------------------- experiments
 
 # preset -> (factor kind, default factor count, whether [grid] factors is read,
@@ -272,7 +284,7 @@ _DECAY_DEFAULTS = {
     ("free-product-decay", 1): (2048, 600.0, 1.0, 2.0, 50.0, 15, 0.05),
     ("free-product-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.05),
     ("free-product-decay", 3): (200, 140.0, 1.0, 2.0, 12.0, 8, 0.05),
-    ("potential-product-decay", 1): (2048, 300.0, 1.0, 3.0, 30.0, 12, 0.10),
+    ("potential-product-decay", 1): (512, 260.0, 1.0, 3.0, 30.0, 12, 0.10),
     ("potential-product-decay", 2): (512, 260.0, 1.0, 4.0, 30.0, 10, 0.12),
     ("potential-product-decay", 3): (2048, 1040.0, 1.0, 10.0, 80.0, 10, 0.12),
     ("hyperbolic-decay", 1): (1120, 280.0, 0.8, 2.0, 40.0, 14, 0.10),
@@ -291,7 +303,8 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     if (cfg.name, k) not in _DECAY_DEFAULTS:
         raise ConfigError(f"[grid] factors = {k} is not supported by {cfg.name}")
     n, length, width, t_min, t_max, n_times, tol = _DECAY_DEFAULTS[cfg.name, k]
-    hyperbolic = kind == "hyperbolic-radial"
+    grid_kind, takes_potential = _KINDS[kind]
+    hyperbolic = grid_kind == HYPERBOLIC
     n = _get(cfg, "grid", "n_points", n, int)
     length = _get(cfg, "grid", "r_max" if hyperbolic else "length", length, float)
     width = _positive(cfg, "data", "width", width)
@@ -302,7 +315,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
         raise ConfigError(f"[exponents] q must be >= 2 (got {q}): a decay rate is an L^q' -> L^q estimate")
     center = _get(cfg, "data", "center", 1.5, float) if hyperbolic else None
     pot = None
-    if kind == "free-plus-potential":
+    if takes_potential:
         pot = _in_section(
             "potential",
             PotentialSpec,
@@ -312,7 +325,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
             center=length / 2,
         )
     _check_all_read(cfg)
-    grid = _in_section("grid", make_grid, n, length, HYPERBOLIC if hyperbolic else EUCLIDEAN)
+    grid = _in_section("grid", make_grid, n, length, grid_kind)
     u0 = SeparableField((_in_section("data", gaussian_field, grid, width, center),) * k)
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
@@ -363,17 +376,8 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
         state, t_prev = two_particle_propagate(v, state, t - t_prev, math.ceil((t - t_prev) * spp)), t
         return state
 
-    # The route solves and the decay series only read u0 and v and
-    # write arrays of their own, and the transforms and ufuncs release the
-    # GIL, so the worker takes a core with results bit-identical to running
-    # in sequence. The series stays on the calling thread (the Strang loops
-    # of both split further over the row pool, see two_particle_propagate);
-    # a worker exception re-raises from result() before any artifact is
-    # written.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(route_difference)
-        series = norm_series(continue_to, u0, times, math.inf)
-        diff = worker.result()
+    # the Strang loops of both split further over the row pool, see two_particle_propagate
+    series, diff = _beside(lambda: norm_series(continue_to, u0, times, math.inf), route_difference)
     report.add(
         "two-particle route equivalence (L2)",
         diff <= eq_tol,
@@ -417,8 +421,8 @@ def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
 
 
 def _nls_setup(cfg: ExperimentConfig):
-    """Datum, factors and exponents of the NLS runs; the exponent dimensions
-    come from the two 1-D torus factors built here, not from settings."""
+    """Datum, factors and nonlinearity of the NLS runs; gamma is checked before
+    any solve against the Picard pair's bound on the dimensions of their grids."""
     n = _get(cfg, "grid", "n_points", 256, int)
     length = _get(cfg, "grid", "length", 64.0, float)
     width = _positive(cfg, "data", "width", 2.0)
@@ -430,8 +434,8 @@ def _nls_setup(cfg: ExperimentConfig):
     u0 = _separable_datum(grid, _in_section("data", gaussian_field, grid, width).values, 2)
     u0 = u0.with_values(_frozen(amp * u0.values))
     nl = _in_section("nls", Nonlinearity, gamma=gamma, mu=mu)
-    sel = select_nls_exponents(1, 1, nl.gamma)
-    return u0, specs, nl, sel
+    select_nls_exponents(*(DIMENSION[s.grid.kind] for s in specs), nl.gamma)
+    return u0, specs, nl
 
 
 def _k2_ratio(result, run: str) -> float:
@@ -455,7 +459,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     if max_iter < 2:
         raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
     _saved_steps(T, dt)
-    u0, specs, nl, sel = _nls_setup(cfg)
+    u0, specs, nl = _nls_setup(cfg)
     _check_all_read(cfg)
 
     def half_data_then_splitstep():
@@ -463,18 +467,12 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         # depends on sweeps 1 and 2 alone; the run's trajectory is freed
         # before the split-step run
         half = u0.with_values(_frozen(0.5 * u0.values))
-        r_half = _k2_ratio(picard_iterate(half, nl, specs, sel, T, dt, max_iter=2, tol=tol), "half-data")
+        r_half = _k2_ratio(picard_iterate(half, nl, specs, T, dt, max_iter=2, tol=tol), "half-data")
         return r_half, splitstep_nls(u0, nl, specs, T, dt / 2, save_stride=2)
 
-    # The two chains only read u0 and specs and write arrays of their own,
-    # and the transforms and ufuncs release the GIL, so the worker takes
-    # the second core with results bit-identical to running in sequence.
-    # The full-data run stays on the calling thread; a worker exception
-    # re-raises from result().
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(half_data_then_splitstep)
-        result = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=max_iter, tol=tol)
-        r_half, states = worker.result()
+    result, (r_half, states) = _beside(
+        lambda: picard_iterate(u0, nl, specs, T, dt, max_iter=max_iter, tol=tol), half_data_then_splitstep
+    )
     r_full = _k2_ratio(result, "full-data")
     ratios = [s.ratio for s in result.history if s.ratio is not None]
     contracting = bool(ratios) and all(r < 1 for r in ratios)
@@ -483,7 +481,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         result.converged and contracting,
         f"ratios={['%.3e' % r for r in ratios]}",
     )
-    expected = 2.0 ** -nl.power
+    expected = 2.0 ** -float(nl.gamma - 1)  # from the exact gamma, not the power the code computes with
     scale_ok = abs(r_half / r_full - expected) <= scaling_tol * expected
     report.add(
         "contraction ratio data-size scaling",
@@ -496,15 +494,11 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
         diff <= agree_tol,
         f"difference={diff:.3e} tol={agree_tol}",
     )
-    history = [
-        {"k": s.k, "y_norm": s.y_norm, "distance": s.distance, "ratio": s.ratio}
-        for s in result.history
-    ]
     _write_json(
         cfg,
         "picard.json",
         {
-            "history": history,
+            "history": [asdict(s) for s in result.history],
             "converged": result.converged,
             "contractive": result.contractive,
             "cross_method_difference": diff,
@@ -519,7 +513,7 @@ def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     stride = _get(cfg, "time", "save_stride", 10, int)
     decrease = _positive(cfg, "fit", "tail_decrease_factor", 10.0)
     saved = [s * dt for s in _saved_steps(T, dt, stride)]
-    u0, specs, nl, _ = _nls_setup(cfg)
+    u0, specs, nl = _nls_setup(cfg)
     _check_all_read(cfg)
     t1, t2 = 1.0, 20.0
 

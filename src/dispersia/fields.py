@@ -34,6 +34,7 @@ import numpy as np
 
 EUCLIDEAN = "euclidean-torus"
 HYPERBOLIC = "hyperbolic-radial"
+DIMENSION = {EUCLIDEAN: 1, HYPERBOLIC: 3}  # of the space each grid kind samples
 
 _MIN_POINTS = 8
 
@@ -126,7 +127,7 @@ class Grid1D:
     kind: str = EUCLIDEAN
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, HYPERBOLIC):
+        if self.kind not in DIMENSION:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n_points < _MIN_POINTS:
             raise ValueError(f"n_points must be >= {_MIN_POINTS}, got {self.n_points}")

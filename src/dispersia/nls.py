@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .decay import time_norm
-from .exponents import NLSExponentSelection, select_nls_exponents
-from .fields import Field, _frozen, values_lp_norm, values_lp_norms
+from .exponents import select_nls_exponents
+from .fields import DIMENSION, Field, _frozen, values_lp_norm, values_lp_norms
 from .propagators import _strang, spectral_product
 
 
@@ -158,7 +158,6 @@ def picard_iterate(
     f: Field,
     nl: Nonlinearity,
     specs,
-    exponents: NLSExponentSelection,
     T: float,
     dt: float,
     max_iter: int = 10,
@@ -167,21 +166,22 @@ def picard_iterate(
     """Duhamel fixed-point iteration v_{k+1}(t) = e^{itL} f +
     int_0^t e^{i(t-s)L} F(v_k(s)) ds on the coarse time lattice, trapezoid
     quadrature in s, starting from the linear evolution under the product
-    flow of `specs` (one spec per axis of f). `exponents` must be
-    select_nls_exponents(m, n, nl.gamma); any other is a ValueError.
+    flow of `specs` (one spec per axis of f). The Y-norm's pair (p, q) is
+    select_nls_exponents(m, n, nl.gamma), with m and n the dimensions of
+    f's two grid kinds (fields.DIMENSION); a field of another rank is a
+    ValueError, and a gamma above the bound for m + n a HypothesisViolation.
 
     Returns the full diagnostic history (Y-norms, successive distances,
     contraction ratios) and the last iterate, a read-only stack of its
     time slices. Divergence (3 consecutive growing distances) is
     reported via contractive=False, not raised.
     """
-    if select_nls_exponents(exponents.m, exponents.n, nl.gamma) != exponents:
-        raise ValueError(f"exponents are not the selection for gamma = {nl.gamma}: {exponents}")
-    p = float(exponents.p)
-    q = float(exponents.q)
+    if f.rank != 2:
+        raise ValueError(f"the Picard pair is selected on a product of two factors, got a rank-{f.rank} field")
+    exponents = select_nls_exponents(*(DIMENSION[g.kind] for g in f.grids), nl.gamma)
+    p, q = float(exponents.p), float(exponents.q)
     times = [i * dt for i in range(_time_steps(T, dt) + 1)]
-    grids = f.grids
-    flow = spectral_product(specs, grids)
+    flow = spectral_product(specs, f.grids)
     f_hat = flow.forward(f.values)
     # On the time lattice e^{i t_i L} = (e^{i dt L})^i: every slice steps
     # the spectral linear part by the one phase of dt. The initial iterate
@@ -194,7 +194,7 @@ def picard_iterate(
         if i:
             lin *= step
         v[i] = flow.inverse(lin)
-        norms0[:, i] = values_lp_norms(v[i], grids, (2, q))
+        norms0[:, i] = values_lp_norms(v[i], f.grids, (2, q))
 
     def duhamel_sweep() -> np.ndarray:
         """Replace v by the next iterate; return the L2 and Lq norms of each
@@ -222,7 +222,7 @@ def picard_iterate(
                 new = f.values
             # the slice holds its change until the new values are copied in
             np.subtract(new, v[i], out=v[i])
-            norms[:, i] = [*values_lp_norms(new, grids, (2, q)), *values_lp_norms(v[i], grids, (2, q))]
+            norms[:, i] = [*values_lp_norms(new, f.grids, (2, q)), *values_lp_norms(v[i], f.grids, (2, q))]
             v[i] = new
             prev = h
         return norms

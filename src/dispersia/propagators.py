@@ -38,6 +38,7 @@ import numpy as np
 
 from . import fields
 from .fields import (
+    DIMENSION,
     EUCLIDEAN,
     HYPERBOLIC,
     Field,
@@ -110,39 +111,42 @@ class PotentialSpec:
         return self.evaluate(grid.displacement(self.center) + self.center)
 
 
+# a factor kind -> (the grid kind it runs on, whether it takes a potential)
+_KINDS = {
+    "free": (EUCLIDEAN, False),
+    "free-plus-potential": (EUCLIDEAN, True),
+    "hyperbolic-radial": (HYPERBOLIC, False),
+}
+
+
 @dataclass(frozen=True)
 class PropagatorSpec:
-    kind: str  # free | free-plus-potential | hyperbolic-radial
+    """One factor of a product flow. Its kind, a key of _KINDS, fixes the kind
+    of its grid and whether it has a potential; a spec that breaks either is refused."""
+
+    kind: str
     grid: Grid1D
     potential: PotentialSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in ("free", "free-plus-potential", "hyperbolic-radial"):
-            raise ValueError(f"unknown propagator kind {self.kind!r}")
-        if (self.potential is not None) != (self.kind == "free-plus-potential"):
-            raise ValueError("potential present iff kind is free-plus-potential")
-        if (self.grid.kind == HYPERBOLIC) != (self.kind == "hyperbolic-radial"):
-            raise ValueError(f"kind {self.kind!r} does not run on a {self.grid.kind} grid")
+        if _KINDS.get(self.kind) != (self.grid.kind, self.potential is not None):
+            raise ValueError(f"kind {self.kind!r} is not for a {self.grid.kind} grid with potential={self.potential}")
 
     @functools.cached_property
     def factor(self) -> SpectralFactor:
-        """The exact spectral form of the factor kind, built on first use and
-        freed with the spec: the Fourier basis (free), the potential
-        eigenbasis (free-plus-potential) or the sine transform
-        (hyperbolic-radial)."""
-        if self.kind == "free":
-            return _free_factor(self.grid)
-        if self.kind == "free-plus-potential":
+        """The exact spectral form of the factor, built on first use and freed
+        with the spec: the potential eigenbasis if there is a potential, else
+        the Fourier basis on a torus and the sine transform on H^3."""
+        if self.potential is not None:
             return _potential_factor(self.grid, self.potential)
-        return h3_factor(self.grid)
+        return h3_factor(self.grid) if self.grid.kind == HYPERBOLIC else _free_factor(self.grid)
 
     def decay_rate(self, q) -> Fraction:
         """The large-time rate of the factor's L^q' -> L^q estimate, for
-        2 <= q <= INF (see exponents.factor_rates): a torus factor, with
-        or without its potential, is Euclidean of dimension 1, and the
-        radial factor is H^3. A product's rate is the sum of its factors'
-        rates."""
-        return factor_rates(self.grid.kind, 3 if self.grid.kind == HYPERBOLIC else 1, inverse_exponent(q))[1]
+        2 <= q <= INF (see exponents.factor_rates), on the space its grid
+        kind samples: Euclidean of dimension 1 on a torus, with or without a
+        potential, and H^3 on the radial grid. A product's rate is the sum."""
+        return factor_rates(self.grid.kind, DIMENSION[self.grid.kind], inverse_exponent(q))[1]
 
 
 def torus_frequencies(grid: Grid1D) -> np.ndarray:

@@ -560,6 +560,15 @@ class TestNLSRunners:
         assert "field values must be finite" in capsys.readouterr().err
         assert not (output_root / "nls-smalldata" / "picard.json").exists()
 
+    def test_scaling_expectation_from_the_exact_gamma(self, tmp_path, capsys, output_root, monkeypatch):
+        # a nonlinearity that computes with the power gamma - 1/2 halves the
+        # k = 2 ratio by 2^-(5/2) on halved data; the expected factor is
+        # 2^-(gamma - 1) = 1/4 of the exact gamma, so the scaling line fails
+        monkeypatch.setattr(nls.Nonlinearity, "power", property(lambda nl: float(nl.gamma) - 0.5))
+        assert main(["run", write_config(tmp_path, SMALL_NLS)]) == EXIT_OK
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "data-size scaling" in ln)
+        assert line.startswith("[FAIL]") and "expected=0.2500" in line, line
+
     @pytest.mark.parametrize("name,config", [("nls-smalldata", SMALL_NLS), ("nls-scattering", SMALL_SCATTERING)])
     def test_nonfinite_splitstep_state_exits_5(self, tmp_path, capsys, output_root, monkeypatch, name, config):
         # Picard never calls the nonlinear substep, so only the split-step's

@@ -61,6 +61,16 @@ def free_potential_setup(amplitude=0.05):
     return u0.with_values(amplitude * u0.values), specs
 
 
+# each product setup with the factor dimensions (m, n) and a gamma inside
+# the bound 1 + 4/(m + n) of its Picard pair: 3 on two tori, 2 on a torus
+# times H^3
+over_product_setups = pytest.mark.parametrize(
+    "setup, dims, gamma",
+    [(small_data_setup, (1, 1), 3), (free_h3_setup, (1, 3), 2), (free_potential_setup, (1, 1), 3)],
+    ids=["free-free", "free-h3", "free-potential"],
+)
+
+
 def cauchy_tails(states, specs) -> CauchyTails:
     """The CauchyTails of a list of (time, Field) states, fed in time order."""
     acc = CauchyTails(specs)
@@ -296,20 +306,17 @@ class TestSplitstepBuffers:
 
 
 class TestPicardIterate:
-    def exponents(self):
-        return select_nls_exponents(1, 1, 3)
-
     def test_zero_data_converges_immediately(self):
         u0, specs = small_data_setup()
         zero = u0.with_values(np.zeros_like(u0.values))
-        result = picard_iterate(zero, Nonlinearity(gamma=3.0), specs, self.exponents(), 2.0, 0.2)
+        result = picard_iterate(zero, Nonlinearity(gamma=3.0), specs, 2.0, 0.2)
         assert result.converged
         assert result.history[-1].k == 1
         assert np.allclose(result.values, 0)
 
     def test_last_iterate_is_read_only(self):
         u0, specs = small_data_setup(n=64, length=32.0)
-        result = picard_iterate(u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, 0.1, max_iter=2)
+        result = picard_iterate(u0, Nonlinearity(gamma=3.0), specs, 1.0, 0.1, max_iter=2)
         assert result.values.shape == (len(result.times),) + u0.values.shape
         with pytest.raises(ValueError):
             result.values[0] = 0.0
@@ -317,7 +324,7 @@ class TestPicardIterate:
     def test_contraction_ratios_below_one(self):
         u0, specs = small_data_setup()
         result = picard_iterate(
-            u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 5.0, 0.25, max_iter=8, tol=1e-10
+            u0, Nonlinearity(gamma=3.0), specs, 5.0, 0.25, max_iter=8, tol=1e-10
         )
         ratios = [s.ratio for s in result.history if s.ratio is not None]
         assert result.converged
@@ -326,9 +333,9 @@ class TestPicardIterate:
     def test_halving_data_scales_first_ratio(self):
         u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
-        full = picard_iterate(u0, nl, specs, self.exponents(), 5.0, 0.25, max_iter=6, tol=1e-12)
+        full = picard_iterate(u0, nl, specs, 5.0, 0.25, max_iter=6, tol=1e-12)
         half_data = u0.with_values(0.5 * u0.values)
-        half = picard_iterate(half_data, nl, specs, self.exponents(), 5.0, 0.25, max_iter=6, tol=1e-12)
+        half = picard_iterate(half_data, nl, specs, 5.0, 0.25, max_iter=6, tol=1e-12)
         expected = 2.0 ** -(3.0 - 1.0)
         measured = half.history[2].ratio / full.history[2].ratio
         assert measured == pytest.approx(expected, rel=0.2)
@@ -336,7 +343,7 @@ class TestPicardIterate:
     def test_cross_method_agreement(self):
         u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
-        result = picard_iterate(u0, nl, specs, self.exponents(), 5.0, 0.1, max_iter=8, tol=1e-10)
+        result = picard_iterate(u0, nl, specs, 5.0, 0.1, max_iter=8, tol=1e-10)
         states = splitstep_nls(u0, nl, specs, T=5.0, dt=0.05, save_stride=2)
         diff = max(l2_difference(u0, up, us.values) for up, (_, us) in zip(result.values, states, strict=True))
         assert diff <= 1e-4
@@ -344,11 +351,10 @@ class TestPicardIterate:
     def test_linear_response_in_mu(self):
         # the k=1 Duhamel correction scales linearly with the coupling
         u0, specs = small_data_setup()
-        sel = self.exponents()
         d = {}
         for mu in (1e-3, 2e-3):
             result = picard_iterate(
-                u0, Nonlinearity(gamma=3.0, mu=mu), specs, sel, 2.0, 0.2, max_iter=2, tol=0
+                u0, Nonlinearity(gamma=3.0, mu=mu), specs, 2.0, 0.2, max_iter=2, tol=0
             )
             d[mu] = result.history[1].distance
         assert d[2e-3] / d[1e-3] == pytest.approx(2.0, rel=1e-3)
@@ -357,11 +363,11 @@ class TestPicardIterate:
         u0, specs = small_data_setup()
         nl = Nonlinearity(gamma=3.0)
         tol = 1e-8
-        result = picard_iterate(u0, nl, specs, self.exponents(), 2.0, 0.2, max_iter=12, tol=tol)
+        result = picard_iterate(u0, nl, specs, 2.0, 0.2, max_iter=12, tol=tol)
         assert result.converged
         # one more sweep moves the converged iterate by at most 2 tol
         # relative to the reference scale
-        again = picard_iterate(u0, nl, specs, self.exponents(), 2.0, 0.2, max_iter=result.history[-1].k + 1, tol=0)
+        again = picard_iterate(u0, nl, specs, 2.0, 0.2, max_iter=result.history[-1].k + 1, tol=0)
         d_next = again.history[result.history[-1].k + 1].distance
         ref = result.history[1].y_norm
         assert d_next <= 2 * tol * ref
@@ -373,41 +379,45 @@ class TestPicardIterate:
         cfg = experiments.parse_config(
             os.path.join(os.path.dirname(__file__), "..", "scripts", "configs", "nls-smalldata.cfg")
         )
-        u0, specs, nl, sel = experiments._nls_setup(cfg)
+        u0, specs, nl = experiments._nls_setup(cfg)
         u0 = u0.with_values(scale * u0.values)
         T, dt = float(cfg.settings["time"]["t_final"]), float(cfg.settings["time"]["dt"])
-        full = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=8, tol=1e-10)
-        capped = picard_iterate(u0, nl, specs, sel, T, dt, max_iter=2, tol=1e-10)
+        full = picard_iterate(u0, nl, specs, T, dt, max_iter=8, tol=1e-10)
+        capped = picard_iterate(u0, nl, specs, T, dt, max_iter=2, tol=1e-10)
         assert len(full.history) > 3
         assert capped.history == full.history[:3]
 
     def test_gamma_above_bound_refused(self):
         u0, specs = small_data_setup()
-        sel = select_nls_exponents(1, 1, 3)
         with pytest.raises(HypothesisViolation):
-            picard_iterate(u0, Nonlinearity(gamma=3.5), specs, sel, 1.0, 0.1)
+            picard_iterate(u0, Nonlinearity(gamma=3.5), specs, 1.0, 0.1)
 
-    def test_selection_for_another_gamma_refused(self):
-        # a gamma = 2 nonlinearity inside its bound, with the pair selected
-        # for gamma = 3: the iteration would run on that pair's p and q
-        u0, specs = small_data_setup(n=64, length=32.0)
-        with pytest.raises(ValueError, match="not the selection for gamma = 2"):
-            picard_iterate(u0, Nonlinearity(gamma=2), specs, self.exponents(), 1.0, 0.1)
+    def test_gamma_above_the_bound_of_the_grids_refused(self):
+        # gamma = 3 is the bound on two tori (m + n = 2), and above the
+        # bound 2 of a torus times H^3 (m + n = 4)
+        u0, specs = free_h3_setup()
+        with pytest.raises(HypothesisViolation, match="for m\\+n=4"):
+            picard_iterate(u0, Nonlinearity(gamma=3), specs, 1.0, 0.1, max_iter=2)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_field_not_of_rank_2_refused(self, rank):
+        grid = make_grid(16, 8.0)
+        u0 = Field((grid,) * rank, np.full((16,) * rank, 0.01 + 0j))
+        with pytest.raises(ValueError, match=f"got a rank-{rank} field"):
+            picard_iterate(u0, Nonlinearity(gamma=2), [PropagatorSpec("free", grid)] * rank, 1.0, 0.1)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_dt_refused(self, dt):
         u0, specs = small_data_setup(n=64, length=32.0)
         with pytest.raises(ValueError, match="dt must be positive"):
-            picard_iterate(u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, dt)
+            picard_iterate(u0, Nonlinearity(gamma=3.0), specs, 1.0, dt)
 
-    @pytest.mark.parametrize(
-        "setup", [small_data_setup, free_h3_setup, free_potential_setup], ids=["free-free", "free-h3", "free-potential"]
-    )
-    def test_caller_datum_unchanged(self, setup):
+    @over_product_setups
+    def test_caller_datum_unchanged(self, setup, dims, gamma):
         u0, specs = setup()
         caller = np.array(u0.values)
         before = caller.copy()
-        picard_iterate(Field(u0.grids, caller), Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, 0.1, max_iter=2)
+        picard_iterate(Field(u0.grids, caller), Nonlinearity(gamma=gamma), specs, 1.0, 0.1, max_iter=2)
         assert np.array_equal(caller, before)
 
     def test_nonfinite_iterate_refused(self, monkeypatch):
@@ -415,13 +425,13 @@ class TestPicardIterate:
         u0, specs = small_data_setup(n=64, length=32.0)
         monkeypatch.setattr(nls, "apply_nonlinearity", lambda values, nl: np.full_like(values, np.nan))
         with pytest.raises(ValueError, match="field values must be finite"):
-            picard_iterate(u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 1.0, 0.1)
+            picard_iterate(u0, Nonlinearity(gamma=3.0), specs, 1.0, 0.1)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_large_data_reported_not_raised(self):
         u0, specs = small_data_setup(amplitude=20.0)
         result = picard_iterate(
-            u0, Nonlinearity(gamma=3.0), specs, self.exponents(), 2.0, 0.2, max_iter=8, tol=1e-12
+            u0, Nonlinearity(gamma=3.0), specs, 2.0, 0.2, max_iter=8, tol=1e-12
         )
         # divergence must surface as a reported outcome, never an exception
         assert isinstance(result.contractive, bool)
@@ -513,14 +523,12 @@ class TestSpectralRoutes:
     """The routes apply the product flow in the spectral domain; these pin
     them to product_propagate."""
 
-    @pytest.mark.parametrize(
-        "setup", [small_data_setup, free_h3_setup, free_potential_setup], ids=["free-free", "free-h3", "free-potential"]
-    )
-    def test_one_duhamel_sweep_matches_direct_reference(self, setup):
+    @over_product_setups
+    def test_one_duhamel_sweep_matches_direct_reference(self, setup, dims, gamma):
         u0, specs = setup(amplitude=0.3)
-        nl = Nonlinearity(gamma=3.0)
+        nl = Nonlinearity(gamma=gamma)
         dt = 0.1
-        result = picard_iterate(u0, nl, specs, select_nls_exponents(1, 1, 3), 1.0, dt, max_iter=1, tol=0)
+        result = picard_iterate(u0, nl, specs, 1.0, dt, max_iter=1, tol=0)
         times = result.times
 
         def flow(values, t):
@@ -582,17 +590,15 @@ class TestPicardLatticeRecursion:
     of dt; it must agree with the per-slice phases of each time to
     round-off."""
 
-    @pytest.mark.parametrize(
-        "setup", [small_data_setup, free_h3_setup, free_potential_setup], ids=["free-free", "free-h3", "free-potential"]
-    )
-    def test_matches_per_slice_phase_sweep(self, setup):
+    @over_product_setups
+    def test_matches_per_slice_phase_sweep(self, setup, dims, gamma):
         # the default amplitudes contract on every setup: a diverging run
         # would amplify the round-off it compares
         u0, specs = setup()
-        nl = Nonlinearity(gamma=3.0)
-        sel = select_nls_exponents(1, 1, 3)
+        nl = Nonlinearity(gamma=gamma)
+        sel = select_nls_exponents(*dims, gamma)
         sweeps = 4
-        result = picard_iterate(u0, nl, specs, sel, 3.0, 0.1, max_iter=sweeps, tol=0)
+        result = picard_iterate(u0, nl, specs, 3.0, 0.1, max_iter=sweeps, tol=0)
         y_ref, d_ref, v_ref = per_slice_phase_picard(u0, nl, specs, sel, 3.0, 0.1, sweeps)
         assert [s.k for s in result.history] == list(range(sweeps + 1))
         for state, y, d in zip(result.history, y_ref, d_ref):
