@@ -18,6 +18,9 @@ import numpy as np
 from .fields import Field, SeparableField, lp_norm
 from .propagators import boundary_mass_fraction, peak_centers
 
+# the fewest unflagged samples that a power-law fit reads
+MIN_FIT_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class SeriesSample:
@@ -66,8 +69,8 @@ def fit_decay_exponent(series, window: tuple[float, float]) -> DecayFit:
     if not t_min < t_max:
         raise ValueError("window must satisfy t_min < t_max")
     pts = [s for s in series if not s.flagged and t_min <= s.t <= t_max]
-    if len(pts) < 5:
-        raise ValueError(f"need at least 5 unflagged samples in window, got {len(pts)}")
+    if len(pts) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} unflagged samples in window, got {len(pts)}")
     if any(s.value <= 0 for s in pts):
         raise ValueError("all values must be positive for a log-log fit")
     x = np.log([s.t for s in pts])

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .decay import fit_decay_exponent, compare_prediction, norm_series
+from .decay import MIN_FIT_SAMPLES, fit_decay_exponent, compare_prediction, norm_series
 from .exponents import (
     INF,
     Admissibility,
@@ -99,16 +99,14 @@ def parse_config(path: str) -> ExperimentConfig:
     )
 
 
-def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
+def _get(cfg: ExperimentConfig, section: str, key: str, default, cast=str):
     cfg.read.add((section, key))
     raw = cfg.settings.get(section, {}).get(key)
     if raw is None:
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
         return default
     try:
         value = cast(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     # every float setting (a length, a time, an amplitude, a tolerance) is
     # finite; the exponent q, which may be inf, has its own cast
@@ -117,11 +115,20 @@ def _get(cfg: ExperimentConfig, section: str, key: str, default=None, cast=str):
     return value
 
 
-def _positive(cfg: ExperimentConfig, section: str, key: str, default: float) -> float:
-    """A finite float setting that must exceed 0."""
+def _positive(cfg: ExperimentConfig, section: str, key: str, default: float, why: str = "") -> float:
+    """A finite float setting that must exceed 0; `why`, if given, is the
+    reason that the refusal states."""
     value = _get(cfg, section, key, default, float)
     if not value > 0:
-        raise ConfigError(f"[{section}] {key} must be > 0 (got {value})")
+        raise ConfigError(f"[{section}] {key} must be > 0 (got {value})" + (why and f": {why}"))
+    return value
+
+
+def _at_least(cfg: ExperimentConfig, section: str, key: str, default: int, least: int, why: str = "") -> int:
+    """An integer setting that must be >= least; `why` as in _positive."""
+    value = _get(cfg, section, key, default, int)
+    if value < least:
+        raise ConfigError(f"[{section}] {key} must be >= {least} (got {value})" + (why and f": {why}"))
     return value
 
 
@@ -163,24 +170,16 @@ def _write_json(cfg: ExperimentConfig, name: str, obj: dict):
     _atomic_write(os.path.join(cfg.output_dir, name), json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _fraction(s: str) -> Fraction:
-    """An exact rational; a zero denominator is a ValueError, as `x` is."""
-    try:
-        return Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {s.strip()!r}") from exc
-
-
 def _exponent_from_str(s: str):
     s = s.strip().lower()
     if s in ("inf", "infinity", "oo"):
         return INF
-    return _fraction(s)
+    return Fraction(s)
 
 
 def _fractions_from_str(s: str) -> list[Fraction]:
     """A comma-separated list of exact rationals; empty entries are skipped."""
-    return [_fraction(x) for x in s.split(",") if x.strip()]
+    return [Fraction(x) for x in s.split(",") if x.strip()]
 
 
 @dataclass
@@ -202,29 +201,32 @@ def _separable_datum(grid, profile: np.ndarray, k: int) -> Field:
 
 
 def _decay_window(cfg, t_min, t_max, n_times):
-    """The [time] window (t_min, t_max) and its n_times log-spaced sample
-    times, checked before any solve: the fit reads at least 5 samples of a
-    window of positive times."""
+    """The n_times log-spaced sample times of the [time] window (t_min,
+    t_max), checked before any solve: the fit reads at least
+    MIN_FIT_SAMPLES samples of a window of positive times. np.geomspace
+    sets both ends exactly, so the first and last sample times are the
+    window."""
     t_min = _positive(cfg, "time", "t_min", t_min)
     t_max = _get(cfg, "time", "t_max", t_max, float)
-    n_times = _get(cfg, "time", "n_times", n_times, int)
+    n_times = _at_least(
+        cfg, "time", "n_times", n_times, MIN_FIT_SAMPLES, f"the fit reads at least {MIN_FIT_SAMPLES} samples"
+    )
     if not t_min < t_max < math.inf:
         raise ConfigError(f"[time] t_max must be finite and > t_min = {t_min} (got {t_max})")
-    if n_times < 5:
-        raise ConfigError(f"[time] n_times must be >= 5: the fit reads at least 5 samples (got {n_times})")
-    return (t_min, t_max), np.geomspace(t_min, t_max, n_times)
+    return np.geomspace(t_min, t_max, n_times)
 
 
-def _decay_verdict(cfg, report, label, series, u0, window, q, specs, tol, **extra):
+def _decay_verdict(cfg, report, label, series, u0, q, specs, tol, **extra):
     """Shared tail of every decay experiment: the norms ||u(t)||_q of
-    `series` divided by ||u0||_q', their power-law fit over the window, the
-    verdict against slope -predicted, where predicted is the sum of the
-    decay rates at q of the factors `specs`, and the series.csv and
-    fit.json artifacts (fit.json also carries the `extra` entries)."""
+    `series` divided by ||u0||_q', their power-law fit over the span of
+    the series, the verdict against slope -predicted, where predicted is
+    the sum of the decay rates at q of the factors `specs`, and the
+    series.csv and fit.json artifacts (fit.json also carries the `extra`
+    entries)."""
     predicted = sum(s.decay_rate(q) for s in specs)
     base = lp_norm(u0, dual_exponent(q))
     series = [replace(s, value=s.value / base) for s in series]
-    fit = fit_decay_exponent(series, window)
+    fit = fit_decay_exponent(series, (series[0].t, series[-1].t))
     rep = compare_prediction(fit, predicted, tol)
     _write_csv(cfg, "series.csv", ["t", "value", "flagged"],
                ([_fmt(s.t), _fmt(s.value), str(int(s.flagged))] for s in series))
@@ -244,9 +246,7 @@ def _in_section(section: str, build, *args, **kwargs):
 
 def _saved_steps(T: float, dt: float, stride: int = 1) -> list[int]:
     """saved_steps of the [time] settings t_final, dt (checked > 0) and
-    save_stride, checked before any solve or worker thread."""
-    if stride < 1:
-        raise ConfigError(f"[time] save_stride must be >= 1 (got {stride})")
+    save_stride (checked >= 1), checked before any solve or worker thread."""
     try:
         return saved_steps(T, dt, stride)
     except ValueError as exc:
@@ -265,21 +265,22 @@ def _beside(main, side):
 
 # ---------------------------------------------------------------- experiments
 
-# preset -> (factor kind, default factor count, whether [grid] factors is read,
-# default [exponents] q (None: fixed q = inf, the L^1 -> L^inf estimate), label)
+# preset -> (factor kind, default factor count, default [exponents] q (None:
+# fixed q = inf, the L^1 -> L^inf estimate), label)
 _DECAY_PRESETS = {
-    "free-product-decay": ("free", 2, True, None, "{k}-factor free decay slope"),
-    "potential-product-decay": ("free-plus-potential", 1, True, None, "{k}-factor potential decay slope"),
-    "hyperbolic-decay": ("hyperbolic-radial", 1, False, None, "hyperbolic large-time decay slope"),
-    "hyperbolic-product-decay": ("hyperbolic-radial", 2, False, None, "hyperbolic product large-time decay slope"),
-    "interpolated-decay": ("free", 2, False, Fraction(4), "interpolated decay slope (q={q})"),
+    "free-product-decay": ("free", 2, None, "{k}-factor free decay slope"),
+    "potential-product-decay": ("free-plus-potential", 1, None, "{k}-factor potential decay slope"),
+    "hyperbolic-decay": ("hyperbolic-radial", 1, None, "hyperbolic large-time decay slope"),
+    "hyperbolic-product-decay": ("hyperbolic-radial", 2, None, "hyperbolic product large-time decay slope"),
+    "interpolated-decay": ("free", 2, Fraction(4), "interpolated decay slope (q={q})"),
 }
 
 # (preset, factor count) -> defaults of n_points, length (r_max on H^3),
-# data width, t_min, t_max, n_times, tolerance. The runs evolve factored
-# data, so cost no longer grows with the factor count; the smaller 3-factor
-# grid and shorter window are kept so that the committed configs keep their
-# verdicts and artifacts.
+# data width, t_min, t_max, n_times, tolerance. A preset with more than one
+# factor count here reads [grid] factors, and the others refuse it. The runs
+# evolve factored data, so cost no longer grows with the factor count; the
+# smaller 3-factor grid and shorter window are kept so that the committed
+# configs keep their verdicts and artifacts.
 _DECAY_DEFAULTS = {
     ("free-product-decay", 1): (2048, 600.0, 1.0, 2.0, 50.0, 15, 0.05),
     ("free-product-decay", 2): (1024, 512.0, 1.0, 2.0, 50.0, 15, 0.05),
@@ -297,8 +298,8 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     """Every product decay preset: k copies of one factor flow, a separable
     datum evolved factor by factor, the L^q' -> L^q ratio series, and
     predicted slope minus the sum of the factors' decay rates at q."""
-    kind, k, k_settable, q, label = _DECAY_PRESETS[cfg.name]
-    if k_settable:
+    kind, k, q, label = _DECAY_PRESETS[cfg.name]
+    if sum(preset == cfg.name for preset, _ in _DECAY_DEFAULTS) > 1:
         k = _get(cfg, "grid", "factors", k, int)
     if (cfg.name, k) not in _DECAY_DEFAULTS:
         raise ConfigError(f"[grid] factors = {k} is not supported by {cfg.name}")
@@ -308,7 +309,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     n = _get(cfg, "grid", "n_points", n, int)
     length = _get(cfg, "grid", "r_max" if hyperbolic else "length", length, float)
     width = _positive(cfg, "data", "width", width)
-    window, times = _decay_window(cfg, t_min, t_max, n_times)
+    times = _decay_window(cfg, t_min, t_max, n_times)
     tol = _positive(cfg, "fit", "tolerance", tol)
     q = INF if q is None else _get(cfg, "exponents", "q", q, _exponent_from_str)
     if not q >= 2:
@@ -330,7 +331,7 @@ def run_product_decay(cfg: ExperimentConfig, report: RunReport):
     # one spec for every factor, so its eigenbasis is built once per run
     specs = [PropagatorSpec(kind, grid, pot)] * k
     series = norm_series(lambda u, t: product_propagate(specs, u, t), u0, times, float(q))
-    _decay_verdict(cfg, report, label.format(k=k, q=q), series, u0, window, q, specs, tol)
+    _decay_verdict(cfg, report, label.format(k=k, q=q), series, u0, q, specs, tol)
 
 
 def run_two_particle(cfg: ExperimentConfig, report: RunReport):
@@ -339,18 +340,12 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     width = _positive(cfg, "data", "width", 1.0)
     amplitude = _get(cfg, "potential", "amplitude", 0.5, float)
     v_width = _get(cfg, "potential", "width", 1.0, float)
-    t_eq = _get(cfg, "time", "t_equivalence", 1.0, float)
-    steps_eq = _get(cfg, "time", "equivalence_steps", 64, int)
-    spp = _get(cfg, "time", "split_steps_per_unit_time", 32, int)
-    window, times = _decay_window(cfg, 2.0, 10.0, 10)
+    t_eq = _positive(cfg, "time", "t_equivalence", 1.0, "at t = 0 both routes return the datum")
+    steps_eq = _at_least(cfg, "time", "equivalence_steps", 64, 1)
+    spp = _at_least(cfg, "time", "split_steps_per_unit_time", 32, 1)
+    times = _decay_window(cfg, 2.0, 10.0, 10)
     eq_tol = _positive(cfg, "fit", "equivalence_tolerance", 1e-6)
     tol = _positive(cfg, "fit", "tolerance", 0.12)
-    if not t_eq > 0:
-        raise ConfigError(f"[time] t_equivalence must be > 0 (got {t_eq}): at t = 0 both routes return the datum")
-    if steps_eq < 1:
-        raise ConfigError(f"[time] equivalence_steps must be >= 1 (got {steps_eq})")
-    if spp < 1:
-        raise ConfigError(f"[time] split_steps_per_unit_time must be >= 1 (got {spp})")
     if n % 2 == 0:
         raise ConfigError(
             f"[grid] n_points must be odd (got {n}): the lattice rotation (j, k) -> (j + k, j - k) "
@@ -386,26 +381,21 @@ def run_two_particle(cfg: ExperimentConfig, report: RunReport):
     # product decay in the interacting system: the rates of the sum
     # variable's free factor and the difference variable's potential factor
     factors = (PropagatorSpec("free", grid), PropagatorSpec("free-plus-potential", grid, pot))
-    _decay_verdict(
-        cfg, report, "two-particle decay slope", series, u0, window, INF, factors, tol, equivalence_l2_difference=diff
-    )
+    _decay_verdict(cfg, report, "two-particle decay slope", series, u0, INF, factors, tol,
+                   equivalence_l2_difference=diff)
 
 
 def run_admissible_region(cfg: ExperimentConfig, report: RunReport):
     """The (1/p, 1/q) lattice in lattice.csv, classified exactly by
     strichartz_class: in the region of H^m x H^n (m, n >= 2) or not, and
     for each decay index a+b >= 0, the Euclidean factor of dimension 2(a+b)."""
-    m = _get(cfg, "exponents", "m", 2, int)
-    n = _get(cfg, "exponents", "n", 2, int)
-    denominator = _get(cfg, "exponents", "denominator", 12, int)
+    m = _at_least(cfg, "exponents", "m", 2, 2)
+    n = _at_least(cfg, "exponents", "n", 2, 2)
+    denominator = _at_least(cfg, "exponents", "denominator", 12, 1)
     indices = _get(cfg, "exponents", "indices", _fractions_from_str("1/2,1,3/2,2,3"), _fractions_from_str)
-    _check_all_read(cfg)
-    if denominator < 1:
-        raise ValueError(f"lattice denominator must be >= 1, got {denominator}")
-    if m < 2 or n < 2:
-        raise ValueError("factor dimensions must be >= 2")
     if any(ab < 0 for ab in indices):
-        raise ValueError(f"decay exponents must be nonnegative, got a+b = {min(indices)}")
+        raise ConfigError(f"[exponents] indices must be nonnegative (got a+b = {min(indices)})")
+    _check_all_read(cfg)
     pairs = [ExponentPair(Fraction(i, denominator), Fraction(j, denominator))
              for i, j in itertools.product(range(denominator // 2 + 1), repeat=2)]
     triangle = [(HYPERBOLIC, m), (HYPERBOLIC, n)]
@@ -427,7 +417,7 @@ def _nls_setup(cfg: ExperimentConfig):
     length = _get(cfg, "grid", "length", 64.0, float)
     width = _positive(cfg, "data", "width", 2.0)
     amp = _get(cfg, "data", "amplitude", 0.05, float)
-    gamma = _get(cfg, "nls", "gamma", Fraction(3), _fraction)
+    gamma = _get(cfg, "nls", "gamma", Fraction(3), Fraction)
     mu = _get(cfg, "nls", "mu", 1.0, float)
     grid = _in_section("grid", make_grid, n, length)
     specs = [PropagatorSpec("free", grid)] * 2
@@ -452,12 +442,10 @@ def _k2_ratio(result, run: str) -> float:
 def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
     T = _positive(cfg, "time", "t_final", 10.0)
     dt = _positive(cfg, "time", "dt", 0.1)
-    max_iter = _get(cfg, "nls", "max_iter", 8, int)
+    max_iter = _at_least(cfg, "nls", "max_iter", 8, 2, "the scaling check compares the k=2 contraction ratios")
     tol = _positive(cfg, "nls", "tol", 1e-10)
     agree_tol = _positive(cfg, "fit", "cross_method_tolerance", 1e-4)
     scaling_tol = _positive(cfg, "fit", "scaling_tolerance", 0.2)
-    if max_iter < 2:
-        raise ConfigError("[nls] max_iter must be >= 2: the scaling check compares the k=2 contraction ratios")
     _saved_steps(T, dt)
     u0, specs, nl = _nls_setup(cfg)
     _check_all_read(cfg)
@@ -510,7 +498,7 @@ def run_nls_smalldata(cfg: ExperimentConfig, report: RunReport):
 def run_nls_scattering(cfg: ExperimentConfig, report: RunReport):
     T = _positive(cfg, "time", "t_final", 40.0)
     dt = _positive(cfg, "time", "dt", 0.1)
-    stride = _get(cfg, "time", "save_stride", 10, int)
+    stride = _at_least(cfg, "time", "save_stride", 10, 1)
     decrease = _positive(cfg, "fit", "tail_decrease_factor", 10.0)
     saved = [s * dt for s in _saved_steps(T, dt, stride)]
     u0, specs, nl = _nls_setup(cfg)

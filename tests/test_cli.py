@@ -206,13 +206,21 @@ class TestExitCodes:
         assert "[exponents] q" in capsys.readouterr().err
         assert not output_root.exists()
 
-    @pytest.mark.parametrize("name", [n for n, preset in experiments._DECAY_PRESETS.items() if not preset[2]])
+    @pytest.mark.parametrize("name", ["hyperbolic-decay", "hyperbolic-product-decay", "interpolated-decay"])
     def test_fixed_factor_count_refused(self, tmp_path, capsys, output_root, name):
         # these presets have a fixed factor count: [grid] factors = 2 ran
         # hyperbolic-decay with one factor
         path = write_config(tmp_path, f"[experiment]\nname = {name}\n[grid]\nfactors = 2\n")
         assert main(["run", path]) == EXIT_CONFIG
         assert "[grid] factors" in capsys.readouterr().err
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_unsupported_factor_count_refused(self, tmp_path, capsys, output_root, k):
+        # free-product-decay has defaults for 1 to 3 factors only
+        path = write_config(tmp_path, f"[experiment]\nname = free-product-decay\n[grid]\nfactors = {k}\n")
+        assert main(["run", path]) == EXIT_CONFIG
+        assert f"[grid] factors = {k} is not supported" in capsys.readouterr().err
         assert not output_root.exists()
 
     @pytest.mark.parametrize(
@@ -368,8 +376,9 @@ class TestExitCodes:
         path = write_config(
             tmp_path, f"[experiment]\nname = admissible-region\n[exponents]\ndenominator = {denominator}\n"
         )
-        assert main(["run", path]) == EXIT_INVALID_ARGUMENT
-        assert "denominator" in capsys.readouterr().err
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[exponents] denominator must be >= 1" in capsys.readouterr().err
+        assert not output_root.exists()
 
     @pytest.mark.parametrize(
         "name, key, value",
@@ -391,16 +400,16 @@ class TestExitCodes:
 
     def test_negative_lattice_index_refused(self, tmp_path, capsys, output_root):
         path = write_config(tmp_path, "[experiment]\nname = admissible-region\n[exponents]\nindices = -1\n")
-        assert main(["run", path]) == EXIT_INVALID_ARGUMENT
-        assert "must be nonnegative" in capsys.readouterr().err
+        assert main(["run", path]) == EXIT_CONFIG
+        assert "[exponents] indices must be nonnegative" in capsys.readouterr().err
         assert not output_root.exists()
 
     @pytest.mark.parametrize("key", ["m", "n"])
     def test_small_lattice_dimension_refused(self, tmp_path, capsys, output_root, key):
         # the triangle T(m, n) is stated for factor dimensions m, n >= 2
         path = write_config(tmp_path, f"[experiment]\nname = admissible-region\n[exponents]\n{key} = 1\n")
-        assert main(["run", path]) == EXIT_INVALID_ARGUMENT
-        assert "factor dimensions must be >= 2" in capsys.readouterr().err
+        assert main(["run", path]) == EXIT_CONFIG
+        assert f"[exponents] {key} must be >= 2" in capsys.readouterr().err
         assert not output_root.exists()
 
     def test_overflowing_h3_grid_rejected_without_warnings(self, tmp_path, capsys, output_root):
@@ -683,7 +692,7 @@ class TestDecayDefaults:
         # settable) runs on that entry's defaults and must pass, warning-free,
         # against its exact predicted slope
         text = f"[experiment]\nname = {preset}\n"
-        if experiments._DECAY_PRESETS[preset][2]:
+        if preset in ("free-product-decay", "potential-product-decay"):
             text += f"[grid]\nfactors = {k}\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -691,6 +700,15 @@ class TestDecayDefaults:
         verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("[PASS]", "[FAIL]"))]
         assert verdicts and all(ln.startswith("[PASS]") for ln in verdicts), verdicts
         assert f" predicted=-{self.PREDICTED[preset, k]} " in verdicts[0]
+
+    @pytest.mark.parametrize("q", ["inf", "Infinity"])
+    def test_interpolated_decay_at_q_inf(self, tmp_path, capsys, output_root, q):
+        # q = inf is the L^1 -> L^inf estimate: on the interpolated preset's
+        # 2-factor free grid it predicts the free-product-decay slope -1
+        path = write_config(tmp_path, f"[experiment]\nname = interpolated-decay\n[exponents]\nq = {q}\n")
+        assert main(["run", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[PASS] interpolated decay slope (q=inf): slope=-0.9932 predicted=-1 tol=0.08" in out
 
 
 class TestRunArtifacts:

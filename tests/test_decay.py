@@ -247,6 +247,14 @@ class TestStrichartzNorm:
             with pytest.raises(ValueError, match="at least one time"):
                 time_norm(np.array([]), empty, p)
 
+    def test_one_time_with_finite_p_is_zero(self):
+        # the trapezoid over a single time spans no interval; p = inf still
+        # takes the one norm
+        times, states, u = self.constant_states(n=1)
+        norms = slice_norms(states, u.grids, 4)
+        assert time_norm(times, norms, 2) == 0.0
+        assert time_norm(times, norms, math.inf) == norms[0]
+
     @pytest.mark.parametrize("p", [2, math.inf])
     def test_one_norm_per_time(self, p):
         times, states, u = self.constant_states(n=5)

@@ -477,6 +477,10 @@ class TestTwoParticleRotate:
         with pytest.raises(ValueError):
             two_particle_rotate(u, "forward")
 
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be 'forward' or 'inverse'"):
+            two_particle_rotate(self.field_on(9), "sideways")
+
     @given(seed=st.integers(0, 1000), n=st.sampled_from([9, 13, 17]))
     @settings(max_examples=20, deadline=None)
     def test_bijection_property(self, seed, n):
@@ -648,6 +652,25 @@ class TestTwoParticlePropagate:
         v, u = self.sech_case(n=27, length=15.0)
         with pytest.raises(ValueError, match="potential samples must match the grid"):
             route(np.concatenate((v, v)), u, 1.0, 4)
+
+    @pytest.mark.parametrize("route", [two_particle_propagate, original_coordinates_reference])
+    def test_refuses_negative_time(self, route):
+        v, u = self.sech_case(n=27, length=15.0)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            route(v, u, -1.0, 4)
+
+    def test_refuses_a_field_not_of_rank_2(self):
+        grid = make_grid(27, 15.0)
+        with pytest.raises(ValueError, match="two-particle fields are rank 2"):
+            two_particle_propagate(np.zeros(27), gaussian_field(grid, 1.0), 1.0, 4)
+
+    def test_refuses_h3_grids(self):
+        # the lattice rotation acts on torus coordinates: a square H^3 grid
+        # of odd point count is still refused
+        grid = make_grid(27, 15.0, HYPERBOLIC)
+        u = product_field(gaussian_field(grid, 1.0, 1.5), gaussian_field(grid, 1.0, 1.5))
+        with pytest.raises(ValueError, match="two-particle grids must be euclidean tori"):
+            two_particle_propagate(np.zeros(27), u, 1.0, 4)
 
     def test_t0_identity(self):
         grid = make_grid(9, 5.0)
