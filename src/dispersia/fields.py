@@ -3,6 +3,8 @@
 A Grid1D is one factor of the product domain: either a periodic torus
 segment of the real line, or the truncated radial half-line of the
 3-dimensional hyperbolic space carried with its sinh^2 surface measure.
+An even torus grid stores only the nodes 0..N//2 of functions that are
+even about x = 0, with the norms of the whole torus (see Grid1D).
 Fields are immutable (grids, values) pairs, and a SeparableField keeps a
 rank-1 product state as its 1-D factors. The values of a Field are
 read-only down to their memory, so they never change, and an array that
@@ -120,15 +122,25 @@ def _by_lines(fn, values: np.ndarray, axis: int, points: int | None = None) -> n
 @dataclass(frozen=True)
 class Grid1D:
     """One factor of the product domain: n_points nodes on a finite
-    length > 0, which H^3 calls r_max."""
+    length > 0, which H^3 calls r_max.
+
+    An even grid (even=True, a torus only) holds the functions that are
+    even about x = 0 on the n_points torus, u(x_{N-j}) = u(x_j), by
+    their `size` = N//2 + 1 nodes 0..N//2, which determine the rest. Its
+    weight at a stored node counts the node and its mirror image, so its
+    norms are those of the whole torus. `n_points` and `spacing` stay
+    those of the torus."""
 
     n_points: int
     length: float
     kind: str = EUCLIDEAN
+    even: bool = False
 
     def __post_init__(self):
         if self.kind not in DIMENSION:
             raise ValueError(f"unknown grid kind {self.kind!r}")
+        if self.even and self.kind != EUCLIDEAN:
+            raise ValueError(f"an even grid is the half of a torus that mirrors it, and a {self.kind} grid has no mirror")
         if self.n_points < _MIN_POINTS:
             raise ValueError(f"n_points must be >= {_MIN_POINTS}, got {self.n_points}")
         if not 0 < self.length < math.inf:
@@ -145,6 +157,11 @@ class Grid1D:
                 )
 
     @property
+    def size(self) -> int:
+        """The number of stored nodes: N//2 + 1 on an even grid, else N."""
+        return self.n_points // 2 + 1 if self.even else self.n_points
+
+    @property
     def spacing(self) -> float:
         return self.length / self.n_points
 
@@ -152,7 +169,7 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         dx = self.spacing
         if self.kind == EUCLIDEAN:
-            return dx * np.arange(self.n_points)
+            return dx * np.arange(self.size)
         # cell-centered to keep sinh(r) > 0 at every node
         return dx * (np.arange(self.n_points) + 0.5)
 
@@ -161,7 +178,10 @@ class Grid1D:
         """Quadrature weight at each node (measure of its cell)."""
         dx = self.spacing
         if self.kind == EUCLIDEAN:
-            return np.full(self.n_points, dx)
+            # on an even grid, a node whose mirror N - j is not stored counts twice
+            w = np.full(self.size, dx)
+            w[1 : self.n_points - self.size + 1] = 2 * dx
+            return w
         # geodesic-sphere area 4*pi*sinh(r)^2 in H^3
         return 4.0 * np.pi * np.sinh(self.nodes) ** 2 * dx
 
@@ -172,8 +192,8 @@ class Grid1D:
         return self.nodes - center
 
 
-def make_grid(n_points: int, length: float, kind: str = EUCLIDEAN) -> Grid1D:
-    return Grid1D(n_points=int(n_points), length=float(length), kind=kind)
+def make_grid(n_points: int, length: float, kind: str = EUCLIDEAN, even: bool = False) -> Grid1D:
+    return Grid1D(n_points=int(n_points), length=float(length), kind=kind, even=even)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -242,7 +262,7 @@ class Field:
         object.__setattr__(self, "grids", grids)
         if not 1 <= len(grids) <= 3:
             raise ValueError("Field supports rank 1 to 3")
-        vals = _immutable(self.values, tuple(g.n_points for g in grids))
+        vals = _immutable(self.values, tuple(g.size for g in grids))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -370,9 +390,16 @@ def gaussian_field(grid: Grid1D, width: float = 1.0, center: float | None = None
     default. Where a square or the quotient overflows, the bump takes its
     exact float limit 0. A width whose 2 width^2 is not a positive finite
     float, and a bump that is 0 at every node, too narrow to reach one or
-    centred too far from the grid, are ValueErrors."""
+    centred too far from the grid, are ValueErrors. So is a centre other
+    than 0 or L/2 mod L on an even grid, where the bump is not even and
+    the grid would hold the even extension of another function."""
     if center is None:
         center = grid.length / 2 if grid.kind == EUCLIDEAN else grid.length / 8
+    if grid.even and center % grid.length not in (0.0, grid.length / 2):
+        raise ValueError(
+            f"center = {center} is not 0 or L/2 mod L = {grid.length}: the Gaussian is not even on the torus, "
+            "so an even grid cannot hold it"
+        )
     d = grid.displacement(center)
     with np.errstate(over="ignore"):
         scale = 2.0 * np.float64(width) ** 2

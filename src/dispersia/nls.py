@@ -7,7 +7,11 @@ Y-norm ||u||_{Linf_t L2} + ||u||_{Lp_t Lq} are the quantitative
 diagnostics of the small-data well-posedness scheme.
 
 Every route applies the linear product flow in the spectral domain
-(propagators.spectral_product), for any mix of factor kinds. The Picard
+(propagators.spectral_product), for any mix of factor kinds, on the grids
+of its datum. The free flow and the gauge-invariant power keep the
+parity of a state, so a datum on even torus grids (fields.Grid1D with
+even=True) stays even: every route then runs on the stored nodes 0..N//2
+of each axis and gives the full torus's results there. The Picard
 iteration overwrites one stack of its time slices in place; the
 split-step yields its saved states one at a time as Fields, which
 CauchyTails, the scattering diagnostic, consumes as they come.

@@ -5,6 +5,11 @@ grid axis (a SpectralFactor): the free torus factor by the FFT, the
 free-plus-potential torus factor by its exact eigenbasis, and the radial
 H^3 factor by a sine transform computed with one complex FFT per line
 (see h3_factor). Every FFT is numpy.fft's, so the package needs no scipy.
+On an even torus grid (fields.Grid1D with even=True) the free factor
+runs the same FFT on the even extension of each stored line to the N
+torus nodes and keeps the modes k = 0..N//2, its spectrum xi^2 there: an
+even state stays even under it. A potential, whose eigenbasis is built
+on the full torus, and the two-particle rotation refuse an even grid.
 On a product of factors `spectral_product` gives the flow as one forward
 transform per axis, one phase and one inverse transform per axis;
 `SpectralProduct.step` is that sweep with a given phase, the kinetic
@@ -131,6 +136,8 @@ class PropagatorSpec:
     def __post_init__(self):
         if _KINDS.get(self.kind) != (self.grid.kind, self.potential is not None):
             raise ValueError(f"kind {self.kind!r} is not for a {self.grid.kind} grid with potential={self.potential}")
+        if self.potential is not None and self.grid.even:
+            raise ValueError("a potential needs the full torus grid: its eigenbasis is built on all n_points nodes")
 
     @functools.cached_property
     def factor(self) -> SpectralFactor:
@@ -153,17 +160,31 @@ def torus_frequencies(grid: Grid1D) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
 
 
-def _fft_along(transform):
-    """`transform` (np.fft.fft or np.fft.ifft) along one axis, in place on
-    _own(values, overwrite), one call per group of lines (see _by_lines)."""
-    return lambda values, axis, overwrite=False: _by_lines(
-        lambda lines: transform(lines, out=lines), _own(values, overwrite), axis
-    )
+def _fft_along(transform, grid: Grid1D):
+    """`transform` (np.fft.fft or np.fft.ifft) along one axis on `grid`, in
+    place on _own(values, overwrite), one call per group of lines (see
+    _by_lines). On an even grid a group's lines are copied into their even
+    extension to the N torus nodes, u_{N-j} = u_j, the same call runs on
+    that buffer, and the outputs k = 0..N//2 are kept: the transform of an
+    even line is even, so they determine it."""
+    n, h = grid.n_points, grid.size
+
+    def mirrored(lines):
+        buf = np.empty((*lines.shape[:-1], n), dtype=complex)
+        buf[..., :h] = lines
+        buf[..., h:] = lines[..., n - h : 0 : -1]
+        transform(buf, out=buf)
+        lines[...] = buf[..., :h]
+
+    fn = mirrored if grid.even else lambda lines: transform(lines, out=lines)
+    return lambda values, axis, overwrite=False: _by_lines(fn, _own(values, overwrite), axis)
 
 
 def _free_factor(grid: Grid1D) -> SpectralFactor:
-    """The free torus factor: FFT along the axis, spectrum xi^2."""
-    return SpectralFactor(_fft_along(np.fft.fft), _fft_along(np.fft.ifft), torus_frequencies(grid) ** 2)
+    """The free torus factor: FFT along the axis, spectrum xi^2 (on an even
+    grid, at k = 0..N//2)."""
+    lam = torus_frequencies(grid)[: grid.size] ** 2
+    return SpectralFactor(_fft_along(np.fft.fft, grid), _fft_along(np.fft.ifft, grid), lam)
 
 
 def _matrix_along(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
@@ -455,6 +476,8 @@ def _require_two_particle_grid(u: Field) -> int:
         raise ValueError("two-particle grids must be square (same grid on both axes)")
     if g0.kind != EUCLIDEAN:
         raise ValueError("two-particle grids must be euclidean tori")
+    if g0.even:
+        raise ValueError("two-particle grids must be full tori: the lattice rotation maps all N^2 nodes, not an even half")
     n = g0.n_points
     if n % 2 == 0:
         raise ValueError("two-particle grids must have odd point count")

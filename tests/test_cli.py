@@ -1,6 +1,7 @@
 """Command-line driver: registry, exit codes, artifacts, determinism."""
 
 import collections
+import functools
 import json
 import os
 import threading
@@ -617,6 +618,44 @@ class TestNLSRunners:
         assert len(outputs) == 12
         for (mode, name, artifact), data in outputs.items():
             assert data == outputs["inline", name, artifact]
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_even_grid_runs_match_the_full_torus(self, tmp_path, capsys, monkeypatch, n):
+        # both runners store the even half of the torus and say so; the full
+        # torus, run by a make_grid that drops even=True, gives the same
+        # artifacts to 1e-12 of the datum's Y-norm (float64 roundoff, a
+        # tolerance set before the run)
+        paths = [
+            write_config(tmp_path, config.replace("n_points = 64", f"n_points = {n}"), f"{name}.cfg")
+            for name, config in (("nls-smalldata", SMALL_NLS), ("nls-scattering", SMALL_SCATTERING))
+        ]
+        note = f"grid: even half of the {n}-point torus, {n // 2 + 1} x {n // 2 + 1} nodes stored"
+        out = {}
+        for mode in ("even", "full"):
+            if mode == "full":
+                full_grid = functools.partial(experiments.make_grid, even=False)
+                monkeypatch.setattr(experiments, "make_grid", lambda n, length, even: full_grid(n, length))
+            monkeypatch.setenv("DISPERSIA_OUTPUT_ROOT", str(tmp_path / mode))
+            for path in paths:
+                assert main(["run", path]) == EXIT_OK
+            if mode == "even":
+                assert capsys.readouterr().out.count(note + "\n") == 2
+            picard = json.loads((tmp_path / mode / "nls-smalldata" / "picard.json").read_text())
+            tails = np.loadtxt(tmp_path / mode / "nls-scattering" / "tails.csv", delimiter=",", skiprows=2)
+            out[mode] = picard, tails
+        for name in ("nls-smalldata", "nls-scattering"):
+            assert note in (tmp_path / "even" / name / "summary.txt").read_text().splitlines()
+        (a, tails_a), (b, tails_b) = out["full"], out["even"]
+        tol = 1e-12 * a["history"][0]["y_norm"]
+        assert len(a["history"]) == len(b["history"]) > 2
+        for x, y in zip(a["history"], b["history"]):
+            assert y["y_norm"] == pytest.approx(x["y_norm"], rel=1e-12, abs=0)
+            assert x["distance"] is None or abs(y["distance"] - x["distance"]) <= tol
+        assert abs(b["cross_method_difference"] - a["cross_method_difference"]) <= tol
+        for key in ("ratio_full", "ratio_half"):
+            assert b["scaling"][key] == pytest.approx(a["scaling"][key], rel=1e-9, abs=0)
+        assert np.array_equal(tails_a[:, 0], tails_b[:, 0])
+        assert np.max(np.abs(tails_b[:, 1] - tails_a[:, 1])) <= tol
 
     @pytest.mark.parametrize("t_final", ["0", "-1"])
     @pytest.mark.parametrize("name", ["nls-smalldata", "nls-scattering"])

@@ -76,6 +76,39 @@ class TestMakeGrid:
         assert np.allclose(grid.weights, expected)
 
 
+class TestEvenGrid:
+    """An even grid holds the nodes 0..N//2 of the N-point torus, each
+    weighted by the torus nodes it stands for."""
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_stores_nodes_0_to_half(self, n):
+        full, even = make_grid(n, 8.0), make_grid(n, 8.0, even=True)
+        assert even.size == n // 2 + 1 and full.size == n
+        assert (even.n_points, even.spacing) == (full.n_points, full.spacing)
+        assert np.array_equal(even.nodes, full.nodes[: even.size])
+
+    @pytest.mark.parametrize("n, counts", [(16, [1] + [2] * 7 + [1]), (17, [1] + [2] * 8)])
+    def test_weights_count_each_mirror_image(self, n, counts):
+        # node j and node N - j both stand on node j; for even N the nodes 0
+        # and N/2 are their own mirror images
+        grid = make_grid(n, 8.0, even=True)
+        assert np.array_equal(grid.weights, grid.spacing * np.array(counts))
+        assert grid.weights.sum() == pytest.approx(grid.length, rel=1e-15)
+
+    def test_refused_on_h3(self):
+        with pytest.raises(ValueError, match="a hyperbolic-radial grid has no mirror"):
+            make_grid(64, 12.0, HYPERBOLIC, even=True)
+
+    def test_field_shape_is_the_stored_size(self):
+        grid = make_grid(64, 32.0, even=True)
+        assert Field((grid,), np.ones(33)).values.shape == (33,)
+        with pytest.raises(ValueError, match="does not match grids"):
+            Field((grid,), np.ones(64))
+
+    def test_full_and_even_grids_differ(self):
+        assert make_grid(64, 32.0) != make_grid(64, 32.0, even=True)
+
+
 class TestField:
     def test_shape_mismatch_rejected(self):
         grid = make_grid(16, 4.0)
@@ -393,3 +426,17 @@ class TestGaussianField:
         f = gaussian_field(grid, 1.0, center=0.0)
         # the bump must be symmetric across the periodic boundary
         assert f.values[1] == pytest.approx(f.values[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_even_grid_holds_the_torus_bump_on_its_nodes(self, n):
+        full, even = make_grid(n, 20.0), make_grid(n, 20.0, even=True)
+        for center in (None, 0.0, 10.0, -10.0, 20.0, 30.0):
+            f = gaussian_field(full, 1.0, center).values
+            assert np.array_equal(gaussian_field(even, 1.0, center).values, f[: even.size])
+
+    @pytest.mark.parametrize("center", [3.0, 9.99, -0.5, 25.0])
+    def test_even_grid_refuses_a_bump_that_is_not_even(self, center):
+        # a bump centred off 0 and L/2 is not even about x = 0 on the torus:
+        # the even grid would hold the even extension of another function
+        with pytest.raises(ValueError, match="not 0 or L/2 mod L"):
+            gaussian_field(make_grid(64, 20.0, even=True), 1.0, center)

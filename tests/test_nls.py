@@ -34,8 +34,8 @@ from dispersia.propagators import PotentialSpec, PropagatorSpec, product_propaga
 from oracles import merged_splitstep, product_field
 
 
-def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0):
-    grid = make_grid(n, length)
+def small_data_setup(n=128, length=48.0, amplitude=0.05, width=2.0, even=False):
+    grid = make_grid(n, length, even=even)
     specs = [PropagatorSpec("free", grid)] * 2
     u0 = product_field(gaussian_field(grid, width), gaussian_field(grid, width))
     u0 = u0.with_values(amplitude * u0.values)
@@ -436,6 +436,62 @@ class TestPicardIterate:
         # divergence must surface as a reported outcome, never an exception
         assert isinstance(result.contractive, bool)
         assert len(result.history) >= 2
+
+
+class TestEvenHalfGrid:
+    """The even grid against the full torus. A state even about x = 0 is
+    determined by its nodes 0..N//2, and the free flow and the power
+    nonlinearity keep it even, so every route on the even grid gives the
+    full torus's results on those nodes. The tolerances are set from
+    float64 roundoff, not from a run: 1e-13 for one flow and a norm, and
+    1e-12 of the datum's scale after the hundreds of steps of a route."""
+
+    @given(
+        n=st.integers(8, 96),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_flow_and_norms_match_the_full_torus(self, n, seed, times):
+        full, even = make_grid(n, 20.0), make_grid(n, 20.0, even=True)
+        h = even.size
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+        # torus node j holds the value of node min(j, N - j): even about x = 0
+        mirror = np.minimum(np.arange(n), n - np.arange(n))
+        u_full, u_even = Field((full, full), half[np.ix_(mirror, mirror)]), Field((even, even), half)
+        for t in times:
+            a = product_propagate([PropagatorSpec("free", full)] * 2, u_full, t)
+            b = product_propagate([PropagatorSpec("free", even)] * 2, u_even, t)
+            assert np.max(np.abs(b.values - a.values[:h, :h])) <= 1e-13 * np.max(np.abs(a.values))
+            for r in (2, 4, math.inf):
+                assert lp_norm(b, r) == pytest.approx(lp_norm(a, r), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_nls_routes_match_the_full_torus(self, n):
+        (u_full, full_specs), (u_even, even_specs) = (small_data_setup(n, 32.0, even=e) for e in (False, True))
+        h = u_even.grids[0].size
+        assert np.array_equal(u_even.values, u_full.values[:h, :h])
+        nl = Nonlinearity(gamma=3)
+        scale, mass = np.max(np.abs(u_full.values)), lp_norm(u_full, 2)
+
+        full = splitstep_nls(u_full, nl, full_specs, T=30.0, dt=0.1, save_stride=10)
+        even = splitstep_nls(u_even, nl, even_specs, T=30.0, dt=0.1, save_stride=10)
+        for (ta, a), (tb, b) in zip(full, even, strict=True):
+            assert ta == tb
+            assert np.max(np.abs(b.values - a.values[:h, :h])) <= 1e-12 * scale
+        tails = zip(cauchy_tails(full, full_specs).tails, cauchy_tails(even, even_specs).tails, strict=True)
+        for (ta, a), (tb, b) in tails:
+            assert ta == tb and abs(b - a) <= 1e-12 * mass
+
+        a = picard_iterate(u_full, nl, full_specs, T=2.0, dt=0.1)
+        b = picard_iterate(u_even, nl, even_specs, T=2.0, dt=0.1)
+        assert (a.converged, a.contractive, a.times) == (b.converged, b.contractive, b.times)
+        for x, y in zip(a.history, b.history, strict=True):
+            assert y.y_norm == pytest.approx(x.y_norm, rel=1e-12, abs=0)
+            assert (x.distance is None) == (y.distance is None)
+            assert x.distance is None or abs(y.distance - x.distance) <= 1e-12 * x.y_norm
+        assert np.max(np.abs(b.values - a.values[:, :h, :h])) <= 1e-12 * scale
 
 
 class TestScatteringDiagnostic:

@@ -208,6 +208,13 @@ class TestSplitstepPropagate:
         with pytest.raises(ValueError):
             PropagatorSpec("hyperbolic-radial", grid)
 
+    def test_potential_on_an_even_grid_refused(self):
+        # the eigenbasis is built on all N torus nodes: on the 33 nodes of an
+        # even 64-point grid it would add 33 samples of V to a 64 x 64 matrix
+        grid = make_grid(64, 30.0, even=True)
+        with pytest.raises(ValueError, match="a potential needs the full torus grid"):
+            PropagatorSpec("free-plus-potential", grid, sech_squared(grid))
+
     @pytest.mark.parametrize("family, width", [("gaussian-bump", 1e-300), ("sech-squared", 1e-320)])
     def test_narrow_potential_takes_its_float_limit(self, family, width):
         # so narrow that d, d^2 or cosh(d)^2 overflows at every node but the
@@ -672,6 +679,17 @@ class TestTwoParticlePropagate:
         with pytest.raises(ValueError, match="two-particle grids must be euclidean tori"):
             two_particle_propagate(np.zeros(27), u, 1.0, 4)
 
+    def test_refuses_even_grids(self):
+        # with odd N an even grid passes every other check, and the rotation
+        # would index its 14^2 stored values as 27^2
+        grid = make_grid(27, 15.0, even=True)
+        u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
+        for route in (two_particle_propagate, original_coordinates_reference):
+            with pytest.raises(ValueError, match="two-particle grids must be full tori"):
+                route(np.zeros(27), u, 1.0, 4)
+        with pytest.raises(ValueError, match="two-particle grids must be full tori"):
+            two_particle_rotate(u)
+
     def test_t0_identity(self):
         grid = make_grid(9, 5.0)
         u = product_field(gaussian_field(grid, 1.0), gaussian_field(grid, 1.0))
@@ -904,6 +922,21 @@ class TestTransformThreads:
         for workers in (1, 2):
             monkeypatch.setattr(fields, "_cores", lambda n=workers: n)
             assert np.array_equal(product_propagate(specs, u, 1.7).values, threaded)
+
+    def test_even_grid_transforms_independent_of_workers(self, monkeypatch):
+        # the mirrored FFT of an even grid on 513^2 stored points, whose
+        # lines _by_rows splits over the cores: forward and inverse on both
+        # axes give the same bits on one core and on two
+        grid = make_grid(1024, 400.0, even=True)
+        flow = propagators.spectral_product([PropagatorSpec("free", grid)] * 2, (grid, grid))
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((513, 513)) + 1j * rng.standard_normal((513, 513))
+        assert values.size >= 2**18
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(fields, "_cores", lambda n=workers: n)
+            results.append(flow.propagate(values, 1.7))
+        assert bits_equal(results[0], results[1])
 
     @staticmethod
     def dst_cases(n):
